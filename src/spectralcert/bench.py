@@ -8,12 +8,13 @@ bounds) run in report-only mode: the empirical sup ratio is recorded but no
 pass/fail is declared.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .enclosure import c1_constant, c2_constant, c3_constant, kato_yajima_constant, rho_norms
-from .gridops import GridSpec, FieldOnGrid, apply_free_resolvent, apply_gradient
+from .gridops import (GridSpec, FieldOnGrid, apply_free_resolvent, apply_gradient, free_operator,
+                      spinor_size)
 from .weights import WeightSpec, grid_dyadic_norm, morrey_norms
 
 REPORT_ONLY = ("L3.1-KG", "L3.2-D0", "L3.2-Dm")
@@ -71,25 +72,18 @@ def random_band_limited_field(grid: GridSpec, rng) -> FieldOnGrid:
     return g.field(vals / nrm)
 
 
-def _min_symbol_gap(grid, kind, m, z):
-    if kind == "dirac":
-        return float(np.min(np.abs(grid.freq_sq + m ** 2 - z ** 2)))
-    if kind == "klein_gordon":
-        return float(np.min(np.abs(np.sqrt(grid.freq_sq + m ** 2) - z)))
-    return float(np.min(np.abs(grid.freq_sq - z)))
-
-
 def default_z_arc(grid, kind, m, count=40, r_min=0.1, r_max=10.0, min_gap=1e-3):
     """Log-spaced arc over |z| in [r_min, r_max], arguments spread over
     (0, 2pi) minus small sectors around the positive real axis; points too
     close to the discrete symbol set are nudged upward off the axis."""
+    op = free_operator(kind, m, grid)
     radii = np.geomspace(r_min, r_max, count)
     args = np.linspace(0.15, 2.0 * np.pi - 0.15, count)
     zs = []
     for r, a in zip(radii, args):
         z = r * np.exp(1j * a)
         bump = 0.0
-        while _min_symbol_gap(grid, kind, m, z) < min_gap and bump < 1.0:
+        while op.gap(z) < min_gap and bump < 1.0:
             bump += 0.05
             z = r * np.exp(1j * a) + 1j * bump * np.sign(np.sin(a) if np.sin(a) != 0 else 1.0)
         zs.append(z)
@@ -232,6 +226,15 @@ def _ratio(est, ctx, z, f: FieldOnGrid):
     return lhs / rhs
 
 
+def _estimate_setup(estimate, grid, m):
+    """(grid, kind, mass, context) of one estimate: the box of ``grid`` with the
+    kind's spinor size, and mass 0 for the massless Dirac estimate."""
+    kind = estimate_kind(estimate)
+    grid = replace(grid, N=spinor_size(kind, grid.n))
+    mass = 0.0 if estimate == "L3.2-D0" else m
+    return grid, kind, mass, _Context(grid, mass)
+
+
 def run_bench(estimate, grid=None, m=1.0, trials=100, z_sampler=None,
               seed=0, slack=0.1) -> BenchReport:
     """Worst LHS/RHS ratio of one estimate over random trials.
@@ -243,15 +246,7 @@ def run_bench(estimate, grid=None, m=1.0, trials=100, z_sampler=None,
         raise ValueError(f"unknown estimate id {estimate!r}; known: {ESTIMATE_IDS}")
     if grid is None:
         grid = GridSpec(n=3, L=8.0, M=32, N=1)
-    kind = estimate_kind(estimate)
-    if kind == "dirac":
-        from .clifford import build_clifford
-        N = build_clifford(grid.n).N
-        grid = GridSpec(n=grid.n, L=grid.L, M=grid.M, N=N)
-    elif grid.N != 1:
-        grid = GridSpec(n=grid.n, L=grid.L, M=grid.M, N=1)
-    mass = 0.0 if estimate == "L3.2-D0" else m
-    ctx = _Context(grid, mass)
+    grid, kind, mass, ctx = _estimate_setup(estimate, grid, m)
     zs = z_sampler(grid) if callable(z_sampler) else \
         (list(z_sampler) if z_sampler is not None else default_z_arc(grid, kind, mass))
     rng = np.random.default_rng(seed)
@@ -285,15 +280,7 @@ def uniformity_probe(estimate, grid, m, z_path, trials_per_z=3, seed=0):
     trials at z_path[i]; the flag compares the medians of the last and first
     quarters of the path.
     """
-    kind = estimate_kind(estimate)
-    if kind == "dirac":
-        from .clifford import build_clifford
-        N = build_clifford(grid.n).N
-        grid = GridSpec(n=grid.n, L=grid.L, M=grid.M, N=N)
-    elif grid.N != 1:
-        grid = GridSpec(n=grid.n, L=grid.L, M=grid.M, N=1)
-    mass = 0.0 if estimate == "L3.2-D0" else m
-    ctx = _Context(grid, mass)
+    grid, _, mass, ctx = _estimate_setup(estimate, grid, m)
     rng = np.random.default_rng(seed)
     fields = [random_band_limited_field(grid, rng) for _ in range(trials_per_z)]
     ratios = []

@@ -12,14 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridops import GridSpec, FieldOnGrid, apply_free_resolvent, potential_on_grid
+from .gridops import (EXCLUSION_MARGIN, GridSpec, FieldOnGrid, apply_free_resolvent,
+                      free_operator, potential_on_grid)
 from .potential import PotentialSpec, polar_factorize
 
 
 def factor_on_grid(V: PotentialSpec, grid: GridSpec):
     """Pointwise polar factors (A, B) of V at every grid sample."""
-    fact = polar_factorize(V)
-    return fact.AB(grid.points)
+    return polar_factorize(V).factors(potential_on_grid(V, grid))
 
 
 def _pointwise(mat_pts, f: FieldOnGrid, conj_transpose=False) -> FieldOnGrid:
@@ -88,28 +88,10 @@ def bs_dense(kind, m, z, factors, grid: GridSpec):
     A, B = factors
     g = grid
     shape = (g.M,) * g.n + (g.N,)
+    op = free_operator(kind, m, g)
     ident = np.eye(D, dtype=complex).reshape((D, g.M ** g.n, g.N))
     batch = np.einsum("pab,dpb->dpa", np.conj(np.swapaxes(B, -1, -2)), ident)
-    spec = np.fft.fftn(batch.reshape((D,) + shape), axes=tuple(range(1, 1 + g.n)))
-    if kind == "schrodinger":
-        from .gridops import _check_admissible
-        _check_admissible(g, kind, m, z)
-        out = (1.0 / (g.freq_sq - z))[None, ..., None] * spec
-    elif kind == "klein_gordon":
-        from .gridops import _check_admissible
-        _check_admissible(g, kind, m, z)
-        out = (1.0 / (np.sqrt(m ** 2 + g.freq_sq) - z))[None, ..., None] * spec
-    elif kind == "dirac":
-        from .gridops import _check_admissible
-        from .clifford import build_clifford, dirac_symbol
-        _check_admissible(g, kind, m, z)
-        rep = build_clifford(g.n)
-        sym = dirac_symbol(rep, g.freqs, m) + z * np.eye(g.N)
-        block = sym / (g.freq_sq + m ** 2 - z ** 2)[..., None, None]
-        out = np.einsum("...ab,d...b->d...a", block, spec)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    res = np.fft.ifftn(out, axes=tuple(range(1, 1 + g.n))).reshape((D, g.M ** g.n, g.N))
+    res = op.apply(op.resolvent_block(z), batch.reshape((D,) + shape)).reshape((D, g.M ** g.n, g.N))
     cols = np.einsum("pab,dpb->dpa", A, res).reshape(D, D)
     return cols.T.copy()
 
@@ -155,26 +137,28 @@ class BSScan:
 
 
 def bs_scan(kind, m, V: PotentialSpec, grid: GridSpec, rectangle, resolution,
-            tol=1e-4, seed=0, exclusion_margin=1e-8) -> BSScan:
+            tol=1e-4, seed=0) -> BSScan:
     """Per-z norm of K_z on a lattice over rectangle = (re_min, re_max, im_min, im_max).
 
-    Points within ``exclusion_margin`` of the discrete symbol set are marked
-    excluded instead of evaluated.
+    Points where the free resolvent's |denominator| falls below
+    EXCLUSION_MARGIN (see :meth:`FreeOperator.gap`) are marked excluded
+    instead of evaluated.
     """
     re_min, re_max, im_min, im_max = rectangle
     n_re, n_im = resolution
     re = np.linspace(re_min, re_max, n_re)
     im = np.linspace(im_min, im_max, n_im)
     factors = factor_on_grid(V, grid)
+    op = free_operator(kind, m, grid)
     values = np.full((n_im, n_re), np.nan)
     excluded = np.zeros((n_im, n_re), dtype=bool)
     for i, y in enumerate(im):
         for k, x in enumerate(re):
             z = complex(x, y)
-            try:
-                values[i, k] = bs_norm(kind, m, z, factors, grid, tol=tol, seed=seed)
-            except ValueError:
+            if op.gap(z) < EXCLUSION_MARGIN:
                 excluded[i, k] = True
+            else:
+                values[i, k] = bs_norm(kind, m, z, factors, grid, tol=tol, seed=seed)
     return BSScan(re=re, im=im, values=values, excluded=excluded, kind=kind, m=m,
                   potential_hash=V.content_hash(), grid=grid,
-                  meta={"tol": tol, "seed": seed, "exclusion_margin": exclusion_margin})
+                  meta={"tol": tol, "seed": seed})

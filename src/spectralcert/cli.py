@@ -20,9 +20,8 @@ from .config import (ConfigError, parse_config, build_potential, build_weight,
                      build_grid, COMMANDS)
 from .enclosure import certify as run_certify_op, enclosure_disks, c2_constant
 from .gridops import assemble_perturbed, eigenvalues
-from .potential import PotentialSpec
 from .report import make_report, write_report
-from .weights import dyadic_norm, weighted_sup_norm
+from .weights import dyadic_norm
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -147,7 +146,6 @@ def _do_bench(cfg):
 
 
 def _do_norms(cfg):
-    import math
     table = {}
     if cfg.weight is not None:
         w = build_weight(cfg)
@@ -202,8 +200,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="report path (default <config>_report.json)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker hint for the computational modules (advisory)")
     args = parser.parse_args(argv)
 
     try:

@@ -9,18 +9,13 @@ from dataclasses import dataclass, field as dc_field
 import json
 import math
 
-import numpy as np
-
 from .bench import ESTIMATE_IDS
-from .clifford import build_clifford
 from .enclosure import THEOREM_IDS
-from .gridops import GridSpec
+from .gridops import KINDS, GridSpec, spinor_size
 from .potential import PotentialSpec, load_potential_text, load_potential_binary
 from .weights import WeightSpec
 
 COMMANDS = ("certify", "disks", "scan", "eig", "bench", "norms")
-
-KINDS = ("schrodinger", "klein_gordon", "dirac")
 
 
 class ConfigError(ValueError):
@@ -250,10 +245,6 @@ def parse_config(text, command) -> RunConfig:
         rectangle=doc.get("rectangle"), resolution=doc.get("resolution"),
         estimate=doc.get("estimate"), trials=int(trials or 100),
         p=p, q=q, raw={"command": command, **doc})
-
-
-def spinor_size(kind, n):
-    return build_clifford(n).N if kind == "dirac" else 1
 
 
 def build_potential(cfg: RunConfig, kind=None) -> PotentialSpec:

@@ -147,13 +147,6 @@ def _norm_upper(res: NormResult):
     return res.rigorous_upper()
 
 
-def _potential_profile(V: PotentialSpec):
-    try:
-        return V.radial_opnorm
-    except Exception:
-        return None
-
-
 def _weighted_potential_norm(V, wfun, n, p=np.inf, q=np.inf, j_range=(-40, 40)):
     """Dyadic norm of x -> w(|x|) |V(x)|, exact radial path for presets."""
     if V.kind != "grid-sampled":

@@ -7,10 +7,17 @@ Schrodinger, Klein-Gordon and Dirac operators are diagonal (block-diagonal)
 in the discrete Fourier basis, so resolvents are exact per-frequency
 multipliers; the half-cell offset only shifts phases that cancel in the
 forward/inverse transform pair.
+
+Every use of H_0 goes through one :class:`FreeOperator` per (kind, m, grid),
+cached by :func:`free_operator`.  It builds the symbol once, measures the
+distance of z from the discrete symbol set (``gap``), lists the free
+spectrum, and applies forward and resolvent multipliers with one FFT -
+multiply - inverse FFT, with or without a leading batch axis.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from math import ceil
 import struct
 
 import numpy as np
@@ -22,6 +29,15 @@ from .potential import PotentialSpec
 KINDS = ("schrodinger", "klein_gordon", "dirac")
 
 DENSE_SIZE_LIMIT = 4096
+
+EXCLUSION_MARGIN = 1e-8       # |denominator| below which z counts as on the discrete symbol set
+
+_FREE_OPERATOR_CACHE_SIZE = 2  # a computation uses one; more keeps big Dirac symbols resident
+
+
+def spinor_size(kind, n):
+    """Components of a field of this kind in dimension n: 2^ceil(n/2) for Dirac, else 1."""
+    return 2 ** ceil(n / 2) if kind == "dirac" else 1
 
 
 @dataclass(frozen=True)
@@ -86,9 +102,6 @@ class GridSpec:
         return FieldOnGrid(values=np.asarray(values, dtype=complex).reshape(self.M ** self.n, self.N),
                            grid=self)
 
-    def zero_field(self) -> "FieldOnGrid":
-        return self.field(np.zeros((self.M ** self.n, self.N), dtype=complex))
-
 
 @dataclass(frozen=True, eq=False)
 class FieldOnGrid:
@@ -120,94 +133,107 @@ def _ifft(grid, boxed):
     return np.fft.ifftn(boxed, axes=tuple(range(boxed.ndim - 1 - grid.n, boxed.ndim - 1)))
 
 
-def symbol_values(grid: GridSpec, kind, m):
-    """Scalar symbol on the frequency lattice: |xi|^2, sqrt(m^2+|xi|^2), or
-    for Dirac the positive branch sqrt(m^2+|xi|^2) (the spectrum is +-branch)."""
-    if kind == "schrodinger":
-        return grid.freq_sq
-    return np.sqrt(m ** 2 + grid.freq_sq)
+class FreeOperator:
+    """H_0 of one kind and mass on one grid; its arrays are read-only because it is shared.
+
+    ``symbol`` is |xi|^2, sqrt(m^2+|xi|^2), or for Dirac |xi|^2+m^2, the square
+    of the matrix symbol ``matrix`` (None for the scalar kinds).  The Dirac
+    resolvent is (D_m + z)(-Delta + m^2 - z^2)^{-1}, with denominator symbol - z^2.
+    """
+
+    def __init__(self, kind, m, grid: GridSpec):
+        self.grid = grid
+        self.matrix = None
+        if kind == "schrodinger":
+            self.symbol = grid.freq_sq
+        elif kind == "klein_gordon":
+            self.symbol = np.sqrt(m ** 2 + grid.freq_sq)
+        elif kind == "dirac":
+            rep = build_clifford(grid.n)
+            if rep.N != grid.N:
+                raise ValueError(f"dirac needs N = {rep.N} in dimension {grid.n}")
+            self.matrix = dirac_symbol(rep, grid.freqs, m)
+            self.matrix.setflags(write=False)
+            self.symbol = grid.freq_sq + m ** 2
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+        self.symbol.setflags(write=False)
+
+    def _denominator(self, z):
+        """The scalar denominator of (H_0 - z)^{-1} at every frequency."""
+        return self.symbol - (z if self.matrix is None else z ** 2)
+
+    def gap(self, z):
+        """Smallest |denominator| over the frequency lattice."""
+        return float(np.min(np.abs(self._denominator(z))))
+
+    def spectrum(self):
+        """All eigenvalues of the discretized operator, sorted, with multiplicity."""
+        if self.matrix is None:
+            return np.sort(np.repeat(self.symbol.ravel(), self.grid.N))
+        s = np.sqrt(self.symbol.ravel())
+        half = self.grid.N // 2
+        return np.sort(np.concatenate([np.repeat(s, half), np.repeat(-s, half)]))
+
+    def forward_block(self):
+        """Per-frequency multiplier of H_0: the scalar symbol or the matrix symbol."""
+        return self.symbol if self.matrix is None else self.matrix
+
+    def resolvent_block(self, z, adjoint=False):
+        """Per-frequency multiplier of (H_0 - z)^{-1}, or of its Hermitian adjoint.
+
+        Raises ValueError when z is within EXCLUSION_MARGIN of the discrete symbol set.
+        """
+        denom = self._denominator(z)
+        gap = float(np.min(np.abs(denom)))
+        if gap < EXCLUSION_MARGIN:
+            raise ValueError(f"z = {z} is within {EXCLUSION_MARGIN} of the discrete symbol set "
+                             f"(|denominator| = {gap:.3e})")
+        if self.matrix is None:
+            block = 1.0 / denom
+            return np.conj(block) if adjoint else block
+        block = self.matrix + z * np.eye(self.grid.N)
+        block /= denom[..., None, None]  # in place: one (M^n, N, N) temporary, not two
+        return np.swapaxes(np.conj(block, out=block), -1, -2) if adjoint else block
+
+    def apply(self, block, values):
+        """FFT over the lattice axes, multiply by ``block``, inverse FFT.
+
+        ``values`` has shape (M,)*n + (N,), optionally after a leading batch axis.
+        """
+        spec = _fft(self.grid, values)
+        if self.matrix is None:
+            out = block[..., None] * spec
+        else:
+            out = np.einsum("...ab,...b->...a", block, spec)
+        return _ifft(self.grid, out)
+
+
+@lru_cache(maxsize=_FREE_OPERATOR_CACHE_SIZE)
+def free_operator(kind, m, grid: GridSpec) -> FreeOperator:
+    """The shared FreeOperator of (kind, m, grid); built once per distinct key."""
+    return FreeOperator(kind, m, grid)
 
 
 def free_spectrum(grid: GridSpec, kind, m):
     """All eigenvalues of the discretized free operator, sorted, with multiplicity."""
-    s = symbol_values(grid, kind, m).ravel()
-    if kind == "schrodinger" or kind == "klein_gordon":
-        vals = np.repeat(s, grid.N)
-    else:
-        vals = np.concatenate([np.repeat(s, grid.N // 2), np.repeat(-s, grid.N // 2)])
-    return np.sort(vals)
-
-
-def _check_admissible(grid, kind, m, z, margin=1e-8):
-    if kind == "dirac":
-        gap = np.abs(grid.freq_sq + m ** 2 - z ** 2)
-        label = "m^2+|xi|^2 - z^2"
-    elif kind == "klein_gordon":
-        gap = np.abs(np.sqrt(grid.freq_sq + m ** 2) - z)
-        label = "sqrt(m^2+|xi|^2) - z"
-    else:
-        gap = np.abs(grid.freq_sq - z)
-        label = "|xi|^2 - z"
-    i = np.unravel_index(int(np.argmin(gap)), gap.shape)
-    if gap[i] < margin:
-        xi = grid.freqs[i]
-        raise ValueError(f"z = {z} is within {margin} of the discrete symbol "
-                         f"({label} = {gap[i]:.3e} at xi = {xi})")
+    return free_operator(kind, m, grid).spectrum()
 
 
 def apply_free_operator(kind, m, f: FieldOnGrid) -> FieldOnGrid:
     """Forward application of the free operator (Fourier multiplier)."""
-    g = f.grid
-    spec = _fft(g, f.boxed())
-    if kind == "schrodinger":
-        out = g.freq_sq[..., None] * spec
-    elif kind == "klein_gordon":
-        out = np.sqrt(m ** 2 + g.freq_sq)[..., None] * spec
-    elif kind == "dirac":
-        rep = build_clifford(g.n)
-        if rep.N != g.N:
-            raise ValueError(f"dirac needs N = {rep.N} in dimension {g.n}")
-        sym = dirac_symbol(rep, g.freqs, m)
-        out = np.einsum("...ab,...b->...a", sym, spec)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return g.field(_ifft(g, out))
+    op = free_operator(kind, m, f.grid)
+    return f.grid.field(op.apply(op.forward_block(), f.boxed()))
 
 
 def apply_free_resolvent(kind, m, z, f: FieldOnGrid, adjoint=False) -> FieldOnGrid:
     """(H_0 - z)^{-1} f by per-frequency multiplication.
 
-    The Dirac resolvent uses the second-order identity
-    (D_m - z)^{-1} = (D_m + z)(-Delta + m^2 - z^2)^{-1}.
     ``adjoint=True`` applies the Hermitian adjoint instead (the multiplier
     conjugated per frequency).
     """
-    g = f.grid
-    _check_admissible(g, kind, m, z)
-    spec = _fft(g, f.boxed())
-    if kind == "schrodinger":
-        mult = 1.0 / (g.freq_sq - z)
-        if adjoint:
-            mult = np.conj(mult)
-        out = mult[..., None] * spec
-    elif kind == "klein_gordon":
-        mult = 1.0 / (np.sqrt(m ** 2 + g.freq_sq) - z)
-        if adjoint:
-            mult = np.conj(mult)
-        out = mult[..., None] * spec
-    elif kind == "dirac":
-        rep = build_clifford(g.n)
-        if rep.N != g.N:
-            raise ValueError(f"dirac needs N = {rep.N} in dimension {g.n}")
-        sym = dirac_symbol(rep, g.freqs, m) + z * np.eye(g.N)
-        denom = g.freq_sq + m ** 2 - z ** 2
-        block = sym / denom[..., None, None]
-        if adjoint:
-            block = np.conj(np.swapaxes(block, -1, -2))
-        out = np.einsum("...ab,...b->...a", block, spec)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return g.field(_ifft(g, out))
+    op = free_operator(kind, m, f.grid)
+    return f.grid.field(op.apply(op.resolvent_block(z, adjoint), f.boxed()))
 
 
 def apply_gradient(f: FieldOnGrid):
@@ -240,23 +266,9 @@ def assemble_perturbed(kind, m, V, grid: GridSpec, size_limit=DENSE_SIZE_LIMIT):
         raise ValueError(f"dense size {D} exceeds limit {size_limit}; "
                          "use the matrix-free bs_scan / resolvent path instead")
     g = grid
-    shape = (g.M,) * g.n + (g.N,)
-    ident = np.eye(D, dtype=complex).reshape((D,) + shape)
-    spec = np.fft.fftn(ident, axes=tuple(range(1, 1 + g.n)))
-    if kind == "schrodinger":
-        out = g.freq_sq[None, ..., None] * spec
-    elif kind == "klein_gordon":
-        out = np.sqrt(m ** 2 + g.freq_sq)[None, ..., None] * spec
-    elif kind == "dirac":
-        rep = build_clifford(g.n)
-        if rep.N != g.N:
-            raise ValueError(f"dirac needs N = {rep.N} in dimension {g.n}")
-        sym = dirac_symbol(rep, g.freqs, m)
-        out = np.einsum("...ab,d...b->d...a", sym, spec)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    cols = np.fft.ifftn(out, axes=tuple(range(1, 1 + g.n)))
-    H = cols.reshape(D, D).T.copy()
+    op = free_operator(kind, m, g)
+    ident = np.eye(D, dtype=complex).reshape((D,) + (g.M,) * g.n + (g.N,))
+    H = op.apply(op.forward_block(), ident).reshape(D, D).T.copy()
 
     if V is not None:
         Vpts = potential_on_grid(V, grid) if isinstance(V, PotentialSpec) else np.asarray(V)

@@ -133,11 +133,6 @@ class PotentialSpec:
         return h.hexdigest()[:16]
 
 
-def eval_potential(V: PotentialSpec, x):
-    """Pointwise value of the potential; see :meth:`PotentialSpec.evaluate`."""
-    return V.evaluate(x)
-
-
 def pointwise_opnorm(V, x=None):
     """Largest singular value of V(x).
 
@@ -163,7 +158,8 @@ class Factorization:
 
     potential: PotentialSpec
 
-    def _factors(self, V):
+    def factors(self, V):
+        """Both factors of samples V of shape (..., N, N) (single SVD per sample)."""
         P, s, Qh = np.linalg.svd(V)
         rs = np.sqrt(s)
         Q = np.swapaxes(Qh.conj(), -1, -2)
@@ -172,14 +168,14 @@ class Factorization:
         return A, B
 
     def A(self, x):
-        return self._factors(self.potential.evaluate(x))[0]
+        return self.factors(self.potential.evaluate(x))[0]
 
     def B(self, x):
-        return self._factors(self.potential.evaluate(x))[1]
+        return self.factors(self.potential.evaluate(x))[1]
 
     def AB(self, x):
         """Both factors at once (single SVD per point)."""
-        return self._factors(self.potential.evaluate(x))
+        return self.factors(self.potential.evaluate(x))
 
 
 def polar_factorize(V: PotentialSpec) -> Factorization:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spectralcert.cli import main, EXIT_OK, EXIT_VALIDATION, EXIT_INCONCLUSIVE
+from spectralcert.cli import main, EXIT_OK, EXIT_VALIDATION, EXIT_COMPUTE, EXIT_INCONCLUSIVE
 from spectralcert.config import parse_config, ConfigError
 from spectralcert.report import canonical_json, make_report, write_report
 
@@ -150,6 +150,19 @@ def test_cli_scan_and_csv(tmp_path):
     assert lines[0] == "re_z,im_z,norm_estimate,excluded_flag"
     assert len(lines) == 7
     assert rep["results"]["max_norm_estimate"] > 0.0
+
+
+def test_cli_scan_spinor_mismatch_fails(tmp_path, capsys):
+    # a scalar (N = 1) potential on the Dirac grid (N = 4) is an error, not excluded points
+    doc = {"kind": "dirac", "n": 3, "m": 1.0,
+           "potential": {"preset": "inverse-square", "c": 0.5, "N": 1},
+           "grid": {"L": 8.0, "M": 8},
+           "rectangle": {"re_min": 0.2, "re_max": 0.4, "im_min": 0.3, "im_max": 0.5},
+           "resolution": {"n_re": 2, "n_im": 2}}
+    cfg = _write(tmp_path, "s.json", doc)
+    assert main(["scan", "--config", cfg, "--out", str(tmp_path / "r.json")]) == EXIT_COMPUTE
+    assert "potential (3, 1) does not match grid (3, 4)" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_cli_eig(tmp_path):

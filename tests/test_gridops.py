@@ -1,11 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from spectralcert import gridops
 from spectralcert.clifford import build_clifford, dirac_symbol
 from spectralcert.gridops import (GridSpec, apply_free_operator, apply_free_resolvent,
                                   apply_gradient, assemble_perturbed, eigenvalues,
-                                  free_spectrum, potential_on_grid, save_field,
-                                  load_field)
+                                  free_operator, free_spectrum, potential_on_grid,
+                                  save_field, load_field)
 from spectralcert.potential import PotentialSpec
 
 
@@ -104,6 +107,67 @@ def test_resolvent_rejects_symbol_hit():
     z = float(g.freq_sq.ravel()[5])  # exactly on the discrete symbol
     with pytest.raises(ValueError):
         apply_free_resolvent("schrodinger", 0.0, z, _rand_field(g))
+
+
+KIND_CASES = [("schrodinger", 0.0, 1), ("klein_gordon", 0.8, 1), ("dirac", 1.0, 4)]
+
+
+@pytest.mark.parametrize("kind,m,N", KIND_CASES)
+def test_free_operator_shared_per_key(kind, m, N):
+    op = free_operator(kind, m, GridSpec(n=3, L=2.0, M=4, N=N))
+    assert free_operator(kind, m, GridSpec(n=3, L=2.0, M=4, N=N)) is op
+    assert free_operator(kind, m, GridSpec(n=3, L=2.5, M=4, N=N)) is not op
+    assert free_operator(kind, m + 0.5, GridSpec(n=3, L=2.0, M=4, N=N)) is not op
+    with pytest.raises(ValueError):
+        op.symbol[0, 0, 0] = 1.0  # shared, so read-only
+
+
+@pytest.mark.parametrize("kind,m,N", KIND_CASES)
+def test_free_operator_gap_brute_force(kind, m, N):
+    g = GridSpec(n=3, L=2.0, M=4, N=N)
+    op = free_operator(kind, m, g)
+    for z in (0.3 + 0.7j, complex(2.4, 0.01), complex(-1.1, -0.2)):
+        want = np.inf
+        for xi in itertools.product(g.axis_freqs, repeat=3):
+            r2 = sum(x * x for x in xi)
+            denom = {"schrodinger": r2 - z, "klein_gordon": np.sqrt(m * m + r2) - z,
+                     "dirac": r2 + m * m - z * z}[kind]
+            want = min(want, abs(denom))
+        assert op.gap(z) == pytest.approx(want, rel=1e-12, abs=1e-14)
+    # a lattice point of the symbol set itself has gap 0 and no resolvent
+    hit = float(np.sqrt(op.symbol.ravel()[5])) if kind == "dirac" else float(op.symbol.ravel()[5])
+    assert op.gap(hit) < 1e-12
+    with pytest.raises(ValueError):
+        op.resolvent_block(hit)
+
+
+@pytest.mark.parametrize("kind,m,N", KIND_CASES)
+def test_free_operator_batched_apply_bitwise(kind, m, N):
+    g = GridSpec(n=3, L=2.0, M=4, N=N)
+    op = free_operator(kind, m, g)
+    fields = [_rand_field(g, s) for s in range(5)]
+    stack = np.stack([f.boxed() for f in fields])
+    for block in (op.forward_block(), op.resolvent_block(0.4 + 0.3j),
+                  op.resolvent_block(0.4 + 0.3j, adjoint=True)):
+        batched = op.apply(block, stack)
+        for k, f in enumerate(fields):
+            assert np.array_equal(batched[k], op.apply(block, f.boxed()))
+
+
+def test_free_operator_builds_clifford_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return build_clifford(n)
+
+    monkeypatch.setattr(gridops, "build_clifford", counting)
+    gridops.free_operator.cache_clear()
+    g = GridSpec(n=3, L=2.0, M=4, N=4)
+    f = _rand_field(g, 6)
+    for k in range(20):
+        f = apply_free_resolvent("dirac", 1.0, 0.3 + 0.1j * (k + 1), f, adjoint=k % 2 == 1)
+    assert len(calls) <= 1
 
 
 def test_gradient_plane_wave():

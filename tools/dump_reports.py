@@ -1,0 +1,81 @@
+"""Write the reports of one benchmark job list to a directory, for comparing two trees.
+
+    python3 tools/dump_reports.py --tree T --workload scan_bench --seed 1 --out DIR
+
+Loads ``T/perfbench/run.py``, which imports spectralcert from ``T/src`` and
+the job generators from ``T/perfbench/workloads.py``.  ``Run.setup()``
+writes the seeded job list (and runs the warm-up jobs), each distinct job
+then runs once through ``run_job``, and every report is copied to DIR with
+the CSV siblings its ``files`` list names, under the job's config number.
+Nothing under ``T/perfbench`` is written: the run works in
+``T/.perfbench_work`` and removes its directory there afterwards.
+
+Reports are canonical JSON, so a refactor that keeps behaviour gives
+identical dumps.  With the parent commit exported to ``../parent``
+(``git archive``):
+
+    python3 tools/dump_reports.py --tree ../parent --workload scan_bench --seed 1 --out /tmp/old
+    python3 tools/dump_reports.py --tree . --workload scan_bench --seed 1 --out /tmp/new
+    diff -r /tmp/old /tmp/new
+
+Exits 1 if a job's exit code differs from the one its config predicts.
+"""
+
+import argparse
+import importlib.util
+import json
+import shutil
+import sys
+from pathlib import Path
+
+
+def load_run_module(tree):
+    """Import ``tree/perfbench/run.py`` as a module without running its main()."""
+    path = Path(tree).resolve() / "perfbench" / "run.py"
+    if not path.is_file():
+        raise SystemExit(f"error: no benchmark runner at {path}")
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def dump(run_mod, workload, seed, out):
+    """Run each distinct job of the workload once; copy its report and siblings to ``out``."""
+    run = run_mod.Run(workload, seed)
+    failed = 0
+    try:
+        run.setup()
+        for job in run.jobs:
+            report = Path("out") / f"{Path(job.path).stem}.json"
+            attempt = run_mod.run_job(run.cli, job, str(report), run.sink)
+            if not attempt.ok:
+                failed += 1
+                print(f"FAILED {job.command} {job.path}: {attempt.error.strip()[:500]}")
+            if not report.is_file():
+                continue
+            shutil.copy(report, out / report.name)
+            for sibling in json.loads(report.read_text()).get("files", []):
+                shutil.copy(report.parent / sibling, out / sibling)
+    finally:
+        run.cleanup()
+    return len(run.jobs), failed
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--tree", required=True, help="repository root whose program and benchmark to run")
+    parser.add_argument("--workload", required=True, choices=("scan_bench", "certify_eig"))
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--out", required=True, help="directory for the reports (created if missing)")
+    args = parser.parse_args(argv)
+    out = Path(args.out).resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    jobs, failed = dump(load_run_module(args.tree), args.workload, args.seed, out)
+    print(f"{args.workload} seed {args.seed}: {jobs} jobs, {failed} failed, "
+          f"{sum(1 for _ in out.iterdir())} files in {out}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
