@@ -20,6 +20,7 @@ from .config import (ConfigError, parse_config, build_potential, build_weight,
                      build_grid, COMMANDS)
 from .enclosure import certify as run_certify_op, enclosure_disks, c2_constant
 from .gridops import assemble_perturbed, eigenvalues
+from .potential import opnorm_in_box
 from .report import make_report, write_report
 from .weights import dyadic_norm
 
@@ -154,12 +155,7 @@ def _do_norms(cfg):
     if cfg.potential is not None:
         V = build_potential(cfg, kind="dirac" if cfg.potential.get("N", 1) > 1 else "schrodinger")
         if V.kind == "grid-sampled":
-            from .potential import pointwise_opnorm
-
-            def f(pts):
-                return pointwise_opnorm(V, pts)
-
-            res = dyadic_norm(f, cfg.p, cfg.q, cfg.n)
+            res = dyadic_norm(lambda pts: opnorm_in_box(V, pts), cfg.p, cfg.q, cfg.n)
         else:
             res = dyadic_norm(None, cfg.p, cfg.q, cfg.n, radial_profile=V.radial_opnorm)
         table["potential"] = _norm_dict(res)

@@ -3,10 +3,11 @@
 The construction is the standard iterated Pauli tensor product: for
 k = ceil(n/2) it yields 2k+1 pairwise anticommuting Hermitian unitaries of
 size 2^k, from which the mass matrix (slot 0) and the n kinetic matrices
-are taken.  The same n always produces bit-identical matrices.
+are taken.  Each n is built once; every caller shares the read-only matrices.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil
 
 import numpy as np
@@ -36,12 +37,15 @@ def _tensor_chain(mats):
     return out
 
 
+@lru_cache(maxsize=None, typed=True)
 def build_clifford(n) -> CliffordRep:
     """Construct the n+1 anticommuting matrices of size N = 2^ceil(n/2).
 
     For slot i in 1..k the pair (2i-1, 2i) carries pauli-x / pauli-y in
     tensor slot i with pauli-z tails; the mass matrix is the pure pauli-z
-    tensor power, so it is diagonal in every dimension.
+    tensor power, so it is diagonal in every dimension.  The result is
+    cached per n (``typed`` keeps ``True`` from hitting the entry for 1),
+    and its arrays are read-only.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise TypeError(f"spatial dimension must be an integer, got {n!r}")

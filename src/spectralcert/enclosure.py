@@ -12,10 +12,11 @@ Conventions for certificates:
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .potential import PotentialSpec
+from .potential import PotentialSpec, opnorm_in_box
 from .weights import WeightSpec, NormResult, dyadic_norm, weighted_sup_norm
 
 THEOREM_IDS = ("2.1", "2.2-massless", "2.2-massive", "2.3", "2.4", "2.5-j1", "2.5-j2")
@@ -107,7 +108,12 @@ def c3_constant(n, rho_l2linf, rho_halfpower_linf) -> float:
 
 
 def rho_norms(rho: WeightSpec, j_range=(-40, 40)):
-    """(|rho|_{ell2 Linf}, | |x|^(1/2) rho |_Linf) as NormResults."""
+    """(|rho|_{ell2 Linf}, | |x|^(1/2) rho |_Linf) as NormResults, shared per (rho, j_range)."""
+    return _rho_norms(rho, tuple(j_range))
+
+
+@lru_cache(maxsize=16)
+def _rho_norms(rho, j_range):
     l2 = dyadic_norm(None, 2, np.inf, 3, j_range=j_range, radial_profile=rho.radial)
     half = weighted_sup_norm(None, w=WeightSpec("power", exponent=0.5),
                              radial_profile=rho.radial, j_range=j_range)
@@ -154,9 +160,7 @@ def _weighted_potential_norm(V, wfun, n, p=np.inf, q=np.inf, j_range=(-40, 40)):
         return dyadic_norm(None, p, q, n, j_range=j_range, radial_profile=prof)
 
     def f(pts):
-        from .potential import pointwise_opnorm
-        r = np.linalg.norm(pts, axis=-1)
-        return wfun(r) * pointwise_opnorm(V, pts)
+        return wfun(np.linalg.norm(pts, axis=-1)) * opnorm_in_box(V, pts)
 
     return dyadic_norm(f, p, q, n, j_range=j_range)
 

@@ -10,7 +10,9 @@ The preset catalogue covers the hypotheses of the stability theorems:
 All presets have radial pointwise operator norm, exposed exactly through
 :meth:`PotentialSpec.radial_opnorm`; the dyadic norm engine uses that as an
 analytic envelope for tail bounds.  Grid-sampled potentials evaluate by
-nearest-sample lookup (no interpolation) and carry no envelope.
+nearest-sample lookup (no interpolation) and carry no envelope; lookups
+outside the sampled box are errors, while the dyadic norms take such a
+potential as 0 there (:func:`opnorm_in_box`).
 """
 
 from dataclasses import dataclass, field
@@ -144,6 +146,21 @@ def pointwise_opnorm(V, x=None):
     V = np.asarray(V, dtype=complex)
     s = np.linalg.svd(V, compute_uv=False)
     return s[..., 0] if V.ndim > 2 else float(s[0])
+
+
+def opnorm_in_box(V: PotentialSpec, x):
+    """|V(x)| at points x of shape (k, n), taking a grid-sampled V as 0 outside its box.
+
+    The dyadic norms sample every annulus out to 2^40, beyond the box of
+    most potential files; lookups (``evaluate``) still reject such points.
+    """
+    if V.kind != "grid-sampled":
+        return pointwise_opnorm(V, x)
+    out = np.zeros(len(x))
+    inside = np.all(np.abs(x) <= V.grid_L, axis=-1)
+    if inside.any():
+        out[inside] = pointwise_opnorm(V, x[inside])
+    return out
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ certificate built on the norm must be inconclusive.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,7 +76,7 @@ def weight_eval(w: WeightSpec, x):
     return w.radial(r)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormResult:
     """A dyadic-norm estimate plus bookkeeping for a rigorous upper bound.
 
@@ -127,56 +128,88 @@ def _sphere_area(n):
     return 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
 
 
-def _annulus_sup_radial(profile, j, n_samples, rounds):
-    """Sup of a radial profile over the half-open annulus by log-spaced refinement."""
-    lo, hi = 2.0 ** (j - 1), 2.0 ** j * (1.0 - 1e-9)
-    best = 0.0
+# Annuli per profile call: a (32, 256) radial block or a (4, 64, 22) block of
+# direction samples keeps each temporary near 64 KB.
+_RADIAL_CHUNK = 32
+_DIRECTIONAL_CHUNK = 4
+
+
+def _annulus_bounds(js):
+    """Inner and outer radius of each annulus j in ``js`` (exact powers of two)."""
+    return np.ldexp(1.0, js - 1), np.ldexp(1.0, js)
+
+
+def _refined_sup(values, lo, hi, n_samples, rounds):
+    """Sup over [lo, hi] per row by log-spaced refinement.
+
+    ``values`` maps radii of shape (J, n_samples) to magnitudes of shape
+    (J, n_samples) or (J, n_samples, D).  Each round samples every active
+    row, keeps its running max, and narrows the row to the two neighbours
+    of its argmax radius; a row whose bracket collapses stops.
+    """
+    best = np.zeros(len(lo))
+    active = np.arange(len(lo))
     for _ in range(rounds):
-        r = np.geomspace(lo, hi, n_samples)
-        vals = np.abs(profile(r))
-        i = int(np.argmax(vals))
-        best = max(best, float(vals[i]))
-        lo2 = r[max(i - 1, 0)]
-        hi2 = r[min(i + 1, n_samples - 1)]
-        if hi2 <= lo2:
+        r = np.ascontiguousarray(np.geomspace(lo, hi, n_samples, axis=-1))
+        vals = values(r).reshape(len(r), -1)
+        rows = np.arange(len(r))
+        flat = np.argmax(vals, axis=1)
+        top = vals[rows, flat]
+        best[active] = np.where(top > best[active], top, best[active])
+        i = flat // (vals.shape[1] // n_samples)
+        lo2 = r[rows, np.maximum(i - 1, 0)]
+        hi2 = r[rows, np.minimum(i + 1, n_samples - 1)]
+        go = hi2 > lo2
+        active, lo, hi = active[go], lo2[go], hi2[go]
+        if not len(active):
             break
-        lo, hi = lo2, hi2
     return best
 
 
-def _annulus_l2_radial(profile, j, n, n_nodes=64):
-    """L^2 norm of a radial profile over the annulus via Gauss-Legendre."""
-    lo, hi = 2.0 ** (j - 1), 2.0 ** j
+@lru_cache(maxsize=4)
+def _legendre(n_nodes):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per node count."""
     t, wts = np.polynomial.legendre.leggauss(n_nodes)
-    r = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
-    w = 0.5 * (hi - lo) * wts
-    g = np.abs(profile(r))
-    return float(np.sqrt(_sphere_area(n) * np.sum(w * r ** (n - 1) * g ** 2)))
+    t.setflags(write=False)
+    wts.setflags(write=False)
+    return t, wts
 
 
-def _annulus_norm_general(f, j, n, q, dirs, n_radial, rounds):
-    lo, hi = 2.0 ** (j - 1), 2.0 ** j
+def _gauss_nodes(lo, hi, n_nodes):
+    """Gauss-Legendre nodes and weights mapped onto each [lo, hi], one row per annulus."""
+    t, wts = _legendre(n_nodes)
+    lo, hi = lo[:, None], hi[:, None]
+    return 0.5 * (hi - lo) * t + 0.5 * (hi + lo), 0.5 * (hi - lo) * wts
+
+
+def _radial_terms(profile, js, n, q, rounds):
+    """Per-annulus L^q norms of a radial profile: 256-point sup refinement or 64 Gauss nodes."""
+    lo, hi = _annulus_bounds(js)
     if np.isinf(q):
-        hi = hi * (1.0 - 1e-9)
-        best = 0.0
-        for _ in range(rounds):
-            r = np.geomspace(lo, hi, n_radial)
-            pts = r[:, None, None] * dirs[None, :, :]
-            vals = np.abs(f(pts.reshape(-1, n))).reshape(len(r), len(dirs))
-            i, _k = np.unravel_index(int(np.argmax(vals)), vals.shape)
-            best = max(best, float(vals.max()))
-            lo2, hi2 = r[max(i - 1, 0)], r[min(i + 1, len(r) - 1)]
-            if hi2 <= lo2:
-                break
-            lo, hi = lo2, hi2
-        return best
-    t, wts = np.polynomial.legendre.leggauss(n_radial)
-    r = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
-    w = 0.5 * (hi - lo) * wts
-    pts = r[:, None, None] * dirs[None, :, :]
-    vals = np.abs(f(pts.reshape(-1, n))).reshape(len(r), len(dirs))
-    sph_mean = np.mean(vals ** 2, axis=1)
-    return float(np.sqrt(_sphere_area(n) * np.sum(w * r ** (n - 1) * sph_mean)))
+        return _refined_sup(lambda r: np.abs(profile(r)), lo, hi * (1.0 - 1e-9), 256, rounds)
+    r, w = _gauss_nodes(lo, hi, 64)
+    g = np.abs(profile(r))
+    return np.sqrt(_sphere_area(n) * np.sum(w * r ** (n - 1) * g ** 2, axis=-1))
+
+
+def _directional_terms(f, js, n, q, dirs, n_radial, rounds):
+    """Per-annulus L^q norms of a field sampled along the rays ``dirs``."""
+    lo, hi = _annulus_bounds(js)
+
+    def values(r):
+        pts = r[:, :, None, None] * dirs[None, None, :, :]
+        return np.abs(f(pts.reshape(-1, n))).reshape(r.shape + (len(dirs),))
+
+    if np.isinf(q):
+        return _refined_sup(values, lo, hi * (1.0 - 1e-9), n_radial, rounds)
+    r, w = _gauss_nodes(lo, hi, n_radial)
+    sph_mean = np.mean(values(r) ** 2, axis=-1)
+    return np.sqrt(_sphere_area(n) * np.sum(w * r ** (n - 1) * sph_mean, axis=-1))
+
+
+def _chunked(terms, js, chunk):
+    """``terms`` applied to consecutive slices of ``js`` of at most ``chunk`` annuli."""
+    return np.concatenate([terms(js[k:k + chunk]) for k in range(0, len(js), chunk)])
 
 
 def _detect_divergence(terms, p):
@@ -200,17 +233,16 @@ def _aggregate(terms, p):
     return float(np.sum(t ** p) ** (1.0 / p))
 
 
-def dyadic_norm(f, p, q, n, j_range=(-40, 40), radial_profile=None,
-                tail_envelope=None, j_ext=200, n_radial=64, n_angular=16,
-                refine_rounds=3, seed=7) -> NormResult:
+def dyadic_norm(f, p, q, n, j_range=(-40, 40), radial_profile=None, j_ext=200,
+                n_radial=64, n_angular=16, refine_rounds=3, seed=7) -> NormResult:
     """ell^p aggregation over dyadic annuli of per-annulus L^q norms.
 
     ``f`` is a callable on point arrays of shape (k, n) returning nonnegative
     scalars; for radial fields pass ``radial_profile`` (a function of r)
     instead, which is evaluated exactly in 1-D and doubles as the tail
-    envelope.  ``tail_envelope``, if given, maps an annulus index j to an
-    upper bound on that annulus' L^q norm and overrides the automatic
-    continuation.
+    envelope: the ``j_ext`` annuli beyond each end of the range give
+    ``tail_bound``.  Both callables receive many annuli per call (radii of
+    shape (J, S), or (J * S * D, n) points).
 
     A divergent ell^p sum (terms not decaying toward either end of the
     range) is reported with ``diverged=True`` and an infinite value rather
@@ -223,33 +255,27 @@ def dyadic_norm(f, p, q, n, j_range=(-40, 40), radial_profile=None,
     j_min, j_max = int(j_range[0]), int(j_range[1])
     if j_min > j_max:
         raise ValueError(f"empty annulus range {j_range}")
-    dirs = None if radial_profile is not None else _directions(n, 2 * n + n_angular, seed)
 
-    def annulus(j):
-        if radial_profile is not None:
-            if np.isinf(q):
-                return _annulus_sup_radial(radial_profile, j, 256, refine_rounds)
-            return _annulus_l2_radial(radial_profile, j, n)
-        return _annulus_norm_general(f, j, n, q, dirs, n_radial, refine_rounds)
-
-    terms = [annulus(j) for j in range(j_min, j_max + 1)]
+    if radial_profile is not None:
+        js = np.arange(j_min - j_ext, j_max + 1 + j_ext)
+        every = _chunked(lambda part: _radial_terms(radial_profile, part, n, q, refine_rounds),
+                         js, _RADIAL_CHUNK)
+        terms = every[j_ext:len(js) - j_ext]
+        ext_terms = np.concatenate([every[:j_ext], every[len(js) - j_ext:]])
+        samples = 256
+    else:
+        dirs = _directions(n, 2 * n + n_angular, seed)
+        terms = _chunked(
+            lambda part: _directional_terms(f, part, n, q, dirs, n_radial, refine_rounds),
+            np.arange(j_min, j_max + 1), _DIRECTIONAL_CHUNK)
+        ext_terms = None
+        samples = n_radial * len(dirs)
     diverged = _detect_divergence(terms, p)
     value = np.inf if diverged else _aggregate(terms, p)
 
     tail = None
-    if not diverged:
-        env = tail_envelope
-        if env is None and radial_profile is not None:
-            env = annulus
-        if env is not None:
-            ext = [env(j) for j in range(j_min - j_ext, j_min)]
-            ext += [env(j) for j in range(j_max + 1, j_max + 1 + j_ext)]
-            ext_terms = np.asarray(ext, dtype=float)
-            if _detect_divergence(list(ext_terms), p):
-                tail = None
-            else:
-                tail = _aggregate(ext_terms, p)
-    samples = 256 if radial_profile is not None else n_radial * (2 * n + n_angular)
+    if not diverged and ext_terms is not None and not _detect_divergence(ext_terms, p):
+        tail = _aggregate(ext_terms, p)
     return NormResult(value=value, p=float(p), j_min=j_min, j_max=j_max,
                       tail_bound=tail, samples_per_annulus=samples, diverged=diverged)
 

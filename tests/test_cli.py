@@ -6,6 +6,7 @@ import pytest
 
 from spectralcert.cli import main, EXIT_OK, EXIT_VALIDATION, EXIT_COMPUTE, EXIT_INCONCLUSIVE
 from spectralcert.config import parse_config, ConfigError
+from spectralcert.potential import PotentialSpec, save_potential_binary
 from spectralcert.report import canonical_json, make_report, write_report
 
 
@@ -197,6 +198,32 @@ def test_cli_norms(tmp_path):
     assert main(["norms", "--config", cfg, "--out", out]) == EXIT_OK
     res = json.loads(open(out).read())["results"]["norms"]["weight"]
     assert res["value"] == pytest.approx(1.3010, rel=1e-3)
+
+
+def _small_box_file(tmp_path):
+    # a Dirac potential sampled on [-4, 4)^3, far inside the 2^40 the dyadic norms reach
+    rng = np.random.default_rng(5)
+    vals = 1e-3 * (rng.normal(size=(4 ** 3, 4, 4)) + 1j * rng.normal(size=(4 ** 3, 4, 4)))
+    path = tmp_path / "small.bin"
+    save_potential_binary(PotentialSpec.from_samples(3, 4, 4.0, 4, vals), path)
+    return {"file": str(path)}
+
+
+def test_cli_small_box_file_certify_and_norms(tmp_path):
+    pot = _small_box_file(tmp_path)
+    cfg = _write(tmp_path, "c.json", {"theorem": "2.3", "kind": "dirac", "n": 3, "m": 1.0,
+                                      "potential": pot})
+    out = tmp_path / "c_rep.json"
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_INCONCLUSIVE
+    cert = json.loads(out.read_text())["results"]["certificate"]
+    assert cert["tail_bound"] is None and cert["norm_upper"] is None
+    assert 0.0 < cert["norm"] < math.inf
+
+    cfg = _write(tmp_path, "n.json", {"n": 3, "p": 1, "q": 2, "potential": pot})
+    out = tmp_path / "n_rep.json"
+    assert main(["norms", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    res = json.loads(out.read_text())["results"]["norms"]["potential"]
+    assert 0.0 < res["value"] < math.inf and res["tail_bound"] is None
 
 
 def test_cli_seed_override_echoed(tmp_path):

@@ -48,6 +48,16 @@ def test_deterministic_construction():
         assert np.array_equal(x, y)
 
 
+def test_built_once_and_read_only():
+    rep = build_clifford(3)
+    assert build_clifford(3) is rep
+    for a in rep.alphas:
+        with pytest.raises(ValueError):
+            a[0, 0] = 2.0
+    with pytest.raises(TypeError):
+        build_clifford(True)  # not served from the entry for n = 1
+
+
 def test_rejects_bad_dimension():
     with pytest.raises(ValueError):
         build_clifford(0)

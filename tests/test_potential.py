@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spectralcert.potential import (PotentialSpec, Factorization, polar_factorize,
-                                    pointwise_opnorm, save_potential_text,
+                                    pointwise_opnorm, opnorm_in_box, save_potential_text,
                                     load_potential_text, save_potential_binary,
                                     load_potential_binary)
 
@@ -122,6 +122,22 @@ def test_grid_sampled_lookup_and_bounds():
         V.evaluate(np.array([3.0, 0.0]))
     with pytest.raises(ValueError):
         V.radial_opnorm(1.0)
+
+
+def test_opnorm_in_box_is_zero_outside_the_box():
+    rng = np.random.default_rng(4)
+    M, L = 4, 2.0
+    V = PotentialSpec.from_samples(3, 2, L, M, _random_samples(rng, 3, 2, M))
+    x = np.array([[0.3, -1.2, 1.9], [2.5, 0.0, 0.0], [0.0, -0.4, -2.0], [1e6, 1e6, 1e6]])
+    got = opnorm_in_box(V, x)
+    assert got[1] == 0.0 and got[3] == 0.0
+    assert np.array_equal(got[[0, 2]], pointwise_opnorm(V, x[[0, 2]]))
+    assert np.array_equal(opnorm_in_box(V, x[[1, 3]]), [0.0, 0.0])
+    # the lookup itself stays strict
+    with pytest.raises(ValueError):
+        V.evaluate(x)
+    P = PotentialSpec.preset("inverse-square", 3, 2, c=0.5)
+    assert np.array_equal(opnorm_in_box(P, x), pointwise_opnorm(P, x))
 
 
 def test_content_hash_sensitivity():

@@ -1,6 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
+from spectralcert import weights
 from spectralcert.gridops import GridSpec
 from spectralcert.weights import (WeightSpec, NormResult, weight_eval, dyadic_norm,
                                   weighted_sup_norm, grid_dyadic_norm, morrey_norms)
@@ -164,6 +168,140 @@ def test_weighted_sup_norm_paths():
     a10 = weighted_sup_norm(None, w=w, radial_profile=prof, j_range=(-10, 10))
     b = weighted_sup_norm(f, w=w, n=3, j_range=(-10, 10))
     assert b.value == pytest.approx(a10.value, rel=1e-4)
+
+
+# -- reference: the engine one annulus per profile call -----------------
+#
+# The batched engine must take exactly these samples and do exactly this
+# arithmetic per annulus, so its results are compared with ==.
+
+def _ref_sup(values, lo, hi, n_samples, rounds):
+    best = 0.0
+    for _ in range(rounds):
+        r = np.geomspace(lo, hi, n_samples)
+        vals = values(r)
+        i = np.unravel_index(int(np.argmax(vals)), vals.shape)[0]
+        best = max(best, float(vals.max()))
+        lo2, hi2 = r[max(i - 1, 0)], r[min(i + 1, n_samples - 1)]
+        if hi2 <= lo2:
+            break
+        lo, hi = lo2, hi2
+    return best
+
+
+def _ref_annulus(j, n, q, profile=None, f=None, dirs=None, n_radial=64, rounds=3):
+    from scipy.special import gamma
+    area = 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
+    lo, hi = 2.0 ** (j - 1), 2.0 ** j
+    if profile is not None:
+        if np.isinf(q):
+            return _ref_sup(lambda r: np.abs(profile(r)), lo, hi * (1.0 - 1e-9), 256, rounds)
+        t, wts = np.polynomial.legendre.leggauss(64)
+        r = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
+        w = 0.5 * (hi - lo) * wts
+        return float(np.sqrt(area * np.sum(w * r ** (n - 1) * np.abs(profile(r)) ** 2)))
+
+    def values(r):
+        pts = r[:, None, None] * dirs[None, :, :]
+        return np.abs(f(pts.reshape(-1, n))).reshape(len(r), len(dirs))
+
+    if np.isinf(q):
+        return _ref_sup(values, lo, hi * (1.0 - 1e-9), n_radial, rounds)
+    t, wts = np.polynomial.legendre.leggauss(n_radial)
+    r = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
+    w = 0.5 * (hi - lo) * wts
+    sph_mean = np.mean(values(r) ** 2, axis=1)
+    return float(np.sqrt(area * np.sum(w * r ** (n - 1) * sph_mean)))
+
+
+def reference_dyadic_norm(f, p, q, n, j_range=(-40, 40), radial_profile=None, j_ext=200,
+                          n_radial=64, n_angular=16, refine_rounds=3, seed=7):
+    j_min, j_max = j_range
+    dirs = weights._directions(n, 2 * n + n_angular, seed)
+
+    def annulus(j):
+        return _ref_annulus(j, n, q, radial_profile, f, dirs, n_radial, refine_rounds)
+
+    terms = [annulus(j) for j in range(j_min, j_max + 1)]
+    diverged = weights._detect_divergence(terms, p)
+    value = np.inf if diverged else weights._aggregate(terms, p)
+    tail = None
+    if not diverged and radial_profile is not None:
+        ext = [annulus(j) for j in range(j_min - j_ext, j_min)]
+        ext += [annulus(j) for j in range(j_max + 1, j_max + 1 + j_ext)]
+        if not weights._detect_divergence(ext, p):
+            tail = weights._aggregate(ext, p)
+    return value, tail, diverged
+
+
+def _assert_same_as_reference(f, p, q, n, **kw):
+    res = dyadic_norm(f, p, q, n, **kw)
+    value, tail, diverged = reference_dyadic_norm(f, p, q, n, **kw)
+    assert res.value == value
+    assert res.tail_bound == tail
+    assert res.diverged == diverged
+    return res
+
+
+def _bumpy(r):
+    return np.abs(np.sin(3.0 * np.log(r))) / (1.0 + r) ** 2 + 1e-3 * r ** 0.25 * np.exp(-r)
+
+
+@pytest.mark.parametrize("p,q", [(1, np.inf), (np.inf, np.inf), (2, 2), (np.inf, 2)])
+def test_batched_radial_matches_reference(p, q):
+    _assert_same_as_reference(None, p, q, 3, radial_profile=_bumpy)
+    rho = WeightSpec("rho2", eps=0.5, delta=0.5)
+    _assert_same_as_reference(None, p, q, 3, radial_profile=rho.radial, j_range=(-5, 7))
+
+
+@pytest.mark.parametrize("q", [np.inf, 2])
+def test_batched_directional_matches_reference(q):
+    def f(pts):
+        r = np.linalg.norm(pts, axis=-1)
+        return _bumpy(r) * (1.0 + 0.5 * np.tanh(pts[:, 0] - pts[:, 2]))
+
+    _assert_same_as_reference(f, 1, q, 3, j_range=(-6, 6))
+    _assert_same_as_reference(f, 2, q, 4, j_range=(-3, 2), n_radial=16, n_angular=5)
+
+
+def test_batched_constant_profile_matches_reference():
+    # a constant: the argmax is the first sample of every row, and the sums diverge
+    one = lambda r: np.ones_like(r)
+    res = _assert_same_as_reference(None, 1, np.inf, 3, radial_profile=one, j_range=(-20, 20))
+    assert res.diverged
+    _assert_same_as_reference(None, np.inf, np.inf, 3, radial_profile=one, j_range=(-3, 3))
+    # one radial sample per ray: every row's bracket collapses after the first round
+    _assert_same_as_reference(lambda pts: np.ones(len(pts)), np.inf, np.inf, 3,
+                              j_range=(-3, 3), n_radial=1)
+
+
+def test_batched_single_annulus_and_ragged_ranges():
+    _assert_same_as_reference(None, 1, np.inf, 3, radial_profile=_bumpy, j_range=(1, 1))
+    _assert_same_as_reference(None, 2, 2, 3, radial_profile=_bumpy, j_range=(1, 1))
+    f = lambda pts: _bumpy(np.linalg.norm(pts, axis=-1))
+    _assert_same_as_reference(f, 1, np.inf, 3, j_range=(1, 1))
+    # lengths that are not multiples of either chunk size
+    assert (2 * 200 + 37) % weights._RADIAL_CHUNK and 7 % weights._DIRECTIONAL_CHUNK
+    _assert_same_as_reference(None, 1, np.inf, 3, radial_profile=_bumpy, j_range=(-18, 18))
+    _assert_same_as_reference(f, 1, 2, 3, j_range=(-3, 3))
+
+
+def test_radial_norm_evaluates_many_annuli_per_call():
+    calls = []
+
+    def profile(r):
+        calls.append(r.shape)
+        return _bumpy(r)
+
+    dyadic_norm(None, 1, np.inf, 3, radial_profile=profile)
+    assert len(calls) <= 3 * math.ceil(481 / weights._RADIAL_CHUNK)
+    assert sum(np.prod(s) for s in calls) == 481 * 3 * 256
+
+
+def test_norm_result_is_frozen():
+    res = dyadic_norm(None, 1, np.inf, 3, radial_profile=_bumpy, j_range=(0, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.value = 0.0
 
 
 # -- grid-field norms ---------------------------------------------------

@@ -1,11 +1,12 @@
-"""Write the reports of one benchmark job list to a directory, for comparing two trees.
+"""Write the reports of benchmark job lists to a directory, for comparing two trees.
 
-    python3 tools/dump_reports.py --tree T --workload scan_bench --seed 1 --out DIR
+    python3 tools/dump_reports.py --tree T --workload all --seed 1 --seed 9001 --out DIR
 
 Loads ``T/perfbench/run.py``, which imports spectralcert from ``T/src`` and
-the job generators from ``T/perfbench/workloads.py``.  ``Run.setup()``
-writes the seeded job list (and runs the warm-up jobs), each distinct job
-then runs once through ``run_job``, and every report is copied to DIR with
+the job generators from ``T/perfbench/workloads.py``.  For each workload
+(``all`` is both) and each ``--seed``, ``Run.setup()`` writes the seeded job
+list (and runs the warm-up jobs), each distinct job then runs once through
+``run_job``, and every report is copied to ``DIR/<workload>-<seed>/`` with
 the CSV siblings its ``files`` list names, under the job's config number.
 Nothing under ``T/perfbench`` is written: the run works in
 ``T/.perfbench_work`` and removes its directory there afterwards.
@@ -14,8 +15,8 @@ Reports are canonical JSON, so a refactor that keeps behaviour gives
 identical dumps.  With the parent commit exported to ``../parent``
 (``git archive``):
 
-    python3 tools/dump_reports.py --tree ../parent --workload scan_bench --seed 1 --out /tmp/old
-    python3 tools/dump_reports.py --tree . --workload scan_bench --seed 1 --out /tmp/new
+    python3 tools/dump_reports.py --tree ../parent --workload all --seed 1 --seed 9001 --out /tmp/old
+    python3 tools/dump_reports.py --tree . --workload all --seed 1 --seed 9001 --out /tmp/new
     diff -r /tmp/old /tmp/new
 
 Exits 1 if a job's exit code differs from the one its config predicts.
@@ -27,6 +28,8 @@ import json
 import shutil
 import sys
 from pathlib import Path
+
+WORKLOADS = ("scan_bench", "certify_eig")
 
 
 def load_run_module(tree):
@@ -65,16 +68,23 @@ def dump(run_mod, workload, seed, out):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--tree", required=True, help="repository root whose program and benchmark to run")
-    parser.add_argument("--workload", required=True, choices=("scan_bench", "certify_eig"))
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
+    parser.add_argument("--seed", type=int, required=True, action="append",
+                        help="job-list seed; repeat for several")
     parser.add_argument("--out", required=True, help="directory for the reports (created if missing)")
     args = parser.parse_args(argv)
-    out = Path(args.out).resolve()
-    out.mkdir(parents=True, exist_ok=True)
-    jobs, failed = dump(load_run_module(args.tree), args.workload, args.seed, out)
-    print(f"{args.workload} seed {args.seed}: {jobs} jobs, {failed} failed, "
-          f"{sum(1 for _ in out.iterdir())} files in {out}")
-    return 1 if failed else 0
+    run_mod = load_run_module(args.tree)
+    workloads = WORKLOADS if args.workload == "all" else (args.workload,)
+    any_failed = False
+    for workload in workloads:
+        for seed in args.seed:
+            out = Path(args.out).resolve() / f"{workload}-{seed}"
+            out.mkdir(parents=True, exist_ok=True)
+            jobs, failed = dump(run_mod, workload, seed, out)
+            any_failed |= failed > 0
+            print(f"{workload} seed {seed}: {jobs} jobs, {failed} failed, "
+                  f"{sum(1 for _ in out.iterdir())} files in {out}")
+    return 1 if any_failed else 0
 
 
 if __name__ == "__main__":
