@@ -13,7 +13,7 @@ from .potential import PotentialSpec, Factorization, polar_factorize
 from .weights import WeightSpec, NormResult, weight_eval, dyadic_norm, weighted_sup_norm, morrey_norms
 from .enclosure import ConstantsReport, Certificate, DiskPair, eval_constants, certify, enclosure_disks
 from .gridops import GridSpec, FieldOnGrid, apply_free_operator, apply_free_resolvent, assemble_perturbed, eigenvalues
-from .birman_schwinger import BSScan, bs_apply, bs_norm, bs_scan, bs_dense
+from .birman_schwinger import BSScan, NormEstimate, bs_apply, bs_norm, bs_scan, bs_dense
 from .bench import BenchReport, run_bench, uniformity_probe
 
 __version__ = "0.1.0"

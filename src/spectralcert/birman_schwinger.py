@@ -3,18 +3,25 @@
 On the finite-dimensional discretization every factor is bounded, so K_z is
 computed as the plain composition of pointwise multiplication by A, the
 multiplier resolvent, and pointwise multiplication by B*.  The operator
-norm is estimated by power iteration on K* K with deterministic seeded
-restarts; scans evaluate it on a lattice of z values over a rectangle and
-record the empirical region where the norm reaches 1.
+norm comes from Golub-Kahan-Lanczos bidiagonalization of K_z from one
+seeded start vector, with full reorthogonalization.  It stops on a residual
+bound: the top Ritz value theta is a lower bound on ||K_z||, and some
+singular value of K_z lies within the residual r of theta.  No gap term is
+used, because the top singular value of the Dirac K_z is doubly degenerate.
+Scans evaluate the norm on a lattice of z values over a rectangle, record
+each point's r / theta and bs_apply count, and record the empirical region
+where the norm reaches 1.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .gridops import (EXCLUSION_MARGIN, GridSpec, FieldOnGrid, apply_free_resolvent,
                       free_operator, potential_on_grid)
 from .potential import PotentialSpec, polar_factorize
+from .report import write_csv
 
 
 def factor_on_grid(V: PotentialSpec, grid: GridSpec):
@@ -44,42 +51,85 @@ def bs_apply(kind, m, z, factors, f: FieldOnGrid, adjoint=False) -> FieldOnGrid:
     return _pointwise(A, g)
 
 
-def bs_norm(kind, m, z, factors, grid: GridSpec, tol=1e-4, seed=0,
-            max_iter=2000, restarts=3) -> float:
-    """Largest singular value of K_z by power iteration on K* K.
+_BREAKDOWN = 1e-13  # alpha or beta at most this times theta: the Krylov space is invariant
 
-    Deterministic seeded start vectors; ``restarts`` independent seeds guard
-    against starting orthogonal to the top singular vector.  Raises on
-    non-convergence with the Rayleigh-quotient history attached.
+
+class NormEstimate(NamedTuple):
+    """One Golub-Kahan-Lanczos estimate of ||K_z||."""
+
+    value: float     # theta: largest singular value of the bidiagonal, a lower bound on ||K_z||
+    residual: float  # r / theta: some singular value of K_z lies in value * (1 +- residual)
+    applies: int     # bs_apply calls made
+
+
+def _reorthogonalize(basis, w):
+    """Project the orthonormal rows of ``basis`` out of w: classical Gram-Schmidt, twice."""
+    for _ in range(2):
+        w = w - (basis @ w.conj()).conj() @ basis  # conjugate w, not the (k, D) basis
+    return w
+
+
+def _gkl_norm(kind, m, z, factors, grid: GridSpec, tol, seed, max_iter) -> NormEstimate:
+    """Golub-Kahan-Lanczos bidiagonalization of K_z from one seeded start vector.
+
+    Step k extends K V_k = U_k B_k and K* U_k = V_k B_k* + beta_k v_{k+1} e_k^T,
+    B_k upper bidiagonal with diagonal alpha and superdiagonal beta, fully
+    reorthogonalized.  With B_k = P diag(s) Q*, the top Ritz triplet
+    (theta = s_1, U_k p_1, V_k q_1) has residual r = beta_k |e_k^T p_1|.
     """
-    best = 0.0
-    for r in range(restarts):
-        rng = np.random.default_rng(seed + r)
-        v = rng.normal(size=(grid.M ** grid.n, grid.N)) \
-            + 1j * rng.normal(size=(grid.M ** grid.n, grid.N))
-        v /= np.linalg.norm(v)
-        fv = grid.field(v)
-        history = []
-        prev = None
-        for _ in range(max_iter):
-            kv = bs_apply(kind, m, z, factors, fv)
-            sigma = float(np.linalg.norm(kv.values))  # |v| = 1
-            history.append(sigma)
-            if sigma == 0.0:
-                break
-            w = bs_apply(kind, m, z, factors, kv, adjoint=True)
-            nw = np.linalg.norm(w.values)
-            if nw == 0.0:
-                break
-            fv = grid.field(w.values / nw)
-            if prev is not None and abs(sigma - prev) <= tol * max(sigma, 1e-300):
-                break
-            prev = sigma
-        else:
-            raise RuntimeError(f"power iteration did not converge in {max_iter} "
-                               f"iterations; last Rayleigh quotients {history[-5:]}")
-        best = max(best, history[-1] if history else 0.0)
-    return best
+    D = grid.size
+    steps = min(max_iter, D)
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=D) + 1j * rng.normal(size=D)
+    v /= np.linalg.norm(v)
+    U = np.empty((steps, D), dtype=complex)
+    V = np.empty((steps, D), dtype=complex)
+    B = np.zeros((steps, steps))
+    theta, history = 0.0, []
+    for k in range(steps):
+        V[k] = v
+        u = bs_apply(kind, m, z, factors, grid.field(v)).values.ravel()
+        if k:
+            u = u - B[k - 1, k] * U[k - 1]
+        u = _reorthogonalize(U[:k], u)
+        alpha = float(np.linalg.norm(u))
+        if alpha <= _BREAKDOWN * theta:
+            # K V_{k+1} lies in span U_k: the singular values of B_k are exact
+            s = np.linalg.svd(B[:k + 1, :k + 1], compute_uv=False)
+            return NormEstimate(float(s[0]), 0.0, 2 * k + 1)
+        B[k, k] = alpha
+        U[k] = u / alpha
+        w = bs_apply(kind, m, z, factors, grid.field(U[k]), adjoint=True).values.ravel()
+        w = _reorthogonalize(V[:k + 1], w - alpha * v)
+        beta = float(np.linalg.norm(w))
+        P, s, _ = np.linalg.svd(B[:k + 1, :k + 1])
+        theta = float(s[0])
+        residual = beta * float(abs(P[k, 0]))
+        history.append((theta, residual / theta))
+        if residual <= tol * theta or beta <= _BREAKDOWN * theta:
+            return NormEstimate(theta, residual / theta, 2 * k + 2)
+        if k + 1 < steps:
+            B[k, k + 1] = beta
+            v = w / beta
+    raise RuntimeError(f"Golub-Kahan-Lanczos did not reach residual {tol} * theta in {steps} "
+                       f"steps; last (theta, r/theta) {history[-5:]}")
+
+
+def bs_norm(kind, m, z, factors, grid: GridSpec, tol=1e-4, seed=0, max_iter=64,
+            full_output=False):
+    """Largest singular value of K_z by Golub-Kahan-Lanczos bidiagonalization.
+
+    Stops when the top Ritz triplet's residual r is at most ``tol`` times its
+    Ritz value theta, or when the Krylov space becomes invariant (then theta
+    is exact; ``K_z = 0`` gives 0.0).  theta never exceeds ||K_z||, and some
+    singular value of K_z lies in [theta - r, theta + r].  ``max_iter``
+    counts Lanczos steps (two bs_apply calls each) and is capped at
+    ``grid.size``.  Returns theta, or with ``full_output`` the
+    :class:`NormEstimate`.  Raises RuntimeError on non-convergence with the
+    last Ritz values and relative residuals attached.
+    """
+    est = _gkl_norm(kind, m, z, factors, grid, tol, seed, max_iter)
+    return est if full_output else est.value
 
 
 def bs_dense(kind, m, z, factors, grid: GridSpec):
@@ -96,6 +146,9 @@ def bs_dense(kind, m, z, factors, grid: GridSpec):
     return cols.T.copy()
 
 
+SCAN_CSV_HEADER = ("re_z", "im_z", "norm_estimate", "excluded_flag", "residual_bound", "applies")
+
+
 @dataclass
 class BSScan:
     """Norm estimates of K_z over a rectangle lattice in the complex plane."""
@@ -104,6 +157,8 @@ class BSScan:
     im: np.ndarray            # (n_im,)
     values: np.ndarray        # (n_im, n_re), nan at excluded points
     excluded: np.ndarray      # bool mask, same shape
+    residuals: np.ndarray     # r / theta of each estimate, nan at excluded points
+    applies: np.ndarray       # bs_apply calls of each estimate, 0 at excluded points
     kind: str = ""
     m: float = 0.0
     potential_hash: str = ""
@@ -127,13 +182,14 @@ class BSScan:
         return (float(z.real.min()), float(z.real.max()),
                 float(z.imag.min()), float(z.imag.max()))
 
+    def csv_rows(self):
+        """One row per lattice point, in SCAN_CSV_HEADER order."""
+        return [(zi.real, zi.imag, vi, int(ei), ri, int(ai)) for zi, vi, ei, ri, ai in
+                zip(self.z_lattice().ravel(), self.values.ravel(), self.excluded.ravel(),
+                    self.residuals.ravel(), self.applies.ravel())]
+
     def to_csv(self, path):
-        z = self.z_lattice()
-        with open(path, "w") as fh:
-            fh.write("re_z,im_z,norm_estimate,excluded_flag\n")
-            for zi, vi, ei in zip(z.ravel(), self.values.ravel(), self.excluded.ravel()):
-                v = "nan" if ei else f"{vi:.12g}"
-                fh.write(f"{zi.real:.12g},{zi.imag:.12g},{v},{int(ei)}\n")
+        write_csv(path, SCAN_CSV_HEADER, self.csv_rows())
 
 
 def bs_scan(kind, m, V: PotentialSpec, grid: GridSpec, rectangle, resolution,
@@ -142,7 +198,8 @@ def bs_scan(kind, m, V: PotentialSpec, grid: GridSpec, rectangle, resolution,
 
     Points where the free resolvent's |denominator| falls below
     EXCLUSION_MARGIN (see :meth:`FreeOperator.gap`) are marked excluded
-    instead of evaluated.
+    instead of evaluated.  Each evaluated point also records its relative
+    residual bound and its bs_apply count.
     """
     re_min, re_max, im_min, im_max = rectangle
     n_re, n_im = resolution
@@ -151,6 +208,8 @@ def bs_scan(kind, m, V: PotentialSpec, grid: GridSpec, rectangle, resolution,
     factors = factor_on_grid(V, grid)
     op = free_operator(kind, m, grid)
     values = np.full((n_im, n_re), np.nan)
+    residuals = np.full((n_im, n_re), np.nan)
+    applies = np.zeros((n_im, n_re), dtype=int)
     excluded = np.zeros((n_im, n_re), dtype=bool)
     for i, y in enumerate(im):
         for k, x in enumerate(re):
@@ -158,7 +217,8 @@ def bs_scan(kind, m, V: PotentialSpec, grid: GridSpec, rectangle, resolution,
             if op.gap(z) < EXCLUSION_MARGIN:
                 excluded[i, k] = True
             else:
-                values[i, k] = bs_norm(kind, m, z, factors, grid, tol=tol, seed=seed)
-    return BSScan(re=re, im=im, values=values, excluded=excluded, kind=kind, m=m,
-                  potential_hash=V.content_hash(), grid=grid,
+                values[i, k], residuals[i, k], applies[i, k] = bs_norm(
+                    kind, m, z, factors, grid, tol=tol, seed=seed, full_output=True)
+    return BSScan(re=re, im=im, values=values, excluded=excluded, residuals=residuals,
+                  applies=applies, kind=kind, m=m, potential_hash=V.content_hash(), grid=grid,
                   meta={"tol": tol, "seed": seed})

@@ -103,11 +103,8 @@ def _do_scan(cfg):
                                      {"re_min": box[0], "re_max": box[1],
                                       "im_min": box[2], "im_max": box[3]}),
     }
-    z = scan.z_lattice()
-    rows = [(zz.real, zz.imag, ("nan" if ex else v), int(ex))
-            for zz, v, ex in zip(z.ravel(), scan.values.ravel(), scan.excluded.ravel())]
     warns = ["some scan points excluded near the discrete symbol set"] if scan.excluded.any() else []
-    return results, warns, {"scan": (("re_z", "im_z", "norm_estimate", "excluded_flag"), rows)}, EXIT_OK
+    return results, warns, {"scan": (bs.SCAN_CSV_HEADER, scan.csv_rows())}, EXIT_OK
 
 
 def _do_eig(cfg):

@@ -66,10 +66,7 @@ def write_report(report, path, csv_siblings=None):
     for name, (header, rows) in (csv_siblings or {}).items():
         csv_path = f"{stem}_{name}.csv"
         try:
-            with open(csv_path, "w") as fh:
-                fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join(_fmt_cell(c) for c in row) + "\n")
+            write_csv(csv_path, header, rows)
         except OSError as e:
             raise OSError(f"cannot write CSV sibling {csv_path}: {e}") from e
         files.append(csv_path.rsplit("/", 1)[-1])
@@ -80,6 +77,14 @@ def write_report(report, path, csv_siblings=None):
             fh.write(canonical_json(report))
     except OSError as e:
         raise OSError(f"cannot write report {path}: {e}") from e
+
+
+def write_csv(path, header, rows):
+    """Header line, then one line per row; floats to 12 significant digits, nan as ``nan``."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt_cell(c) for c in row) + "\n")
 
 
 def _fmt_cell(c):

@@ -84,7 +84,9 @@ class NormResult:
     aggregated envelope contribution of the omitted annuli (None when no
     envelope was available).  ``value + tail_bound`` is always a valid
     upper estimate; :meth:`rigorous_upper` combines them with the exact
-    ell^p rule instead.
+    ell^p rule instead.  ``samples_per_annulus`` counts the samples of one
+    sup refinement round (q = inf) or the Gauss nodes (q = 2), over all
+    sampled directions.
     """
 
     value: float
@@ -132,6 +134,8 @@ def _sphere_area(n):
 # direction samples keeps each temporary near 64 KB.
 _RADIAL_CHUNK = 32
 _DIRECTIONAL_CHUNK = 4
+_RADIAL_SUP_SAMPLES = 256   # radii per refinement round of a radial sup
+_RADIAL_GAUSS_NODES = 64    # Gauss-Legendre nodes of a radial L^2 norm
 
 
 def _annulus_bounds(js):
@@ -186,8 +190,9 @@ def _radial_terms(profile, js, n, q, rounds):
     """Per-annulus L^q norms of a radial profile: 256-point sup refinement or 64 Gauss nodes."""
     lo, hi = _annulus_bounds(js)
     if np.isinf(q):
-        return _refined_sup(lambda r: np.abs(profile(r)), lo, hi * (1.0 - 1e-9), 256, rounds)
-    r, w = _gauss_nodes(lo, hi, 64)
+        return _refined_sup(lambda r: np.abs(profile(r)), lo, hi * (1.0 - 1e-9),
+                            _RADIAL_SUP_SAMPLES, rounds)
+    r, w = _gauss_nodes(lo, hi, _RADIAL_GAUSS_NODES)
     g = np.abs(profile(r))
     return np.sqrt(_sphere_area(n) * np.sum(w * r ** (n - 1) * g ** 2, axis=-1))
 
@@ -262,7 +267,7 @@ def dyadic_norm(f, p, q, n, j_range=(-40, 40), radial_profile=None, j_ext=200,
                          js, _RADIAL_CHUNK)
         terms = every[j_ext:len(js) - j_ext]
         ext_terms = np.concatenate([every[:j_ext], every[len(js) - j_ext:]])
-        samples = 256
+        samples = _RADIAL_SUP_SAMPLES if np.isinf(q) else _RADIAL_GAUSS_NODES
     else:
         dirs = _directions(n, 2 * n + n_angular, seed)
         terms = _chunked(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spectralcert.birman_schwinger import (factor_on_grid, bs_apply, bs_norm,
                                            bs_dense, bs_scan, BSScan)
@@ -141,7 +142,7 @@ def test_scan_basics(tmp_path):
     path = tmp_path / "scan.csv"
     scan.to_csv(path)
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == "re_z,im_z,norm_estimate,excluded_flag"
+    assert lines[0] == "re_z,im_z,norm_estimate,excluded_flag,residual_bound,applies"
     assert len(lines) == 21
 
 
@@ -155,7 +156,90 @@ def test_scan_marks_excluded_points():
     assert np.isnan(scan.values[0, 0])
 
 
+def test_scan_records_residual_bound_and_applies(tmp_path):
+    hit = float(GRID.freq_sq.ravel()[3])
+    scan = bs_scan("schrodinger", 0.0, V_SCALAR, GRID,
+                   rectangle=(hit, hit + 1.0, 0.0, 0.5), resolution=(2, 2), seed=3)
+    assert scan.excluded[0, 0] and scan.excluded.sum() == 1
+    ok = ~scan.excluded
+    assert (scan.residuals[ok] <= 1e-4).all() and (scan.applies[ok] > 0).all()
+    factors = factor_on_grid(V_SCALAR, GRID)
+    est = bs_norm("schrodinger", 0.0, complex(hit + 1.0, 0.5), factors, GRID, seed=3,
+                  full_output=True)
+    assert (scan.values[1, 1], scan.residuals[1, 1], scan.applies[1, 1]) == est
+    path = tmp_path / "scan.csv"
+    scan.to_csv(path)
+    rows = [line.split(",") for line in path.read_text().strip().split("\n")[1:]]
+    assert rows[0][2:] == ["nan", "1", "nan", "0"]
+    assert rows[3][4:] == [f"{est.residual:.12g}", str(est.applies)]
+
+
 def test_scan_deterministic():
     a = bs_scan("schrodinger", 0.0, V_SCALAR, GRID, (-0.5, 0.5, 0.3, 0.8), (3, 2), seed=7)
     b = bs_scan("schrodinger", 0.0, V_SCALAR, GRID, (-0.5, 0.5, 0.3, 0.8), (3, 2), seed=7)
     assert np.array_equal(a.values, b.values)
+
+
+# -- Golub-Kahan-Lanczos stopping rule ---------------------------------------
+
+DIRAC_GRID = GridSpec(n=3, L=8.0, M=8, N=4)   # dimension 2048
+
+
+@pytest.mark.parametrize("z,preset,c", [
+    (-0.01 + 0.15j, "inverse-square", 1e-5),   # near Re z = 0: two top singular values coincide
+    (1.8 + 0.01j, "matrix-mix", 0.45 + 0.25j),  # deep in the continuous spectrum
+])
+def test_norm_matches_dense_svd_where_power_iteration_read_low(z, preset, c):
+    # power iteration on K*K stopping on a small step change read these 1.7e-3
+    # and 2.2e-3 low at the default tol
+    V = PotentialSpec.preset(preset, 3, 4, c=c)
+    factors = factor_on_grid(V, DIRAC_GRID)
+    top = scipy.linalg.svdvals(bs_dense("dirac", 1.0, z, factors, DIRAC_GRID))[0]
+    est = bs_norm("dirac", 1.0, z, factors, DIRAC_GRID, full_output=True)
+    assert est.value == pytest.approx(top, rel=1e-8)
+    assert est.value <= top * (1.0 + 1e-12)          # theta is a lower bound
+    assert est.residual <= 1e-4
+
+
+def test_norm_of_zero_operator_is_zero():
+    factors = factor_on_grid(PotentialSpec.preset("bump", 2, 1, c=0.0), GRID)
+    est = bs_norm("schrodinger", 0.0, 0.5 + 0.5j, factors, GRID, full_output=True)
+    assert est == (0.0, 0.0, 1)
+
+
+def test_rank_deficient_operator_stops_at_breakdown():
+    # V vanishes at all but 3 of 16 points, so K_z has rank 3; with tol = 0 only
+    # an invariant Krylov space can stop the iteration
+    A, B = factor_on_grid(V_SCALAR, GRID)
+    keep = np.zeros((GRID.M ** GRID.n, 1, 1))
+    keep[[2, 7, 11]] = 1.0
+    factors = (A * keep, B * keep)
+    z = 0.4 + 0.9j
+    K = bs_dense("schrodinger", 0.0, z, factors, GRID)
+    assert np.linalg.matrix_rank(K) == 3
+    est = bs_norm("schrodinger", 0.0, z, factors, GRID, tol=0.0, full_output=True)
+    assert est.value == pytest.approx(scipy.linalg.svdvals(K)[0], rel=1e-12)
+    assert est.applies <= 2 * 4
+
+
+def test_too_few_steps_raise():
+    factors = factor_on_grid(PotentialSpec.preset("matrix-mix", 3, 4, c=0.45 + 0.25j), DIRAC_GRID)
+    with pytest.raises(RuntimeError, match="did not reach residual"):
+        bs_norm("dirac", 1.0, 1.8 + 0.01j, factors, DIRAC_GRID, max_iter=2)
+
+
+def test_norm_needs_few_applies(monkeypatch):
+    # every application of K_z or K_z* goes through bs_apply; the three-restart
+    # power iteration made 60 here
+    from spectralcert import birman_schwinger
+    calls = []
+    original = birman_schwinger.bs_apply
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("adjoint", False))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(birman_schwinger, "bs_apply", counted)
+    factors = factor_on_grid(PotentialSpec.preset("matrix-mix", 3, 4, c=0.45 + 0.25j), DIRAC_GRID)
+    est = bs_norm("dirac", 1.0, 0.3 + 0.3j, factors, DIRAC_GRID, full_output=True)
+    assert len(calls) == est.applies <= 30

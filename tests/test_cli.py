@@ -148,7 +148,7 @@ def test_cli_scan_and_csv(tmp_path):
     rep = json.loads(open(out).read())
     assert rep["files"] == ["s_rep_scan.csv"]
     lines = (tmp_path / "s_rep_scan.csv").read_text().strip().split("\n")
-    assert lines[0] == "re_z,im_z,norm_estimate,excluded_flag"
+    assert lines[0] == "re_z,im_z,norm_estimate,excluded_flag,residual_bound,applies"
     assert len(lines) == 7
     assert rep["results"]["max_norm_estimate"] > 0.0
 

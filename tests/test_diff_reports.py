@@ -1,0 +1,56 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "diff_reports.py"
+_spec = importlib.util.spec_from_file_location("diff_reports", _PATH)
+diff_reports = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(diff_reports)
+
+
+def _tree(root, report, csv_text):
+    root.mkdir()
+    (root / "r.json").write_text(json.dumps(report))
+    (root / "r_scan.csv").write_text(csv_text)
+    return root
+
+
+REPORT = {"results": {"max": 1.0, "count": 3, "rows": [0.5, 2.0], "note": "ok"}}
+CSV = "re_z,norm_estimate,excluded_flag\n0.1,1.0,0\n0.2,nan,1\n"
+
+
+def test_identical_trees(tmp_path, capsys):
+    a = _tree(tmp_path / "a", REPORT, CSV)
+    b = _tree(tmp_path / "b", REPORT, CSV)
+    assert diff_reports.main([str(a), str(b)]) == 0
+    assert "0 structural differences" in capsys.readouterr().out
+
+
+def test_numbers_within_and_beyond_rtol(tmp_path, capsys):
+    a = _tree(tmp_path / "a", REPORT, CSV)
+    report = json.loads(json.dumps(REPORT))
+    report["results"]["rows"][1] = 2.0002
+    b = _tree(tmp_path / "b", report, CSV.replace("0.1,1.0,0", "0.1,1.0001,0"))
+    assert diff_reports.main([str(a), str(b), "--rtol", "1e-3"]) == 0
+    assert diff_reports.main([str(a), str(b), "--rtol", "1e-5"]) == 1
+    out = capsys.readouterr().out
+    assert "r.json:results.rows[1]: 2.0 -> 2.0002 rel 9.999e-05" in out
+    assert "results.rows: 1 numbers differ, largest relative difference 9.999e-05" in out
+    assert "norm_estimate: 1 numbers differ, largest relative difference 9.999e-05" in out
+
+
+@pytest.mark.parametrize("change", [
+    lambda root: (root / "extra.json").write_text("{}"),                          # file set
+    lambda root: (root / "r.json").write_text(json.dumps({"results": {}})),       # keys
+    lambda root: (root / "r_scan.csv").write_text(CSV.replace(",0\n", ",1\n")),      # flag
+    lambda root: (root / "r_scan.csv").write_text(CSV + "0.3,1.0,0\n"),            # row count
+    lambda root: (root / "r_scan.csv").write_text(CSV.replace("excluded_flag", "flag")),  # columns
+    lambda root: (root / "r_scan.csv").write_text(CSV.replace("nan", "1.0")),      # nan vs number
+])
+def test_structural_differences_exit_2(tmp_path, change):
+    a = _tree(tmp_path / "a", REPORT, CSV)
+    b = _tree(tmp_path / "b", REPORT, CSV)
+    change(b)
+    assert diff_reports.main([str(a), str(b), "--rtol", "1.0"]) == 2

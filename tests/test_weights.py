@@ -298,6 +298,31 @@ def test_radial_norm_evaluates_many_annuli_per_call():
     assert sum(np.prod(s) for s in calls) == 481 * 3 * 256
 
 
+@pytest.mark.parametrize("q,rounds", [(np.inf, 3), (2, 1)])
+def test_samples_per_annulus_counts_the_samples_taken(q, rounds):
+    # radial: 481 annuli (the range and its 400-annulus continuation); a sup
+    # takes its count once per refinement round
+    points = []
+
+    def profile(r):
+        points.append(r.size)
+        return _bumpy(r)
+
+    res = dyadic_norm(None, 1, q, 3, radial_profile=profile)
+    assert res.samples_per_annulus * 481 * rounds == sum(points)
+    assert res.samples_per_annulus == (256 if np.isinf(q) else 64)
+    # direction-sampled: 7 annuli, n_radial radii along each of 2n + n_angular rays
+    points.clear()
+
+    def field(pts):
+        points.append(len(pts))
+        return _bumpy(np.linalg.norm(pts, axis=-1))
+
+    res = dyadic_norm(field, 1, q, 3, j_range=(-3, 3), n_radial=16, n_angular=5)
+    assert res.samples_per_annulus == 16 * 11
+    assert res.samples_per_annulus * 7 * rounds == sum(points)
+
+
 def test_norm_result_is_frozen():
     res = dyadic_norm(None, 1, np.inf, 3, radial_profile=_bumpy, j_range=(0, 2))
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -19,6 +19,11 @@ identical dumps.  With the parent commit exported to ``../parent``
     python3 tools/dump_reports.py --tree . --workload all --seed 1 --seed 9001 --out /tmp/new
     diff -r /tmp/old /tmp/new
 
+Where the arithmetic changed on purpose, ``tools/diff_reports.py`` lists
+every differing number with its relative difference, per workload and seed:
+
+    python3 tools/diff_reports.py /tmp/old/scan_bench-1 /tmp/new/scan_bench-1 --rtol 1e-3
+
 Exits 1 if a job's exit code differs from the one its config predicts.
 """
 
