@@ -6,9 +6,14 @@ trials is compared against the explicit analytic constant with 10% slack.
 Estimates whose constant is only existential (the tau / w_sigma resolvent
 bounds) run in report-only mode: the empirical sup ratio is recorded but no
 pass/fail is declared.
+
+``_ESTIMATES`` is the single place where an estimate is declared: its
+operator kind, its mass rule, its two sides and its constant.
+``ESTIMATE_IDS``, ``REPORT_ONLY`` and ``estimate_kind`` are read from it.
 """
 
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -17,16 +22,7 @@ from .gridops import (GridSpec, FieldOnGrid, apply_free_resolvent, apply_gradien
                       spinor_size)
 from .weights import WeightSpec, grid_dyadic_norm, morrey_norms
 
-REPORT_ONLY = ("L3.1-KG", "L3.2-D0", "L3.2-Dm")
-
-ESTIMATE_IDS = ("L3.1-KG", "L3.2-D0", "L3.2-Dm",
-                "L3.3-X", "L3.3-ReY", "L3.3-ImY",
-                "C3.4-a", "C3.4-b", "C3.4-c",
-                "C3.5-a", "C3.5-b", "C3.5-c", "C3.5-d",
-                "L3.6-dyadic", "L3.6-weighted", "L3.6-hom", "KY")
-
-_SCHRODINGER = ("L3.3-X", "L3.3-ReY", "L3.3-ImY", "C3.4-a", "C3.4-b", "C3.4-c",
-                "C3.5-a", "C3.5-b", "C3.5-c", "C3.5-d", "KY")
+SLACK = 0.1  # relative margin over the analytic constant before a ratio fails
 
 
 @dataclass
@@ -42,10 +38,6 @@ class BenchReport:
     grid: GridSpec
     m: float
     meta: dict = field(default_factory=dict)
-
-
-def default_rho() -> WeightSpec:
-    return WeightSpec("rho2", eps=0.5, delta=0.5)
 
 
 def random_band_limited_field(grid: GridSpec, rng) -> FieldOnGrid:
@@ -111,165 +103,148 @@ def _bracket(z, m):
 
 
 class _Context:
-    """Cached per-run quantities: weight samples and the constants built on them."""
+    """Cached per-run quantities: weight samples and the weight norms in the constants."""
 
     def __init__(self, grid, m):
-        self.grid = grid
         self.m = m
         self.n = grid.n
-        rho = default_rho()
-        self.rho_vals = rho.radial(grid.radii)
+        self.r = r = grid.radii
+        rho = WeightSpec("rho2", eps=0.5, delta=0.5)
+        self.rho_vals = rho.radial(r)
         l2, half = rho_norms(rho)
         self.rho_l2 = l2.rigorous_upper()
         self.rho_half = half.rigorous_upper()
-        r = grid.radii
-        self.r = r
         self.tau = WeightSpec("tau", eps=0.1).radial(r)
         self.wsig = WeightSpec("w_sigma", sigma=2.0).radial(r)
 
-    def constant(self, est):
-        n = self.n
-        table = {
-            "L3.3-X": 288.0 * n,
-            "L3.3-ReY": 576.0 * np.sqrt(2.0) * n ** 2,
-            "L3.3-ImY": 864.0 * np.sqrt(2.0) * n,
-            "C3.4-a": 576.0 * n,
-            "C3.4-b": 576.0 * n * (64.0 * n + 324.0) ** 0.25,
-            "C3.4-c": 576.0 * n,
-            "C3.5-a": 576.0 * n * self.rho_l2 ** 2,
-            "C3.5-b": 576.0 * n * (64.0 * n + 324.0) ** 0.25 * self.rho_l2 ** 2,
-            "C3.5-c": 576.0 * n * self.rho_l2 ** 2,
-            "C3.5-d": c3_constant(n, self.rho_l2, self.rho_half),
-            "KY": kato_yajima_constant(n),
-            "L3.6-dyadic": c2_constant(n),
-            "L3.6-weighted": c2_constant(n) * self.rho_l2 ** 2,
-            "L3.6-hom": c1_constant(n, self.m, self.rho_l2, self.rho_half),
-        }
-        return table.get(est)
+
+class _Estimate(NamedTuple):
+    """``lhs(ctx, z, R0(z) f) <= constant(ctx) * rhs(ctx, z, f)``, R0 of ``kind`` at ``ctx.m``."""
+
+    kind: str
+    lhs: Callable
+    rhs: Callable
+    constant: Callable = None  # None: report-only
+    massless: bool = False  # runs at m = 0 whatever mass is asked for
+
+
+def _dyadic_lhs(ctx, z, u):
+    return grid_dyadic_norm(u, np.inf, 2, weight_exponent=-0.5)
+
+
+def _dyadic_rhs(ctx, z, f):
+    return grid_dyadic_norm(f, 1, 2, weight_exponent=0.5)
+
+
+def _rho_lhs(ctx, z, u, power=-0.5):
+    return _weighted_l2(u, ctx.r ** power * ctx.rho_vals)
+
+
+def _rho_rhs(ctx, z, f):
+    return _weighted_l2(f, ctx.r ** 0.5 / ctx.rho_vals)
+
+
+_ESTIMATES = {
+    "L3.1-KG": _Estimate("klein_gordon", lambda c, z, u: _weighted_l2(u, 1.0 / c.tau),
+                         lambda c, z, f: _weighted_l2(f, c.tau)),
+    "L3.2-D0": _Estimate("dirac", lambda c, z, u: _weighted_l2(u, c.wsig ** -0.5),
+                         lambda c, z, f: _weighted_l2(f, c.wsig ** 0.5), massless=True),
+    "L3.2-Dm": _Estimate("dirac", lambda c, z, u: _weighted_l2(u, 1.0 / c.tau),
+                         lambda c, z, f: _weighted_l2(f, c.tau)),
+    "L3.3-X": _Estimate("schrodinger",
+                        lambda c, z, u: np.sqrt(morrey_norms(u)[0] ** 2
+                                                + morrey_norms(_grad_field(u))[1] ** 2),
+                        _dyadic_rhs, lambda c: 288.0 * c.n),
+    "L3.3-ReY": _Estimate("schrodinger", lambda c, z, u: np.sqrt(abs(z.real)) * morrey_norms(u)[1],
+                          _dyadic_rhs, lambda c: 576.0 * np.sqrt(2.0) * c.n ** 2),
+    "L3.3-ImY": _Estimate("schrodinger", lambda c, z, u: np.sqrt(abs(z.imag)) * morrey_norms(u)[1],
+                          _dyadic_rhs, lambda c: 864.0 * np.sqrt(2.0) * c.n),
+    "C3.4-a": _Estimate("schrodinger", lambda c, z, u: morrey_norms(u)[0], _dyadic_rhs,
+                        lambda c: 576.0 * c.n),
+    "C3.4-b": _Estimate("schrodinger", lambda c, z, u: np.sqrt(abs(z)) * _dyadic_lhs(c, z, u),
+                        _dyadic_rhs, lambda c: 576.0 * c.n * (64.0 * c.n + 324.0) ** 0.25),
+    "C3.4-c": _Estimate("schrodinger", lambda c, z, u: _dyadic_lhs(c, z, _grad_field(u)),
+                        _dyadic_rhs, lambda c: 576.0 * c.n),
+    "C3.5-a": _Estimate("schrodinger", lambda c, z, u: _rho_lhs(c, z, u, -1.5), _rho_rhs,
+                        lambda c: 576.0 * c.n * c.rho_l2 ** 2),
+    "C3.5-b": _Estimate("schrodinger", lambda c, z, u: np.sqrt(abs(z)) * _rho_lhs(c, z, u),
+                        _rho_rhs,
+                        lambda c: 576.0 * c.n * (64.0 * c.n + 324.0) ** 0.25 * c.rho_l2 ** 2),
+    "C3.5-c": _Estimate("schrodinger", lambda c, z, u: _rho_lhs(c, z, _grad_field(u)), _rho_rhs,
+                        lambda c: 576.0 * c.n * c.rho_l2 ** 2),
+    "C3.5-d": _Estimate("schrodinger",
+                        lambda c, z, u: (1.0 + abs(z) ** 2) ** 0.25 * _rho_lhs(c, z, u),
+                        _rho_rhs, lambda c: c3_constant(c.n, c.rho_l2, c.rho_half)),
+    "L3.6-dyadic": _Estimate("dirac", _dyadic_lhs,
+                             lambda c, z, f: _bracket(z, c.m) * _dyadic_rhs(c, z, f),
+                             lambda c: c2_constant(c.n)),
+    "L3.6-weighted": _Estimate("dirac", _rho_lhs,
+                               lambda c, z, f: _bracket(z, c.m) * _rho_rhs(c, z, f),
+                               lambda c: c2_constant(c.n) * c.rho_l2 ** 2),
+    "L3.6-hom": _Estimate("dirac", _rho_lhs, _rho_rhs,
+                          lambda c: c1_constant(c.n, c.m, c.rho_l2, c.rho_half)),
+    "KY": _Estimate("schrodinger", lambda c, z, u: _weighted_l2(u, 1.0 / c.r),
+                    lambda c, z, f: _weighted_l2(f, c.r), lambda c: kato_yajima_constant(c.n)),
+}
+
+ESTIMATE_IDS = tuple(_ESTIMATES)
+REPORT_ONLY = tuple(est for est, spec in _ESTIMATES.items() if spec.constant is None)
 
 
 def estimate_kind(est):
-    if est in _SCHRODINGER:
-        return "schrodinger"
-    if est == "L3.1-KG":
-        return "klein_gordon"
-    return "dirac"
+    return _ESTIMATES[est].kind
 
 
-def _ratio(est, ctx, z, f: FieldOnGrid):
-    """LHS / RHS of the named inequality with the analytic constant removed."""
-    grid, m, rho = ctx.grid, ctx.m, ctx.rho_vals
-    r = ctx.r
-    kind = estimate_kind(est)
-    u = apply_free_resolvent(kind, m, z, f)
-
-    if est == "L3.3-X":
-        X, _, _ = morrey_norms(u)
-        _, Ygrad, _ = morrey_norms(_grad_field(u))
-        lhs = np.sqrt(X ** 2 + Ygrad ** 2)
-        rhs = grid_dyadic_norm(f, 1, 2, weight_exponent=0.5)
-    elif est == "L3.3-ReY":
-        _, Y, _ = morrey_norms(u)
-        lhs = np.sqrt(abs(z.real)) * Y
-        rhs = grid_dyadic_norm(f, 1, 2, weight_exponent=0.5)
-    elif est == "L3.3-ImY":
-        _, Y, _ = morrey_norms(u)
-        lhs = np.sqrt(abs(z.imag)) * Y
-        rhs = grid_dyadic_norm(f, 1, 2, weight_exponent=0.5)
-    elif est == "C3.4-a":
-        X, _, _ = morrey_norms(u)
-        lhs = X
-        rhs = grid_dyadic_norm(f, 1, 2, weight_exponent=0.5)
-    elif est == "C3.4-b":
-        lhs = np.sqrt(abs(z)) * grid_dyadic_norm(u, np.inf, 2, weight_exponent=-0.5)
-        rhs = grid_dyadic_norm(f, 1, 2, weight_exponent=0.5)
-    elif est == "C3.4-c":
-        lhs = grid_dyadic_norm(_grad_field(u), np.inf, 2, weight_exponent=-0.5)
-        rhs = grid_dyadic_norm(f, 1, 2, weight_exponent=0.5)
-    elif est == "C3.5-a":
-        lhs = _weighted_l2(u, r ** -1.5 * rho)
-        rhs = _weighted_l2(f, r ** 0.5 / rho)
-    elif est == "C3.5-b":
-        lhs = np.sqrt(abs(z)) * _weighted_l2(u, r ** -0.5 * rho)
-        rhs = _weighted_l2(f, r ** 0.5 / rho)
-    elif est == "C3.5-c":
-        lhs = _weighted_l2(_grad_field(u), r ** -0.5 * rho)
-        rhs = _weighted_l2(f, r ** 0.5 / rho)
-    elif est == "C3.5-d":
-        lhs = (1.0 + abs(z) ** 2) ** 0.25 * _weighted_l2(u, r ** -0.5 * rho)
-        rhs = _weighted_l2(f, r ** 0.5 / rho)
-    elif est == "KY":
-        lhs = _weighted_l2(u, 1.0 / r)
-        rhs = _weighted_l2(f, r)
-    elif est == "L3.6-dyadic":
-        lhs = grid_dyadic_norm(u, np.inf, 2, weight_exponent=-0.5)
-        rhs = _bracket(z, m) * grid_dyadic_norm(f, 1, 2, weight_exponent=0.5)
-    elif est == "L3.6-weighted":
-        lhs = _weighted_l2(u, r ** -0.5 * rho)
-        rhs = _bracket(z, m) * _weighted_l2(f, r ** 0.5 / rho)
-    elif est == "L3.6-hom":
-        lhs = _weighted_l2(u, r ** -0.5 * rho)
-        rhs = _weighted_l2(f, r ** 0.5 / rho)
-    elif est == "L3.1-KG":
-        lhs = _weighted_l2(u, 1.0 / ctx.tau)
-        rhs = _weighted_l2(f, ctx.tau)
-    elif est == "L3.2-D0":
-        lhs = _weighted_l2(u, ctx.wsig ** -0.5)
-        rhs = _weighted_l2(f, ctx.wsig ** 0.5)
-    elif est == "L3.2-Dm":
-        lhs = _weighted_l2(u, 1.0 / ctx.tau)
-        rhs = _weighted_l2(f, ctx.tau)
-    else:
-        raise ValueError(f"unknown estimate id {est!r}")
+def _ratio(spec, ctx, z, f: FieldOnGrid):
+    """LHS / RHS of one inequality with the analytic constant removed."""
+    u = apply_free_resolvent(spec.kind, ctx.m, z, f)
+    lhs = spec.lhs(ctx, z, u)
+    rhs = spec.rhs(ctx, z, f)
     if rhs == 0.0:
         return None
     return lhs / rhs
 
 
 def _estimate_setup(estimate, grid, m):
-    """(grid, kind, mass, context) of one estimate: the box of ``grid`` with the
-    kind's spinor size, and mass 0 for the massless Dirac estimate."""
-    kind = estimate_kind(estimate)
-    grid = replace(grid, N=spinor_size(kind, grid.n))
-    mass = 0.0 if estimate == "L3.2-D0" else m
-    return grid, kind, mass, _Context(grid, mass)
+    """(table entry, grid, context) of one estimate: the box of ``grid`` with the
+    kind's spinor size, at mass 0 for a massless estimate."""
+    if estimate not in _ESTIMATES:
+        raise ValueError(f"unknown estimate id {estimate!r}; known: {ESTIMATE_IDS}")
+    spec = _ESTIMATES[estimate]
+    grid = replace(grid, N=spinor_size(spec.kind, grid.n))
+    return spec, grid, _Context(grid, 0.0 if spec.massless else m)
 
 
-def run_bench(estimate, grid=None, m=1.0, trials=100, z_sampler=None,
-              seed=0, slack=0.1) -> BenchReport:
-    """Worst LHS/RHS ratio of one estimate over random trials.
+def run_bench(estimate, grid=None, m=1.0, trials=100, seed=0) -> BenchReport:
+    """Worst LHS/RHS ratio of one estimate over random trials on ``default_z_arc``.
 
     Needs a Dirac-compatible grid for the Dirac estimates (N = 2^ceil(n/2));
     scalar estimates use an N = 1 view of the same box.
     """
-    if estimate not in ESTIMATE_IDS:
-        raise ValueError(f"unknown estimate id {estimate!r}; known: {ESTIMATE_IDS}")
     if grid is None:
         grid = GridSpec(n=3, L=8.0, M=32, N=1)
-    grid, kind, mass, ctx = _estimate_setup(estimate, grid, m)
-    zs = z_sampler(grid) if callable(z_sampler) else \
-        (list(z_sampler) if z_sampler is not None else default_z_arc(grid, kind, mass))
+    spec, grid, ctx = _estimate_setup(estimate, grid, m)
+    zs = default_z_arc(grid, spec.kind, ctx.m)
     rng = np.random.default_rng(seed)
     max_ratio, discarded, used = 0.0, 0, []
     for t in range(trials):
         f = random_band_limited_field(grid, rng)
         z = zs[t % len(zs)]
         try:
-            ratio = _ratio(estimate, ctx, complex(z), f)
+            ratio = _ratio(spec, ctx, complex(z), f)
         except ValueError:
-            discarded += 1
-            continue
+            ratio = None
         if ratio is None or not np.isfinite(ratio):
             discarded += 1
             continue
         used.append(complex(z))
         max_ratio = max(max_ratio, ratio)
-    const = ctx.constant(estimate)
-    passed = None if const is None else bool(max_ratio <= const * (1.0 + slack))
+    const = None if spec.constant is None else spec.constant(ctx)
+    passed = None if const is None else bool(max_ratio <= const * (1.0 + SLACK))
     return BenchReport(estimate=estimate, trials=trials, discarded=discarded,
                        z_values=sorted(set(used), key=lambda w: (w.real, w.imag)),
-                       max_ratio=max_ratio, paper_constant=const, slack=slack,
-                       passed=passed, grid=grid, m=mass,
+                       max_ratio=max_ratio, paper_constant=const, slack=SLACK,
+                       passed=passed, grid=grid, m=ctx.m,
                        meta={"seed": seed})
 
 
@@ -280,14 +255,14 @@ def uniformity_probe(estimate, grid, m, z_path, trials_per_z=3, seed=0):
     trials at z_path[i]; the flag compares the medians of the last and first
     quarters of the path.
     """
-    grid, _, mass, ctx = _estimate_setup(estimate, grid, m)
+    spec, grid, ctx = _estimate_setup(estimate, grid, m)
     rng = np.random.default_rng(seed)
     fields = [random_band_limited_field(grid, rng) for _ in range(trials_per_z)]
     ratios = []
     for z in z_path:
         best = 0.0
         for f in fields:
-            r = _ratio(estimate, ctx, complex(z), f)
+            r = _ratio(spec, ctx, complex(z), f)
             if r is not None and np.isfinite(r):
                 best = max(best, r)
         ratios.append(best)

@@ -125,7 +125,7 @@ def _do_bench(cfg):
     grid = None
     if cfg.grid is not None:
         grid = build_grid(cfg, kind="schrodinger")
-    rep = bench_mod.run_bench(cfg.estimate, grid=grid, m=cfg.m or 1.0,
+    rep = bench_mod.run_bench(cfg.estimate, grid=grid, m=cfg.m if "m" in cfg.raw else 1.0,
                               trials=cfg.trials, seed=cfg.seed)
     results = {
         "estimate": rep.estimate,

@@ -21,6 +21,8 @@ from .weights import WeightSpec, NormResult, dyadic_norm, weighted_sup_norm
 
 THEOREM_IDS = ("2.1", "2.2-massless", "2.2-massive", "2.3", "2.4", "2.5-j1", "2.5-j2")
 
+J_RANGE = (-40, 40)  # dyadic annuli 2^j, j in J_RANGE, sampled by every norm here
+
 
 @dataclass(frozen=True)
 class ConstantsReport:
@@ -107,16 +109,12 @@ def c3_constant(n, rho_l2linf, rho_halfpower_linf) -> float:
             + kato_yajima_constant(n) * rho_halfpower_linf ** 2)
 
 
-def rho_norms(rho: WeightSpec, j_range=(-40, 40)):
-    """(|rho|_{ell2 Linf}, | |x|^(1/2) rho |_Linf) as NormResults, shared per (rho, j_range)."""
-    return _rho_norms(rho, tuple(j_range))
-
-
 @lru_cache(maxsize=16)
-def _rho_norms(rho, j_range):
-    l2 = dyadic_norm(None, 2, np.inf, 3, j_range=j_range, radial_profile=rho.radial)
+def rho_norms(rho: WeightSpec):
+    """(|rho|_{ell2 Linf}, | |x|^(1/2) rho |_Linf) as NormResults, shared per rho."""
+    l2 = dyadic_norm(None, 2, np.inf, 3, j_range=J_RANGE, radial_profile=rho.radial)
     half = weighted_sup_norm(None, w=WeightSpec("power", exponent=0.5),
-                             radial_profile=rho.radial, j_range=j_range)
+                             radial_profile=rho.radial, j_range=J_RANGE)
     return l2, half
 
 
@@ -146,40 +144,33 @@ def eval_constants(n, m, rho=None, rho_l2linf=None, rho_halfpower_linf=None) -> 
                            rho_halfpower_linf=rho_halfpower_linf)
 
 
-def _norm_upper(res: NormResult):
-    """Rigorous upper bound, or None when the tail is unknown/divergent."""
-    if res.diverged:
-        return np.inf
-    return res.rigorous_upper()
-
-
-def _weighted_potential_norm(V, wfun, n, p=np.inf, q=np.inf, j_range=(-40, 40)):
+def _weighted_potential_norm(V, wfun, n, p=np.inf, q=np.inf):
     """Dyadic norm of x -> w(|x|) |V(x)|, exact radial path for presets."""
     if V.kind != "grid-sampled":
         prof = lambda r: wfun(r) * V.radial_opnorm(r)
-        return dyadic_norm(None, p, q, n, j_range=j_range, radial_profile=prof)
+        return dyadic_norm(None, p, q, n, j_range=J_RANGE, radial_profile=prof)
 
     def f(pts):
         return wfun(np.linalg.norm(pts, axis=-1)) * opnorm_in_box(V, pts)
 
-    return dyadic_norm(f, p, q, n, j_range=j_range)
+    return dyadic_norm(f, p, q, n, j_range=J_RANGE)
 
 
-def n1_norm(V: PotentialSpec, j_range=(-40, 40)) -> NormResult:
+def n1_norm(V: PotentialSpec) -> NormResult:
     """N_1(V) = || |x| V ||_{ell^1 L^inf}."""
-    return _weighted_potential_norm(V, lambda r: r, V.n, p=1, q=np.inf, j_range=j_range)
+    return _weighted_potential_norm(V, lambda r: r, V.n, p=1, q=np.inf)
 
 
-def n2_norm(V: PotentialSpec, rho: WeightSpec, j_range=(-40, 40)):
+def n2_norm(V: PotentialSpec, rho: WeightSpec):
     """N_2(V) = |rho|^2_{ell2 Linf} * || |x| rho^-2 V ||_Linf; returns (NormResult, rho_l2)."""
-    l2, _ = rho_norms(rho, j_range=j_range)
+    l2, _ = rho_norms(rho)
     wfun = lambda r: r / rho.radial(r) ** 2
-    core = _weighted_potential_norm(V, wfun, V.n, j_range=j_range)
+    core = _weighted_potential_norm(V, wfun, V.n)
     return core, l2
 
 
 def certify(theorem, V: PotentialSpec, m=0.0, eps=0.25, sigma=2.0,
-            rho: WeightSpec = None, j_range=(-40, 40)) -> Certificate:
+            rho: WeightSpec = None) -> Certificate:
     """Check one theorem's hypothesis against a potential.
 
     Quantitative theorems (2.3, 2.4) compare C * (norm + tail) with 1 and can
@@ -197,10 +188,10 @@ def certify(theorem, V: PotentialSpec, m=0.0, eps=0.25, sigma=2.0,
 
     if theorem in ("2.1", "2.2-massive"):
         tau = WeightSpec("tau", eps=eps)
-        res = _weighted_potential_norm(V, lambda r: tau.radial(r) ** 2, n, j_range=j_range)
+        res = _weighted_potential_norm(V, lambda r: tau.radial(r) ** 2, n)
         cert.params = {"eps": eps}
         cert.norm, cert.tail_bound = res.value, res.tail_bound
-        cert.norm_upper = _norm_upper(res)
+        cert.norm_upper = res.rigorous_upper()
         cert.reason = ("threshold alpha is existential in the qualitative theorem; "
                        "norm reported, no stability claim")
         return cert
@@ -208,25 +199,25 @@ def certify(theorem, V: PotentialSpec, m=0.0, eps=0.25, sigma=2.0,
         if m != 0.0:
             raise ValueError("theorem 2.2-massless needs m = 0")
         w = WeightSpec("w_sigma", sigma=sigma)
-        res = _weighted_potential_norm(V, w.radial, n, j_range=j_range)
+        res = _weighted_potential_norm(V, w.radial, n)
         cert.params = {"sigma": sigma}
         cert.norm, cert.tail_bound = res.value, res.tail_bound
-        cert.norm_upper = _norm_upper(res)
+        cert.norm_upper = res.rigorous_upper()
         cert.reason = ("threshold alpha is existential in the qualitative theorem; "
                        "norm reported, no stability claim")
         return cert
 
     if theorem == "2.3":
         rho = rho if rho is not None else WeightSpec("rho2", eps=0.5, delta=0.5)
-        l2, half = rho_norms(rho, j_range=j_range)
-        rl2, rhalf = _norm_upper(l2), _norm_upper(half)
+        l2, half = rho_norms(rho)
+        rl2, rhalf = l2.rigorous_upper(), half.rigorous_upper()
         if m > 0 and (rhalf is None or not np.isfinite(rhalf)):
             cert.reason = "massive case needs | |x|^(1/2) rho |_Linf finite"
             return cert
         C1 = c1_constant(n, m, rl2, rhalf if m > 0 else None)
         wfun = lambda r: r / rho.radial(r) ** 2
-        res = _weighted_potential_norm(V, wfun, n, j_range=j_range)
-        upper = _norm_upper(res)
+        res = _weighted_potential_norm(V, wfun, n)
+        upper = res.rigorous_upper()
         cert.params = {"rho": rho.kind, "rho_l2linf": rl2, "rho_halfpower_linf": rhalf}
         cert.norm, cert.tail_bound, cert.norm_upper = res.value, res.tail_bound, upper
         cert.constant, cert.threshold = C1, 1.0 / C1
@@ -241,8 +232,8 @@ def certify(theorem, V: PotentialSpec, m=0.0, eps=0.25, sigma=2.0,
     # theorem 2.4, massless dyadic
     if m != 0.0:
         raise ValueError("theorem 2.4 needs m = 0")
-    res = n1_norm(V, j_range=j_range)
-    upper = _norm_upper(res)
+    res = n1_norm(V)
+    upper = res.rigorous_upper()
     C2 = c2_constant(n)
     cert.norm, cert.tail_bound, cert.norm_upper = res.value, res.tail_bound, upper
     cert.constant, cert.threshold = 2.0 * C2, 1.0 / (2.0 * C2)
@@ -266,8 +257,7 @@ def disk_pair(m, Nj, j, n=3) -> DiskPair:
     return DiskPair(x0_plus=x0, x0_minus=-x0, r0=r0, V_j=v, j=j, m=m)
 
 
-def enclosure_disks(V: PotentialSpec, m, j=1, rho: WeightSpec = None,
-                    j_range=(-40, 40)) -> Certificate:
+def enclosure_disks(V: PotentialSpec, m, j=1, rho: WeightSpec = None) -> Certificate:
     """Eigenvalue-enclosure certificate for the massive Dirac operator.
 
     N_j includes the tail bound before the disks are formed, so a larger
@@ -284,13 +274,13 @@ def enclosure_disks(V: PotentialSpec, m, j=1, rho: WeightSpec = None,
     cert = Certificate(theorem=theorem, verdict="inconclusive", n=n, m=m,
                        potential_hash=V.content_hash())
     if j == 1:
-        res = n1_norm(V, j_range=j_range)
-        upper = _norm_upper(res)
+        res = n1_norm(V)
+        upper = res.rigorous_upper()
         extra = {}
     else:
         rho = rho if rho is not None else WeightSpec("rho2", eps=0.5, delta=0.5)
-        core, l2 = n2_norm(V, rho, j_range=j_range)
-        cu, lu = _norm_upper(core), _norm_upper(l2)
+        core, l2 = n2_norm(V, rho)
+        cu, lu = core.rigorous_upper(), l2.rigorous_upper()
         res = core
         upper = None if (cu is None or lu is None) else lu ** 2 * cu
         extra = {"rho": rho.kind, "rho_l2linf": lu}

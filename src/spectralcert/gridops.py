@@ -278,7 +278,7 @@ def assemble_perturbed(kind, m, V, grid: GridSpec, size_limit=DENSE_SIZE_LIMIT):
     return H
 
 
-def eigenvalues(H, check_residuals=True):
+def eigenvalues(H):
     """Eigenvalues of a dense operator, sorted by (real, imaginary) part.
 
     Residuals |Hv - lambda v| <= 1e-8 |v| are verified on 10 sampled pairs.
@@ -287,14 +287,13 @@ def eigenvalues(H, check_residuals=True):
     vals, vecs = scipy.linalg.eig(H)
     order = np.lexsort((vals.imag, vals.real))
     vals, vecs = vals[order], vecs[:, order]
-    if check_residuals:
-        scale = max(np.linalg.norm(H, ord=np.inf), 1.0)
-        idx = np.linspace(0, len(vals) - 1, min(10, len(vals))).astype(int)
-        for i in idx:
-            v = vecs[:, i]
-            res = np.linalg.norm(H @ v - vals[i] * v) / np.linalg.norm(v)
-            if res > 1e-8 * scale:
-                raise RuntimeError(f"eigenpair {i} residual {res:.3e} exceeds 1e-8 * |H|")
+    scale = max(np.linalg.norm(H, ord=np.inf), 1.0)
+    idx = np.linspace(0, len(vals) - 1, min(10, len(vals))).astype(int)
+    for i in idx:
+        v = vecs[:, i]
+        res = np.linalg.norm(H @ v - vals[i] * v) / np.linalg.norm(v)
+        if res > 1e-8 * scale:
+            raise RuntimeError(f"eigenpair {i} residual {res:.3e} exceeds 1e-8 * |H|")
     return vals
 
 

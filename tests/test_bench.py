@@ -90,3 +90,48 @@ def test_uniformity_probe_deterministic():
     _, r2, t2 = uniformity_probe("KY", FAST_GRID, 0.0, path, trials_per_z=3, seed=1)
     assert np.array_equal(r1, r2)
     assert t1 == t2
+
+
+PINNED_GRID = GridSpec(n=3, L=8.0, M=8)
+
+# (estimate, max_ratio, discarded, passed, paper_constant, m, grid.N) of
+# run_bench(est, PINNED_GRID, m=1.0, trials=6, seed=3), recorded before the
+# estimate catalogue became one table
+PINNED = [
+    ("L3.1-KG", 0.08353942446488141, 0, None, None, 1.0, 1),
+    ("L3.2-D0", 0.20200089271409596, 0, None, None, 0.0, 4),
+    ("L3.2-Dm", 0.06979317346467571, 0, None, None, 1.0, 4),
+    ("L3.3-X", 1.1307881673131155, 0, True, 864.0, 1.0, 1),
+    ("L3.3-ReY", 0.34750084935831527, 0, True, 7331.283107342126, 1.0, 1),
+    ("L3.3-ImY", 0.25020418755719376, 0, True, 3665.641553671063, 1.0, 1),
+    ("C3.4-a", 1.02842661880643, 0, True, 1728.0, 1.0, 1),
+    ("C3.4-b", 0.3494684655861301, 0, True, 8235.807054084276, 1.0, 1),
+    ("C3.4-c", 0.4020277090737076, 0, True, 1728.0, 1.0, 1),
+    ("C3.5-a", 0.19014855750789628, 0, True, 2924.9770301673557, 1.0, 1),
+    ("C3.5-b", 0.12329184228448374, 0, True, 13940.709755837259, 1.0, 1),
+    ("C3.5-c", 0.16908637773613383, 0, True, 2924.9770301673557, 1.0, 1),
+    ("C3.5-d", 0.39085411215631544, 0, True, 13941.963069974574, 1.0, 1),
+    ("L3.6-dyadic", 0.1298088736927839, 0, True, 8235.807054084276, 1.0, 4),
+    ("L3.6-weighted", 0.03952447853467385, 0, True, 13940.709755837259, 1.0, 4),
+    ("L3.6-hom", 0.08381198025323838, 0, True, 46892.098037145515, 1.0, 4),
+    ("KY", 0.8831540970065643, 0, True, 1.2533141373155001, 1.0, 1),
+]
+
+
+def test_pinned_table_covers_every_estimate():
+    assert tuple(row[0] for row in PINNED) == ESTIMATE_IDS
+
+
+@pytest.mark.parametrize("est,max_ratio,discarded,passed,constant,m,N", PINNED,
+                         ids=[row[0] for row in PINNED])
+def test_bench_pinned_values(est, max_ratio, discarded, passed, constant, m, N):
+    rep = run_bench(est, grid=PINNED_GRID, m=1.0, trials=6, seed=3)
+    assert rep.max_ratio == pytest.approx(max_ratio, rel=1e-12)
+    assert rep.discarded == discarded
+    assert rep.passed is passed
+    if constant is None:
+        assert rep.paper_constant is None
+    else:
+        assert rep.paper_constant == pytest.approx(constant, rel=1e-12)
+    assert rep.m == m
+    assert rep.grid.N == N

@@ -6,8 +6,10 @@ import pytest
 
 from spectralcert.cli import main, EXIT_OK, EXIT_VALIDATION, EXIT_COMPUTE, EXIT_INCONCLUSIVE
 from spectralcert.config import parse_config, ConfigError
+from spectralcert.enclosure import eval_constants
 from spectralcert.potential import PotentialSpec, save_potential_binary
 from spectralcert.report import canonical_json, make_report, write_report
+from spectralcert.weights import WeightSpec
 
 
 def _write(tmp_path, name, doc):
@@ -190,6 +192,22 @@ def test_cli_bench(tmp_path):
     assert res["passed"] is True
     assert res["max_ratio"] <= res["paper_constant"] * (1 + res["slack"])
 
+
+
+def test_cli_bench_explicit_zero_mass(tmp_path):
+    doc = {"estimate": "L3.6-hom", "n": 3, "m": 0, "trials": 3,
+           "grid": {"L": 8.0, "M": 8}, "seed": 0}
+    out = str(tmp_path / "b_rep.json")
+    assert main(["bench", "--config", _write(tmp_path, "b.json", doc), "--out", out]) == EXIT_OK
+    res = json.loads(open(out).read())["results"]
+    assert res["m"] == 0.0
+    # the massless constant 2 C2 |rho|^2, not the massive one
+    constants = eval_constants(3, 0.0, rho=WeightSpec("rho2", eps=0.5, delta=0.5))
+    assert res["paper_constant"] == pytest.approx(2.0 * constants.C2 * constants.rho_l2linf ** 2,
+                                                  rel=1e-11)
+    del doc["m"]
+    assert main(["bench", "--config", _write(tmp_path, "b.json", doc), "--out", out]) == EXIT_OK
+    assert json.loads(open(out).read())["results"]["m"] == 1.0
 
 def test_cli_norms(tmp_path):
     doc = {"n": 3, "p": 2, "q": "inf", "weight": {"kind": "rho2", "eps": 0.5, "delta": 0.5}}
