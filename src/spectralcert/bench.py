@@ -17,7 +17,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .enclosure import c1_constant, c2_constant, c3_constant, kato_yajima_constant, rho_norms
+from .enclosure import (DEFAULT_RHO, c1_constant, c2_constant, c3_constant, kato_yajima_constant,
+                        rho_norms)
 from .gridops import (GridSpec, FieldOnGrid, apply_free_resolvent, apply_gradient, free_operator,
                       spinor_size)
 from .weights import WeightSpec, grid_dyadic_norm, morrey_norms
@@ -109,9 +110,8 @@ class _Context:
         self.m = m
         self.n = grid.n
         self.r = r = grid.radii
-        rho = WeightSpec("rho2", eps=0.5, delta=0.5)
-        self.rho_vals = rho.radial(r)
-        l2, half = rho_norms(rho)
+        self.rho_vals = DEFAULT_RHO.radial(r)
+        l2, half = rho_norms(DEFAULT_RHO)
         self.rho_l2 = l2.rigorous_upper()
         self.rho_half = half.rigorous_upper()
         self.tau = WeightSpec("tau", eps=0.1).radial(r)

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 validation error, 2 computational error,
 """
 
 import argparse
+from dataclasses import asdict
 import sys
 import time
 
@@ -31,31 +32,11 @@ EXIT_INCONCLUSIVE = 3
 
 
 def _cert_dict(cert):
-    d = {
-        "theorem": cert.theorem,
-        "verdict": cert.verdict,
-        "norm": cert.norm,
-        "tail_bound": cert.tail_bound,
-        "norm_upper": cert.norm_upper,
-        "constant": cert.constant,
-        "threshold": cert.threshold,
-        "reason": cert.reason,
-        "n": cert.n,
-        "m": cert.m,
-        "params": cert.params,
-        "potential_hash": cert.potential_hash,
-    }
-    if cert.disks is not None:
-        d["disks"] = {
-            "x0_plus": cert.disks.x0_plus,
-            "x0_minus": cert.disks.x0_minus,
-            "r0": cert.disks.r0,
-            "V_j": cert.disks.V_j,
-            "j": cert.disks.j,
-            "m": cert.disks.m,
-            "N_j": cert.params.get("N_j"),
-            "C2": c2_constant(cert.n),
-        }
+    d = asdict(cert)
+    if cert.disks is None:
+        del d["disks"]
+    else:
+        d["disks"].update(N_j=cert.params.get("N_j"), C2=c2_constant(cert.n))
     return d
 
 
@@ -88,14 +69,13 @@ def _do_disks(cfg):
 def _do_scan(cfg):
     V = build_potential(cfg)
     grid = build_grid(cfg)
-    rect = (cfg.rectangle["re_min"], cfg.rectangle["re_max"],
-            cfg.rectangle["im_min"], cfg.rectangle["im_max"])
+    rect = tuple(cfg.rectangle[k] for k in ("re_min", "re_max", "im_min", "im_max"))
     res = (cfg.resolution["n_re"], cfg.resolution["n_im"])
     scan = bs.bs_scan(cfg.kind, cfg.m, V, grid, rect, res, seed=cfg.seed)
     box = scan.region_bounding_box()
     results = {
-        "rectangle": {"re_min": rect[0], "re_max": rect[1], "im_min": rect[2], "im_max": rect[3]},
-        "resolution": {"n_re": res[0], "n_im": res[1]},
+        "rectangle": cfg.rectangle,
+        "resolution": cfg.resolution,
         "excluded_points": int(scan.excluded.sum()),
         "max_norm_estimate": (None if np.all(scan.excluded)
                               else float(np.nanmax(scan.values))),
@@ -122,24 +102,14 @@ def _do_eig(cfg):
 
 
 def _do_bench(cfg):
-    grid = None
-    if cfg.grid is not None:
-        grid = build_grid(cfg, kind="schrodinger")
-    rep = bench_mod.run_bench(cfg.estimate, grid=grid, m=cfg.m if "m" in cfg.raw else 1.0,
+    rep = bench_mod.run_bench(cfg.estimate, grid=build_grid(cfg, kind="schrodinger"), m=cfg.m,
                               trials=cfg.trials, seed=cfg.seed)
-    results = {
-        "estimate": rep.estimate,
-        "trials": rep.trials,
-        "discarded": rep.discarded,
-        "max_ratio": rep.max_ratio,
-        "paper_constant": rep.paper_constant if rep.paper_constant is not None else "non-explicit",
-        "slack": rep.slack,
-        "passed": rep.passed,
-        "grid": {"n": rep.grid.n, "L": rep.grid.L, "M": rep.grid.M, "N": rep.grid.N},
-        "m": rep.m,
-    }
-    warns = [] if rep.paper_constant is not None else \
-        ["estimate has no explicit analytic constant; ratio reported without pass/fail"]
+    results = asdict(rep)
+    del results["z_values"], results["meta"]
+    warns = []
+    if rep.paper_constant is None:
+        results["paper_constant"] = "non-explicit"
+        warns = ["estimate has no explicit analytic constant; ratio reported without pass/fail"]
     return results, warns, {}, EXIT_OK
 
 
@@ -148,28 +118,16 @@ def _do_norms(cfg):
     if cfg.weight is not None:
         w = build_weight(cfg)
         res = dyadic_norm(None, cfg.p, cfg.q, cfg.n, radial_profile=w.radial)
-        table["weight"] = _norm_dict(res)
+        table["weight"] = asdict(res)
     if cfg.potential is not None:
         V = build_potential(cfg, kind="dirac" if cfg.potential.get("N", 1) > 1 else "schrodinger")
         if V.kind == "grid-sampled":
             res = dyadic_norm(lambda pts: opnorm_in_box(V, pts), cfg.p, cfg.q, cfg.n)
         else:
             res = dyadic_norm(None, cfg.p, cfg.q, cfg.n, radial_profile=V.radial_opnorm)
-        table["potential"] = _norm_dict(res)
+        table["potential"] = asdict(res)
     warns = [k + ": tail bound unknown" for k, v in table.items() if v["tail_bound"] is None]
     return {"norms": table}, warns, {}, EXIT_OK
-
-
-def _norm_dict(res):
-    return {
-        "value": res.value,
-        "p": "inf" if np.isinf(res.p) else res.p,
-        "j_min": res.j_min,
-        "j_max": res.j_max,
-        "tail_bound": res.tail_bound,
-        "samples_per_annulus": res.samples_per_annulus,
-        "diverged": res.diverged,
-    }
 
 
 _RUNNERS = {
@@ -220,7 +178,7 @@ def main(argv=None) -> int:
         return EXIT_COMPUTE
     elapsed = time.monotonic() - t0
 
-    report = make_report(args.command, cfg.echo(), results, warnings)
+    report = make_report(args.command, {"command": args.command, **cfg.echo()}, results, warnings)
     try:
         write_report(report, out, siblings)
     except OSError as e:

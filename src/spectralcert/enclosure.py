@@ -19,7 +19,15 @@ import numpy as np
 from .potential import PotentialSpec, opnorm_in_box
 from .weights import WeightSpec, NormResult, dyadic_norm, weighted_sup_norm
 
-THEOREM_IDS = ("2.1", "2.2-massless", "2.2-massive", "2.3", "2.4", "2.5-j1", "2.5-j2")
+CERTIFY_THEOREMS = ("2.1", "2.2-massless", "2.2-massive", "2.3", "2.4")  # 2.5: enclosure_disks
+MASSLESS_THEOREMS = ("2.2-massless", "2.4")  # stated for m = 0 only
+
+# qualitative theorem -> (kind of the weight w in its hypothesis on || w^k V ||_Linf,
+#                         the certify parameter that sets w, the power k)
+QUALITATIVE = {"2.1": ("tau", "eps", 2), "2.2-massive": ("tau", "eps", 2),
+               "2.2-massless": ("w_sigma", "sigma", 1)}
+
+DEFAULT_RHO = WeightSpec("rho2", eps=0.5, delta=0.5)  # the weight rho when none is given
 
 J_RANGE = (-40, 40)  # dyadic annuli 2^j, j in J_RANGE, sampled by every norm here
 
@@ -73,6 +81,13 @@ class Certificate:
     potential_hash: str = ""
 
 
+def check_dimension(n):
+    """n, if the estimates cover dimension n (they need n >= 3); ValueError if not."""
+    if n < 3:
+        raise ValueError(f"dimension {n} unsupported: the estimates need n >= 3")
+    return n
+
+
 def c2_constant(n) -> float:
     """576 n max(sqrt(n), (64n+324)^(1/4))."""
     return 576.0 * n * max(np.sqrt(n), (64.0 * n + 324.0) ** 0.25)
@@ -80,8 +95,7 @@ def c2_constant(n) -> float:
 
 def kato_yajima_constant(n) -> float:
     """Best constant sqrt(pi / (2(n-2))) of the weighted free-resolvent bound."""
-    if n < 3:
-        raise ValueError(f"dimension {n} unsupported: the estimates need n >= 3")
+    check_dimension(n)
     return float(np.sqrt(np.pi / (2.0 * (n - 2))))
 
 
@@ -92,8 +106,7 @@ def c1_constant(n, m, rho_l2linf, rho_halfpower_linf=None) -> float:
                   + (2m+1) sqrt(pi/(2(n-2))) | |x|^(1/2) rho |^2.
     Massless case: 2 C2(n) |rho|^2.
     """
-    if n < 3:
-        raise ValueError(f"dimension {n} unsupported: the estimates need n >= 3")
+    check_dimension(n)
     if m == 0.0:
         return 2.0 * c2_constant(n) * rho_l2linf ** 2
     if rho_halfpower_linf is None:
@@ -124,8 +137,7 @@ def eval_constants(n, m, rho=None, rho_l2linf=None, rho_halfpower_linf=None) -> 
     The weight norms may be given directly (e.g. the analytic bounds 2 and 1
     for rho = (|x|^(-1/2)+|x|^(1/2))^(-1)) or computed from a WeightSpec.
     """
-    if n < 3:
-        raise ValueError(f"dimension {n} unsupported: the estimates need n >= 3")
+    check_dimension(n)
     if m < 0:
         raise ValueError("mass must be nonnegative")
     if rho_l2linf is None:
@@ -178,29 +190,20 @@ def certify(theorem, V: PotentialSpec, m=0.0, eps=0.25, sigma=2.0,
     existential constants, so the computed norm is reported and the verdict
     is always ``inconclusive``.
     """
-    if theorem not in ("2.1", "2.2-massless", "2.2-massive", "2.3", "2.4"):
+    if theorem not in CERTIFY_THEOREMS:
         raise ValueError(f"unknown theorem id {theorem!r} (disks are produced by enclosure_disks)")
+    if theorem in MASSLESS_THEOREMS and m != 0.0:
+        raise ValueError(f"theorem {theorem} needs m = 0")
     n = V.n
-    if n < 3:
-        raise ValueError(f"dimension {n} unsupported: the estimates need n >= 3")
+    check_dimension(n)
     cert = Certificate(theorem=theorem, verdict="inconclusive", n=n, m=m,
                        potential_hash=V.content_hash())
 
-    if theorem in ("2.1", "2.2-massive"):
-        tau = WeightSpec("tau", eps=eps)
-        res = _weighted_potential_norm(V, lambda r: tau.radial(r) ** 2, n)
-        cert.params = {"eps": eps}
-        cert.norm, cert.tail_bound = res.value, res.tail_bound
-        cert.norm_upper = res.rigorous_upper()
-        cert.reason = ("threshold alpha is existential in the qualitative theorem; "
-                       "norm reported, no stability claim")
-        return cert
-    if theorem == "2.2-massless":
-        if m != 0.0:
-            raise ValueError("theorem 2.2-massless needs m = 0")
-        w = WeightSpec("w_sigma", sigma=sigma)
-        res = _weighted_potential_norm(V, w.radial, n)
-        cert.params = {"sigma": sigma}
+    if theorem in QUALITATIVE:
+        kind, param, power = QUALITATIVE[theorem]
+        cert.params = {param: {"eps": eps, "sigma": sigma}[param]}
+        w = WeightSpec(kind, **cert.params)
+        res = _weighted_potential_norm(V, lambda r: w.radial(r) ** power, n)
         cert.norm, cert.tail_bound = res.value, res.tail_bound
         cert.norm_upper = res.rigorous_upper()
         cert.reason = ("threshold alpha is existential in the qualitative theorem; "
@@ -208,7 +211,7 @@ def certify(theorem, V: PotentialSpec, m=0.0, eps=0.25, sigma=2.0,
         return cert
 
     if theorem == "2.3":
-        rho = rho if rho is not None else WeightSpec("rho2", eps=0.5, delta=0.5)
+        rho = rho if rho is not None else DEFAULT_RHO
         l2, half = rho_norms(rho)
         rl2, rhalf = l2.rigorous_upper(), half.rigorous_upper()
         if m > 0 and (rhalf is None or not np.isfinite(rhalf)):
@@ -230,8 +233,6 @@ def certify(theorem, V: PotentialSpec, m=0.0, eps=0.25, sigma=2.0,
         return cert
 
     # theorem 2.4, massless dyadic
-    if m != 0.0:
-        raise ValueError("theorem 2.4 needs m = 0")
     res = n1_norm(V)
     upper = res.rigorous_upper()
     C2 = c2_constant(n)
@@ -268,8 +269,7 @@ def enclosure_disks(V: PotentialSpec, m, j=1, rho: WeightSpec = None) -> Certifi
     if j not in (1, 2):
         raise ValueError("j must be 1 or 2")
     n = V.n
-    if n < 3:
-        raise ValueError(f"dimension {n} unsupported: the estimates need n >= 3")
+    check_dimension(n)
     theorem = f"2.5-j{j}"
     cert = Certificate(theorem=theorem, verdict="inconclusive", n=n, m=m,
                        potential_hash=V.content_hash())
@@ -278,7 +278,7 @@ def enclosure_disks(V: PotentialSpec, m, j=1, rho: WeightSpec = None) -> Certifi
         upper = res.rigorous_upper()
         extra = {}
     else:
-        rho = rho if rho is not None else WeightSpec("rho2", eps=0.5, delta=0.5)
+        rho = rho if rho is not None else DEFAULT_RHO
         core, l2 = n2_norm(V, rho)
         cu, lu = core.rigorous_upper(), l2.rigorous_upper()
         res = core

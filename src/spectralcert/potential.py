@@ -23,7 +23,7 @@ import numpy as np
 
 from .clifford import build_clifford
 
-_PRESETS = ("inverse-square", "complex-inverse-square", "bump", "dyadic-decay", "matrix-mix")
+PRESETS = ("inverse-square", "complex-inverse-square", "bump", "dyadic-decay", "matrix-mix")
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ class PotentialSpec:
     def preset(cls, kind, n, N, c=1.0, R=1.0, sigma=2.0, label=""):
         if kind == "complex-inverse-square":
             kind = "inverse-square"
-        if kind not in _PRESETS:
-            raise ValueError(f"unknown preset {kind!r}, expected one of {_PRESETS}")
+        if kind not in PRESETS:
+            raise ValueError(f"unknown preset {kind!r}, expected one of {PRESETS}")
         if kind == "matrix-mix" and N < 2:
             raise ValueError("matrix-mix needs a spinor dimension N >= 2")
         return cls(n=n, N=N, kind=kind, c=complex(c), R=float(R), sigma=float(sigma),

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-_WEIGHT_KINDS = ("tau", "w_sigma", "rho1", "rho2", "power", "product")
+WEIGHT_KINDS = ("tau", "w_sigma", "rho1", "rho2", "power")  # the catalogue; "product" composes it
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class WeightSpec:
     factors: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _WEIGHT_KINDS:
+        if self.kind not in WEIGHT_KINDS and self.kind != "product":
             raise ValueError(f"unknown weight kind {self.kind!r}")
         if self.kind == "tau" and not self.eps > 0:
             raise ValueError("tau weight needs eps > 0")

@@ -259,3 +259,26 @@ def test_cli_reports_byte_identical(tmp_path):
     assert main(["certify", "--config", cfg, "--out", a]) == EXIT_OK
     assert main(["certify", "--config", cfg, "--out", b]) == EXIT_OK
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+@pytest.mark.parametrize("command, doc, path", [
+    # sigma = 0 ran theorem 2.2-massless at sigma = 2 (exit 3, params.sigma 2.0)
+    ("certify", {"theorem": "2.2-massless", "sigma": 0,
+                 "potential": {"preset": "inverse-square", "c": 1e-6}}, "$.sigma"),
+    ("norms", {"p": 2, "q": "inf", "weight": {"kind": "rho1", "sigma": 0.5}}, "$.weight"),
+    ("certify", {"theorem": "2.4", "m": 1, "potential": {"preset": "bump"}}, "$.m"),
+    ("certify", {"theorem": "2.2-massless", "m": 1, "potential": {"preset": "bump"}}, "$.m"),
+])
+def test_cli_library_rules_exit_validation(tmp_path, capsys, command, doc, path):
+    out = tmp_path / "r.json"
+    assert main([command, "--config", _write(tmp_path, "c.json", doc), "--out", str(out)]) \
+        == EXIT_VALIDATION
+    assert f"  - {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_bench_default_grid_takes_config_n(tmp_path):
+    out = str(tmp_path / "b_rep.json")
+    doc = {"estimate": "KY", "n": 4, "trials": 1}
+    assert main(["bench", "--config", _write(tmp_path, "b.json", doc), "--out", out]) == EXIT_OK
+    assert json.loads(open(out).read())["results"]["grid"] == {"n": 4, "L": 8.0, "M": 32, "N": 1}
