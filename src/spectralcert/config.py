@@ -86,7 +86,8 @@ def _text(v):
 def _object(checks, required=(), rule=None):
     """An object whose keys ``checks`` parses, of which ``required`` must be
     present, and a ``rule`` across keys that runs once they all passed.  Its
-    ConfigError gives each path relative to the object: ".key: ..." or ": ..."."""
+    ConfigError gives each path relative to the object: ".key: ..." for a key,
+    ": ..." for the object itself."""
     def check(doc):
         if not isinstance(doc, dict):
             raise ConfigError([": expected an object"])
