@@ -10,8 +10,9 @@ the complex plane.
 
 from .clifford import CliffordRep, build_clifford, anticommutator_defect, dirac_symbol
 from .potential import PotentialSpec, Factorization, polar_factorize
-from .weights import WeightSpec, NormResult, weight_eval, dyadic_norm, weighted_sup_norm, morrey_norms
-from .enclosure import ConstantsReport, Certificate, DiskPair, eval_constants, certify, enclosure_disks
+from .weights import WeightSpec, NormResult, weight_eval, dyadic_norm, morrey_norms
+from .enclosure import (ConstantsReport, Certificate, DiskPair, eval_constants, potential_norm,
+                        certify, enclosure_disks)
 from .gridops import GridSpec, FieldOnGrid, apply_free_operator, apply_free_resolvent, assemble_perturbed, eigenvalues
 from .birman_schwinger import BSScan, NormEstimate, bs_apply, bs_norm, bs_scan, bs_dense
 from .bench import BenchReport, run_bench, uniformity_probe

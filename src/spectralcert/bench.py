@@ -65,18 +65,18 @@ def random_band_limited_field(grid: GridSpec, rng) -> FieldOnGrid:
     return g.field(vals / nrm)
 
 
-def default_z_arc(grid, kind, m, count=40, r_min=0.1, r_max=10.0, min_gap=1e-3):
-    """Log-spaced arc over |z| in [r_min, r_max], arguments spread over
-    (0, 2pi) minus small sectors around the positive real axis; points too
-    close to the discrete symbol set are nudged upward off the axis."""
+def default_z_arc(grid, kind, m, count=40):
+    """Log-spaced arc over |z| in [0.1, 10], arguments spread over (0, 2pi)
+    minus small sectors around the positive real axis; points whose gap to
+    the discrete symbol set is below 1e-3 are nudged upward off the axis."""
     op = free_operator(kind, m, grid)
-    radii = np.geomspace(r_min, r_max, count)
+    radii = np.geomspace(0.1, 10.0, count)
     args = np.linspace(0.15, 2.0 * np.pi - 0.15, count)
     zs = []
     for r, a in zip(radii, args):
         z = r * np.exp(1j * a)
         bump = 0.0
-        while op.gap(z) < min_gap and bump < 1.0:
+        while op.gap(z) < 1e-3 and bump < 1.0:
             bump += 0.05
             z = r * np.exp(1j * a) + 1j * bump * np.sign(np.sin(a) if np.sin(a) != 0 else 1.0)
         zs.append(z)

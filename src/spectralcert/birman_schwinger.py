@@ -51,6 +51,7 @@ def bs_apply(kind, m, z, factors, f: FieldOnGrid, adjoint=False) -> FieldOnGrid:
     return _pointwise(A, g)
 
 
+SCAN_TOL = 1e-4  # relative residual bound r / theta at which a scan stops each point
 _BREAKDOWN = 1e-13  # alpha or beta at most this times theta: the Krylov space is invariant
 
 
@@ -115,7 +116,7 @@ def _gkl_norm(kind, m, z, factors, grid: GridSpec, tol, seed, max_iter) -> NormE
                        f"steps; last (theta, r/theta) {history[-5:]}")
 
 
-def bs_norm(kind, m, z, factors, grid: GridSpec, tol=1e-4, seed=0, max_iter=64,
+def bs_norm(kind, m, z, factors, grid: GridSpec, tol=SCAN_TOL, seed=0, max_iter=64,
             full_output=False):
     """Largest singular value of K_z by Golub-Kahan-Lanczos bidiagonalization.
 
@@ -193,7 +194,7 @@ class BSScan:
 
 
 def bs_scan(kind, m, V: PotentialSpec, grid: GridSpec, rectangle, resolution,
-            tol=1e-4, seed=0) -> BSScan:
+            seed=0) -> BSScan:
     """Per-z norm of K_z on a lattice over rectangle = (re_min, re_max, im_min, im_max).
 
     Points where the free resolvent's |denominator| falls below
@@ -218,7 +219,7 @@ def bs_scan(kind, m, V: PotentialSpec, grid: GridSpec, rectangle, resolution,
                 excluded[i, k] = True
             else:
                 values[i, k], residuals[i, k], applies[i, k] = bs_norm(
-                    kind, m, z, factors, grid, tol=tol, seed=seed, full_output=True)
+                    kind, m, z, factors, grid, tol=SCAN_TOL, seed=seed, full_output=True)
     return BSScan(re=re, im=im, values=values, excluded=excluded, residuals=residuals,
                   applies=applies, kind=kind, m=m, potential_hash=V.content_hash(), grid=grid,
-                  meta={"tol": tol, "seed": seed})
+                  meta={"tol": SCAN_TOL, "seed": seed})

@@ -19,9 +19,8 @@ from . import birman_schwinger as bs
 from . import bench as bench_mod
 from .config import (ConfigError, parse_config, build_potential, build_weight,
                      build_grid, COMMANDS)
-from .enclosure import certify as run_certify_op, enclosure_disks, c2_constant
+from .enclosure import certify as run_certify_op, enclosure_disks, c2_constant, potential_norm
 from .gridops import assemble_perturbed, eigenvalues
-from .potential import opnorm_in_box
 from .report import make_report, write_report
 from .weights import dyadic_norm
 
@@ -49,21 +48,15 @@ def _cert_warnings(cert):
     return warns
 
 
-def _do_certify(cfg):
-    V = build_potential(cfg)
-    cert = run_certify_op(cfg.theorem, V, m=cfg.m, eps=cfg.eps, sigma=cfg.sigma,
-                          rho=build_weight(cfg))
-    results = {"certificate": _cert_dict(cert)}
+def _do_certificate(cfg):
+    """certify and disks: one certificate, exit 0 if it is stable or an enclosure."""
+    V, rho = build_potential(cfg), build_weight(cfg)
+    if cfg.command == "disks":
+        cert = enclosure_disks(V, m=cfg.m, j=cfg.j, rho=rho)
+    else:
+        cert = run_certify_op(cfg.theorem, V, m=cfg.m, eps=cfg.eps, sigma=cfg.sigma, rho=rho)
     code = EXIT_OK if cert.verdict in ("stable", "enclosure") else EXIT_INCONCLUSIVE
-    return results, _cert_warnings(cert), {}, code
-
-
-def _do_disks(cfg):
-    V = build_potential(cfg, kind="dirac")
-    cert = enclosure_disks(V, m=cfg.m, j=cfg.j, rho=build_weight(cfg))
-    results = {"certificate": _cert_dict(cert)}
-    code = EXIT_OK if cert.verdict == "enclosure" else EXIT_INCONCLUSIVE
-    return results, _cert_warnings(cert), {}, code
+    return {"certificate": _cert_dict(cert)}, _cert_warnings(cert), {}, code
 
 
 def _do_scan(cfg):
@@ -116,23 +109,17 @@ def _do_bench(cfg):
 def _do_norms(cfg):
     table = {}
     if cfg.weight is not None:
-        w = build_weight(cfg)
-        res = dyadic_norm(None, cfg.p, cfg.q, cfg.n, radial_profile=w.radial)
+        res = dyadic_norm(None, cfg.p, cfg.q, cfg.n, radial_profile=build_weight(cfg).radial)
         table["weight"] = asdict(res)
     if cfg.potential is not None:
-        V = build_potential(cfg, kind="dirac" if cfg.potential.get("N", 1) > 1 else "schrodinger")
-        if V.kind == "grid-sampled":
-            res = dyadic_norm(lambda pts: opnorm_in_box(V, pts), cfg.p, cfg.q, cfg.n)
-        else:
-            res = dyadic_norm(None, cfg.p, cfg.q, cfg.n, radial_profile=V.radial_opnorm)
-        table["potential"] = asdict(res)
+        table["potential"] = asdict(potential_norm(build_potential(cfg), p=cfg.p, q=cfg.q))
     warns = [k + ": tail bound unknown" for k, v in table.items() if v["tail_bound"] is None]
     return {"norms": table}, warns, {}, EXIT_OK
 
 
 _RUNNERS = {
-    "certify": _do_certify,
-    "disks": _do_disks,
+    "certify": _do_certificate,
+    "disks": _do_certificate,
     "scan": _do_scan,
     "eig": _do_eig,
     "bench": _do_bench,

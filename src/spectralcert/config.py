@@ -193,6 +193,11 @@ def _command_rules(cfg):
             WeightSpec(kind, **{param: getattr(cfg, param)})
         except ValueError as e:
             yield f"$.{param}: {e}"
+    if cfg.potential is not None and "preset" in cfg.potential:
+        try:
+            build_potential(cfg)  # reads no file
+        except ValueError as e:
+            yield f"$.potential: {e}"
 
 
 def parse_config(text, command) -> RunConfig:
@@ -217,15 +222,21 @@ def parse_config(text, command) -> RunConfig:
     return cfg
 
 
-def build_potential(cfg: RunConfig, kind=None) -> PotentialSpec:
-    """The config's potential: a file, or a preset built from the keys the
-    document gives; an absent N is the spinor size of ``kind`` (default the config's)."""
+def build_potential(cfg: RunConfig) -> PotentialSpec:
+    """The config's potential: a file in the config's dimension n, or a preset
+    built from the keys the document gives.  An absent N is the spinor size of
+    the command's operator: Dirac for disks, scalar for norms, else the config's kind."""
     doc = dict(cfg.potential)
     fmt = doc.pop("format", None)
     if "file" in doc:
         binary = fmt == "binary" if fmt else doc["file"].endswith(".bin")
-        return (load_potential_binary if binary else load_potential_text)(doc["file"])
-    N = doc.pop("N", spinor_size(kind or cfg.kind, cfg.n))
+        V = (load_potential_binary if binary else load_potential_text)(doc["file"])
+        if V.n != cfg.n:
+            raise ValueError(f"potential file {doc['file']} has dimension {V.n}, "
+                             f"but the config has n = {cfg.n}")
+        return V
+    kind = {"disks": "dirac", "norms": "schrodinger"}.get(cfg.command, cfg.kind)
+    N = doc.pop("N", spinor_size(kind, cfg.n))
     return PotentialSpec.preset(doc.pop("preset"), cfg.n, N, **doc)
 
 

@@ -1,14 +1,17 @@
 """Explicit constants, stability certificates, and eigenvalue-enclosure disks.
 
-Conventions for certificates:
+Theorems 2.3, 2.4 (``stable``) and 2.5 (``enclosure``) share one step: a
+weighted dyadic norm of V from :func:`potential_norm`, whose upper bound
+(norm plus tail) times an explicit constant is compared with 1 by one rule:
 
-* a ``stable`` verdict always compares a rigorous upper bound
-  (computed norm plus tail) against the threshold, never the bare value;
-* theorems with existential constants (the qualitative tau/w_sigma
-  smallness conditions) can only ever yield ``inconclusive`` -- the norm is
-  reported but no threshold is invented;
-* ``enclosure`` verdicts carry the two closed disks centred at
-  +-m (v^2+1)/(v^2-1) with radius 2 m v / (v^2-1).
+* upper bound unknown or not finite: ``inconclusive``, "norm divergent or
+  tail unknown; cannot certify";
+* constant * upper bound < 1: ``stable`` or ``enclosure``;
+* otherwise ``inconclusive``, "smallness condition not met; no claim either way".
+
+The qualitative theorems 2.1, 2.2 have existential constants: their norm is
+reported and the verdict is always ``inconclusive``.  ``enclosure`` verdicts
+carry the two closed disks centred at +-m (v^2+1)/(v^2-1), radius 2 m v / (v^2-1).
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .potential import PotentialSpec, opnorm_in_box
-from .weights import WeightSpec, NormResult, dyadic_norm, weighted_sup_norm
+from .weights import WeightSpec, NormResult, dyadic_norm
 
 CERTIFY_THEOREMS = ("2.1", "2.2-massless", "2.2-massive", "2.3", "2.4")  # 2.5: enclosure_disks
 MASSLESS_THEOREMS = ("2.2-massless", "2.4")  # stated for m = 0 only
@@ -126,8 +129,8 @@ def c3_constant(n, rho_l2linf, rho_halfpower_linf) -> float:
 def rho_norms(rho: WeightSpec):
     """(|rho|_{ell2 Linf}, | |x|^(1/2) rho |_Linf) as NormResults, shared per rho."""
     l2 = dyadic_norm(None, 2, np.inf, 3, j_range=J_RANGE, radial_profile=rho.radial)
-    half = weighted_sup_norm(None, w=WeightSpec("power", exponent=0.5),
-                             radial_profile=rho.radial, j_range=J_RANGE)
+    half = dyadic_norm(None, np.inf, np.inf, 3, j_range=J_RANGE,
+                       radial_profile=lambda r: r ** 0.5 * rho.radial(r))
     return l2, half
 
 
@@ -156,29 +159,52 @@ def eval_constants(n, m, rho=None, rho_l2linf=None, rho_halfpower_linf=None) -> 
                            rho_halfpower_linf=rho_halfpower_linf)
 
 
-def _weighted_potential_norm(V, wfun, n, p=np.inf, q=np.inf):
-    """Dyadic norm of x -> w(|x|) |V(x)|, exact radial path for presets."""
+def potential_norm(V: PotentialSpec, w=None, p=np.inf, q=np.inf) -> NormResult:
+    """Dyadic ell^p L^q norm of x -> w(|x|) |V(x)| in V's own dimension (w = 1 if None).
+
+    The only choice between the two paths: a preset's exact radial profile,
+    which also gives the tail, or direction sampling of a file, taken as 0
+    outside its box, whose tail is unknown.
+    """
     if V.kind != "grid-sampled":
-        prof = lambda r: wfun(r) * V.radial_opnorm(r)
-        return dyadic_norm(None, p, q, n, j_range=J_RANGE, radial_profile=prof)
+        prof = V.radial_opnorm if w is None else (lambda r: w(r) * V.radial_opnorm(r))
+        return dyadic_norm(None, p, q, V.n, j_range=J_RANGE, radial_profile=prof)
 
     def f(pts):
-        return wfun(np.linalg.norm(pts, axis=-1)) * opnorm_in_box(V, pts)
+        mag = opnorm_in_box(V, pts)
+        return mag if w is None else w(np.linalg.norm(pts, axis=-1)) * mag
 
-    return dyadic_norm(f, p, q, n, j_range=J_RANGE)
+    return dyadic_norm(f, p, q, V.n, j_range=J_RANGE)
+
+
+def _rho_weight(rho: WeightSpec):
+    """The weight |x| rho^-2 of the hypotheses of theorem 2.3 and N_2."""
+    return lambda r: r / rho.radial(r) ** 2
 
 
 def n1_norm(V: PotentialSpec) -> NormResult:
     """N_1(V) = || |x| V ||_{ell^1 L^inf}."""
-    return _weighted_potential_norm(V, lambda r: r, V.n, p=1, q=np.inf)
+    return potential_norm(V, lambda r: r, p=1)
 
 
 def n2_norm(V: PotentialSpec, rho: WeightSpec):
     """N_2(V) = |rho|^2_{ell2 Linf} * || |x| rho^-2 V ||_Linf; returns (NormResult, rho_l2)."""
     l2, _ = rho_norms(rho)
-    wfun = lambda r: r / rho.radial(r) ** 2
-    core = _weighted_potential_norm(V, wfun, V.n)
-    return core, l2
+    return potential_norm(V, _rho_weight(rho)), l2
+
+
+def _decide(cert, res: NormResult, upper, constant, verdict):
+    """Fill in the hypothesis norm ``res``, its upper bound and the constant, and
+    apply the verdict rule (module docstring); True if ``verdict`` was given."""
+    cert.norm, cert.tail_bound, cert.norm_upper = res.value, res.tail_bound, upper
+    cert.constant, cert.threshold = constant, 1.0 / constant
+    if upper is None or not np.isfinite(upper):
+        cert.reason = "norm divergent or tail unknown; cannot certify"
+    elif constant * upper < 1.0:
+        cert.verdict = verdict
+    else:
+        cert.reason = "smallness condition not met; no claim either way"
+    return cert.verdict == verdict
 
 
 def certify(theorem, V: PotentialSpec, m=0.0, eps=0.25, sigma=2.0,
@@ -203,47 +229,28 @@ def certify(theorem, V: PotentialSpec, m=0.0, eps=0.25, sigma=2.0,
         kind, param, power = QUALITATIVE[theorem]
         cert.params = {param: {"eps": eps, "sigma": sigma}[param]}
         w = WeightSpec(kind, **cert.params)
-        res = _weighted_potential_norm(V, lambda r: w.radial(r) ** power, n)
+        res = potential_norm(V, lambda r: w.radial(r) ** power)
         cert.norm, cert.tail_bound = res.value, res.tail_bound
         cert.norm_upper = res.rigorous_upper()
         cert.reason = ("threshold alpha is existential in the qualitative theorem; "
                        "norm reported, no stability claim")
         return cert
 
-    if theorem == "2.3":
-        rho = rho if rho is not None else DEFAULT_RHO
-        l2, half = rho_norms(rho)
-        rl2, rhalf = l2.rigorous_upper(), half.rigorous_upper()
-        if m > 0 and (rhalf is None or not np.isfinite(rhalf)):
-            cert.reason = "massive case needs | |x|^(1/2) rho |_Linf finite"
-            return cert
-        C1 = c1_constant(n, m, rl2, rhalf if m > 0 else None)
-        wfun = lambda r: r / rho.radial(r) ** 2
-        res = _weighted_potential_norm(V, wfun, n)
-        upper = res.rigorous_upper()
-        cert.params = {"rho": rho.kind, "rho_l2linf": rl2, "rho_halfpower_linf": rhalf}
-        cert.norm, cert.tail_bound, cert.norm_upper = res.value, res.tail_bound, upper
-        cert.constant, cert.threshold = C1, 1.0 / C1
-        if upper is None:
-            cert.reason = "tail bound unknown; cannot certify"
-        elif C1 * upper < 1.0:
-            cert.verdict = "stable"
-        else:
-            cert.reason = "smallness condition not met; no claim either way"
+    if theorem == "2.4":  # massless, dyadic
+        res = n1_norm(V)
+        _decide(cert, res, res.rigorous_upper(), 2.0 * c2_constant(n), "stable")
         return cert
 
-    # theorem 2.4, massless dyadic
-    res = n1_norm(V)
-    upper = res.rigorous_upper()
-    C2 = c2_constant(n)
-    cert.norm, cert.tail_bound, cert.norm_upper = res.value, res.tail_bound, upper
-    cert.constant, cert.threshold = 2.0 * C2, 1.0 / (2.0 * C2)
-    if res.diverged or upper is None:
-        cert.reason = "norm divergent or tail unknown; cannot certify"
-    elif 2.0 * C2 * upper < 1.0:
-        cert.verdict = "stable"
-    else:
-        cert.reason = "smallness condition not met; no claim either way"
+    rho = rho if rho is not None else DEFAULT_RHO
+    l2, half = rho_norms(rho)
+    rl2, rhalf = l2.rigorous_upper(), half.rigorous_upper()
+    if m > 0 and (rhalf is None or not np.isfinite(rhalf)):
+        cert.reason = "massive case needs | |x|^(1/2) rho |_Linf finite"
+        return cert
+    C1 = c1_constant(n, m, rl2, rhalf if m > 0 else None)
+    res = potential_norm(V, _rho_weight(rho))
+    cert.params = {"rho": rho.kind, "rho_l2linf": rl2, "rho_halfpower_linf": rhalf}
+    _decide(cert, res, res.rigorous_upper(), C1, "stable")
     return cert
 
 
@@ -270,30 +277,18 @@ def enclosure_disks(V: PotentialSpec, m, j=1, rho: WeightSpec = None) -> Certifi
         raise ValueError("j must be 1 or 2")
     n = V.n
     check_dimension(n)
-    theorem = f"2.5-j{j}"
-    cert = Certificate(theorem=theorem, verdict="inconclusive", n=n, m=m,
+    cert = Certificate(theorem=f"2.5-j{j}", verdict="inconclusive", n=n, m=m,
                        potential_hash=V.content_hash())
     if j == 1:
         res = n1_norm(V)
         upper = res.rigorous_upper()
-        extra = {}
     else:
         rho = rho if rho is not None else DEFAULT_RHO
-        core, l2 = n2_norm(V, rho)
-        cu, lu = core.rigorous_upper(), l2.rigorous_upper()
-        res = core
+        res, l2 = n2_norm(V, rho)
+        cu, lu = res.rigorous_upper(), l2.rigorous_upper()
         upper = None if (cu is None or lu is None) else lu ** 2 * cu
-        extra = {"rho": rho.kind, "rho_l2linf": lu}
-    C2 = c2_constant(n)
-    cert.norm, cert.tail_bound, cert.norm_upper = res.value, res.tail_bound, upper
-    cert.constant, cert.threshold = 2.0 * C2, 1.0 / (2.0 * C2)
-    cert.params = {"N_j": upper, **extra}
-    if upper is None or not np.isfinite(upper):
-        cert.reason = "N_j tail unknown or divergent; cannot certify"
-        return cert
-    if not 2.0 * C2 * upper < 1.0:
-        cert.reason = "2*C2*N_j >= 1; enclosure condition not met"
-        return cert
-    cert.verdict = "enclosure"
-    cert.disks = disk_pair(m, upper, j, n=n)
+        cert.params = {"rho": rho.kind, "rho_l2linf": lu}
+    cert.params["N_j"] = upper
+    if _decide(cert, res, upper, 2.0 * c2_constant(n), "enclosure"):
+        cert.disks = disk_pair(m, upper, j, n=n)
     return cert

@@ -254,16 +254,16 @@ def potential_on_grid(V: PotentialSpec, grid: GridSpec):
     return V.evaluate(grid.points)
 
 
-def assemble_perturbed(kind, m, V, grid: GridSpec, size_limit=DENSE_SIZE_LIMIT):
+def assemble_perturbed(kind, m, V, grid: GridSpec):
     """Dense matrix of H_V = H_0 + V on the grid basis (point-major, spinor-minor).
 
     H_0 is realized by batched application of the free multiplier to the
-    identity; V is block-diagonal pointwise multiplication.  V may be a
-    PotentialSpec, an (M^n, N, N) sample array, or None.
+    identity; V (a PotentialSpec, or None for H_0) is block-diagonal
+    pointwise multiplication.  Grids above DENSE_SIZE_LIMIT are rejected.
     """
     D = grid.size
-    if D > size_limit:
-        raise ValueError(f"dense size {D} exceeds limit {size_limit}; "
+    if D > DENSE_SIZE_LIMIT:
+        raise ValueError(f"dense size {D} exceeds limit {DENSE_SIZE_LIMIT}; "
                          "use the matrix-free bs_scan / resolvent path instead")
     g = grid
     op = free_operator(kind, m, g)
@@ -271,7 +271,7 @@ def assemble_perturbed(kind, m, V, grid: GridSpec, size_limit=DENSE_SIZE_LIMIT):
     H = op.apply(op.forward_block(), ident).reshape(D, D).T.copy()
 
     if V is not None:
-        Vpts = potential_on_grid(V, grid) if isinstance(V, PotentialSpec) else np.asarray(V)
+        Vpts = potential_on_grid(V, grid)
         for i in range(g.M ** g.n):
             sl = slice(i * g.N, (i + 1) * g.N)
             H[sl, sl] += Vpts[i]

@@ -17,6 +17,7 @@ potential as 0 there (:func:`opnorm_in_box`).
 
 from dataclasses import dataclass, field
 import hashlib
+from math import ceil
 import struct
 
 import numpy as np
@@ -48,8 +49,9 @@ class PotentialSpec:
             kind = "inverse-square"
         if kind not in PRESETS:
             raise ValueError(f"unknown preset {kind!r}, expected one of {PRESETS}")
-        if kind == "matrix-mix" and N < 2:
-            raise ValueError("matrix-mix needs a spinor dimension N >= 2")
+        if kind == "matrix-mix" and N != 2 ** ceil(n / 2):
+            raise ValueError(f"matrix-mix needs N = {2 ** ceil(n / 2)} in dimension {n}, "
+                             f"got N = {N}")
         return cls(n=n, N=N, kind=kind, c=complex(c), R=float(R), sigma=float(sigma),
                    label=label or kind)
 
@@ -94,10 +96,7 @@ class PotentialSpec:
             r = np.linalg.norm(x, axis=-1)
             s = self.scalar_profile(r)
             if self.kind == "matrix-mix":
-                rep = build_clifford(self.n)
-                if rep.N != self.N:
-                    raise ValueError(f"matrix-mix needs N = {rep.N} in dimension {self.n}")
-                base = rep.alphas[1] + 1j * np.eye(self.N)
+                base = build_clifford(self.n).alphas[1] + 1j * np.eye(self.N)
                 out = s[:, None, None] * base[None]
             else:
                 out = s[:, None, None] * np.eye(self.N)[None]

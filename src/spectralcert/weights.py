@@ -285,29 +285,6 @@ def dyadic_norm(f, p, q, n, j_range=(-40, 40), radial_profile=None, j_ext=200,
                       tail_bound=tail, samples_per_annulus=samples, diverged=diverged)
 
 
-def weighted_sup_norm(f, w=None, n=3, radial_profile=None, **kw) -> NormResult:
-    """Global essential-sup estimate of w*f via the dyadic engine (p = q = inf).
-
-    ``w`` is a WeightSpec or a radial callable; ``f`` as in
-    :func:`dyadic_norm`.  When ``radial_profile`` gives |f| as a function of
-    r the product is evaluated exactly in 1-D.
-    """
-    wfun = None
-    if w is not None:
-        wfun = w.radial if isinstance(w, WeightSpec) else w
-    if radial_profile is not None:
-        prof = radial_profile if wfun is None else (lambda r: wfun(r) * radial_profile(r))
-        return dyadic_norm(None, np.inf, np.inf, n, radial_profile=prof, **kw)
-    if wfun is None:
-        return dyadic_norm(f, np.inf, np.inf, n, **kw)
-
-    def wf(pts):
-        r = np.linalg.norm(pts, axis=-1)
-        return wfun(r) * np.abs(f(pts))
-
-    return dyadic_norm(wf, np.inf, np.inf, n, **kw)
-
-
 # -- grid-field norms ---------------------------------------------------
 
 def _field_scalars(u):

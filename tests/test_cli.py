@@ -268,6 +268,10 @@ def test_cli_reports_byte_identical(tmp_path):
     ("norms", {"p": 2, "q": "inf", "weight": {"kind": "rho1", "sigma": 0.5}}, "$.weight"),
     ("certify", {"theorem": "2.4", "m": 1, "potential": {"preset": "bump"}}, "$.m"),
     ("certify", {"theorem": "2.2-massless", "m": 1, "potential": {"preset": "bump"}}, "$.m"),
+    # matrix-mix needs N = 4 in n = 3: N = 1 exited 2 at run time, N = 3 got a certificate
+    ("certify", {"theorem": "2.3", "kind": "schrodinger", "potential": {"preset": "matrix-mix"}},
+     "$.potential"),
+    ("certify", {"theorem": "2.3", "potential": {"preset": "matrix-mix", "N": 3}}, "$.potential"),
 ])
 def test_cli_library_rules_exit_validation(tmp_path, capsys, command, doc, path):
     out = tmp_path / "r.json"
@@ -275,6 +279,26 @@ def test_cli_library_rules_exit_validation(tmp_path, capsys, command, doc, path)
         == EXIT_VALIDATION
     assert f"  - {path}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_potential_file_dimension_must_match_n(tmp_path, capsys):
+    # a 4-D file with n = 3: norms failed on a point's dimension, certify ran in n = 4
+    path = tmp_path / "v4.bin"
+    save_potential_binary(PotentialSpec.from_samples(4, 4, 4.0, 2, np.full((2 ** 4, 4, 4), 1e-3)),
+                          path)
+    pot = {"file": str(path)}
+    jobs = [("certify", {"theorem": "2.4", "n": 3, "potential": pot}),
+            ("disks", {"n": 3, "m": 1.0, "potential": pot}),
+            ("norms", {"n": 3, "p": "inf", "q": "inf", "potential": pot}),
+            ("eig", {"kind": "dirac", "n": 3, "m": 1.0, "potential": pot,
+                     "grid": {"L": 2.0, "M": 4}})]
+    for command, doc in jobs:
+        out = tmp_path / "r.json"
+        assert main([command, "--config", _write(tmp_path, "c.json", doc), "--out", str(out)]) \
+            == EXIT_COMPUTE, command
+        assert f"potential file {path} has dimension 4, but the config has n = 3" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_bench_default_grid_takes_config_n(tmp_path):

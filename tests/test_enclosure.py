@@ -202,3 +202,26 @@ def test_enclosure_j2_contains_j1_region():
     assert d_hi.r0 >= d_lo.r0
     # and the small disk pair is contained in the large one
     assert abs(d_lo.x0_plus - d_hi.x0_plus) + d_lo.r0 <= d_hi.r0 + 1e-12
+
+
+def _certificate(theorem, V):
+    if theorem.startswith("2.5-j"):
+        return enclosure_disks(V, m=1.0, j=int(theorem[-1]))
+    return certify(theorem, V, m=1.0 if theorem == "2.3" else 0.0)
+
+
+@pytest.mark.parametrize("theorem, good", [("2.3", "stable"), ("2.4", "stable"),
+                                           ("2.5-j1", "enclosure"), ("2.5-j2", "enclosure")])
+def test_one_verdict_rule(theorem, good):
+    # a file sampled on [-4, 4)^3 is 0 beyond its box, so its norm has no tail bound
+    small_box = PotentialSpec.from_samples(3, 4, 4.0, 4, np.full((4 ** 3, 4, 4), 1e-3))
+    cases = ((small_box, "inconclusive", "norm divergent or tail unknown; cannot certify"),
+             (PotentialSpec.preset("inverse-square", 3, 4, c=1.0), "inconclusive",
+              "smallness condition not met; no claim either way"),
+             (PotentialSpec.preset("inverse-square", 3, 4, c=1e-9), good, ""))
+    for V, verdict, reason in cases:
+        cert = _certificate(theorem, V)
+        assert (cert.verdict, cert.reason) == (verdict, reason)
+        assert cert.norm is not None and cert.threshold == 1.0 / cert.constant
+        assert (cert.norm_upper is None) == (V is small_box)
+        assert (cert.disks is not None) == (verdict == "enclosure")

@@ -11,7 +11,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from spectralcert import bench, cli, weights
+from spectralcert import bench, cli, enclosure, weights
 
 _PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 _spec = importlib.util.spec_from_file_location("tracing", _PATH)
@@ -28,11 +28,16 @@ JOBS = [
               "grid": {"L": 3.0, "M": 4},
               "rectangle": {"re_min": -1.0, "re_max": 1.0, "im_min": 0.3, "im_max": 0.9},
               "resolution": {"n_re": 2, "n_im": 1}}),
+    ("certify", {"theorem": "2.3", "kind": "dirac", "n": 3, "m": 1.0,
+                 "potential": {"preset": "inverse-square", "c": 5e-6},
+                 "weight": {"kind": "rho2", "eps": 0.5, "delta": 0.5}}),
+    ("disks", {"n": 3, "m": 1.0, "j": 1, "potential": {"preset": "bump", "c": 1e-6}}),
+    ("norms", {"n": 3, "p": "inf", "q": "inf", "potential": {"preset": "bump", "c": 0.5}}),
 ]
 
 
-def test_tracer_sees_bench_and_scan_layers(tmp_path):
-    namespaces = {mod: dict(vars(mod)) for mod in (bench, cli, weights)}
+def test_tracer_sees_every_layer(tmp_path):
+    namespaces = {mod: dict(vars(mod)) for mod in (bench, cli, enclosure, weights)}
     init = bench._Context.__init__
     tracer = tracing.Tracer()
     tracing.install(tracer)
@@ -47,7 +52,8 @@ def test_tracer_sees_bench_and_scan_layers(tmp_path):
 
     rows = tracer.summary()
     for name in ("bench.run", "bench.context", "weights.grid_norms", "gridops.resolvent",
-                 "bs.apply", "bs.norm"):
+                 "bs.apply", "bs.norm", "enclosure.certify", "enclosure.disks",
+                 "enclosure.rho_norms", "weights.dyadic_norm"):
         assert rows.get(name, {}).get("calls", 0) > 0, name
     assert rows["bench.run"]["calls"] == 3
 
@@ -57,7 +63,10 @@ def test_tracer_sees_bench_and_scan_layers(tmp_path):
     assert edges.count(("bench.run", "weights.grid_norms")) == 2 * 3 + 2 * 2
     for edge in (("bench.run", "bench.context"), ("bench.run", "weights.grid_norms"),
                  ("bench.run", "gridops.resolvent"), ("bs.norm", "bs.apply"),
-                 ("bs.apply", "gridops.resolvent")):
+                 ("bs.apply", "gridops.resolvent"),
+                 # each certificate's hypothesis norm is a dyadic norm of its own
+                 ("enclosure.certify", "weights.dyadic_norm"),
+                 ("enclosure.disks", "weights.dyadic_norm")):
         assert edge in edges, edge
 
     assert bench._Context.__init__ is init

@@ -7,7 +7,7 @@ import pytest
 from spectralcert import weights
 from spectralcert.gridops import GridSpec
 from spectralcert.weights import (WeightSpec, NormResult, weight_eval, dyadic_norm,
-                                  weighted_sup_norm, grid_dyadic_norm, morrey_norms)
+                                  grid_dyadic_norm, morrey_norms)
 
 
 # -- independent oracle: dense 1-D sampling of radial profiles ----------
@@ -158,15 +158,16 @@ def test_holder_consistency():
 def test_weighted_sup_norm_paths():
     prof = lambda r: 1.0 / (1.0 + r)
     w = WeightSpec("power", exponent=1.0)
-    a = weighted_sup_norm(None, w=w, radial_profile=prof)
+    wprof = lambda r: w.radial(r) * prof(r)
+    a = dyadic_norm(None, np.inf, np.inf, 3, radial_profile=wprof)
     # r/(1+r) -> 1 monotonically
     assert a.value == pytest.approx(1.0, rel=1e-6)
 
-    def f(pts):
-        return prof(np.linalg.norm(pts, axis=-1))
+    def wf(pts):
+        return wprof(np.linalg.norm(pts, axis=-1))
 
-    a10 = weighted_sup_norm(None, w=w, radial_profile=prof, j_range=(-10, 10))
-    b = weighted_sup_norm(f, w=w, n=3, j_range=(-10, 10))
+    a10 = dyadic_norm(None, np.inf, np.inf, 3, j_range=(-10, 10), radial_profile=wprof)
+    b = dyadic_norm(wf, np.inf, np.inf, 3, j_range=(-10, 10))
     assert b.value == pytest.approx(a10.value, rel=1e-4)
 
 
