@@ -9,7 +9,7 @@ the complex plane.
 """
 
 from .clifford import CliffordRep, build_clifford, anticommutator_defect, dirac_symbol
-from .potential import PotentialSpec, Factorization, polar_factorize
+from .potential import PotentialSpec, polar_factors
 from .weights import WeightSpec, NormResult, weight_eval, dyadic_norm, morrey_norms
 from .enclosure import (ConstantsReport, Certificate, DiskPair, eval_constants, potential_norm,
                         certify, enclosure_disks)

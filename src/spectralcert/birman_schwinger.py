@@ -1,54 +1,47 @@
 """The Birman-Schwinger operator K_z = A (H_0 - z)^{-1} B* on the grid.
 
-On the finite-dimensional discretization every factor is bounded, so K_z is
-computed as the plain composition of pointwise multiplication by A, the
-multiplier resolvent, and pointwise multiplication by B*.  The operator
-norm comes from Golub-Kahan-Lanczos bidiagonalization of K_z from one
-seeded start vector, with full reorthogonalization.  It stops on a residual
-bound: the top Ritz value theta is a lower bound on ||K_z||, and some
-singular value of K_z lies within the residual r of theta.  No gap term is
-used, because the top singular value of the Dirac K_z is doubly degenerate.
+V = B* A with the pointwise polar factors of :func:`polar_factors`.  On the
+finite-dimensional discretization every factor is bounded, so K_z and K_z*
+are one composition, left R right*: pointwise multiplication by right*, the
+multiplier resolvent R = R_0(z) (or R_0(z)*), and pointwise multiplication
+by left, with (left, right) = (A, B) (or (B, A)).  The operator norm comes
+from Golub-Kahan-Lanczos bidiagonalization of K_z from one seeded start
+vector, with full reorthogonalization, and is returned as a
+:class:`NormEstimate`.  It stops on a residual bound: the top Ritz value
+theta is a lower bound on ||K_z||, and some singular value of K_z lies
+within the residual r of theta.  No gap term is used, because the top
+singular value of the Dirac K_z is doubly degenerate.
 Scans evaluate the norm on a lattice of z values over a rectangle, record
 each point's r / theta and bs_apply count, and record the empirical region
 where the norm reaches 1.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .gridops import (EXCLUSION_MARGIN, GridSpec, FieldOnGrid, apply_free_resolvent,
                       free_operator, potential_on_grid)
-from .potential import PotentialSpec, polar_factorize
+from .potential import PotentialSpec, polar_factors
 from .report import write_csv
 
 
 def factor_on_grid(V: PotentialSpec, grid: GridSpec):
     """Pointwise polar factors (A, B) of V at every grid sample."""
-    return polar_factorize(V).factors(potential_on_grid(V, grid))
-
-
-def _pointwise(mat_pts, f: FieldOnGrid, conj_transpose=False) -> FieldOnGrid:
-    m = mat_pts
-    if conj_transpose:
-        m = np.conj(np.swapaxes(m, -1, -2))
-    return f.grid.field(np.einsum("pab,pb->pa", m, f.values))
+    return polar_factors(potential_on_grid(V, grid))
 
 
 def bs_apply(kind, m, z, factors, f: FieldOnGrid, adjoint=False) -> FieldOnGrid:
-    """K_z f = A R_0(z) B* f (or the Hermitian adjoint of K_z).
+    """K_z f = A R_0(z) B* f, or with ``adjoint`` K_z* f = B R_0(z)* A* f.
 
-    ``factors`` is the (A_pts, B_pts) pair from :func:`factor_on_grid`.
+    ``factors`` is the (A_pts, B_pts) pair from :func:`factor_on_grid`.  Both
+    are left R right* with (left, right) = (A, B), or (B, A) and R_0(z)*.
     """
-    A, B = factors
-    if adjoint:
-        g = _pointwise(A, f, conj_transpose=True)
-        g = apply_free_resolvent(kind, m, z, g, adjoint=True)
-        return _pointwise(B, g)
-    g = _pointwise(B, f, conj_transpose=True)
-    g = apply_free_resolvent(kind, m, z, g)
-    return _pointwise(A, g)
+    left, right = factors[::-1] if adjoint else factors
+    g = f.grid.field(np.einsum("pab,pb->pa", np.conj(np.swapaxes(right, -1, -2)), f.values))
+    g = apply_free_resolvent(kind, m, z, g, adjoint=adjoint)
+    return f.grid.field(np.einsum("pab,pb->pa", left, g.values))
 
 
 SCAN_TOL = 1e-4  # relative residual bound r / theta at which a scan stops each point
@@ -70,13 +63,20 @@ def _reorthogonalize(basis, w):
     return w
 
 
-def _gkl_norm(kind, m, z, factors, grid: GridSpec, tol, seed, max_iter) -> NormEstimate:
-    """Golub-Kahan-Lanczos bidiagonalization of K_z from one seeded start vector.
+def bs_norm(kind, m, z, factors, grid: GridSpec, tol=SCAN_TOL, seed=0,
+            max_iter=64) -> NormEstimate:
+    """Largest singular value of K_z by Golub-Kahan-Lanczos bidiagonalization.
 
-    Step k extends K V_k = U_k B_k and K* U_k = V_k B_k* + beta_k v_{k+1} e_k^T,
-    B_k upper bidiagonal with diagonal alpha and superdiagonal beta, fully
-    reorthogonalized.  With B_k = P diag(s) Q*, the top Ritz triplet
-    (theta = s_1, U_k p_1, V_k q_1) has residual r = beta_k |e_k^T p_1|.
+    Step k extends K V_k = U_k B_k and K* U_k = V_k B_k* + beta_k v_{k+1} e_k^T
+    from one seeded start vector, B_k upper bidiagonal with diagonal alpha and
+    superdiagonal beta, fully reorthogonalized.  With B_k = P diag(s) Q*, the
+    top Ritz triplet (theta = s_1, U_k p_1, V_k q_1) has residual
+    r = beta_k |e_k^T p_1|.  Stops when r is at most ``tol`` times theta, or
+    when the Krylov space becomes invariant (then theta is exact; ``K_z = 0``
+    gives 0.0).  theta never exceeds ||K_z||, and some singular value of K_z
+    lies in [theta - r, theta + r].  ``max_iter`` counts Lanczos steps (two
+    bs_apply calls each) and is capped at ``grid.size``.  Raises RuntimeError
+    on non-convergence with the last Ritz values and relative residuals attached.
     """
     D = grid.size
     steps = min(max_iter, D)
@@ -116,23 +116,6 @@ def _gkl_norm(kind, m, z, factors, grid: GridSpec, tol, seed, max_iter) -> NormE
                        f"steps; last (theta, r/theta) {history[-5:]}")
 
 
-def bs_norm(kind, m, z, factors, grid: GridSpec, tol=SCAN_TOL, seed=0, max_iter=64,
-            full_output=False):
-    """Largest singular value of K_z by Golub-Kahan-Lanczos bidiagonalization.
-
-    Stops when the top Ritz triplet's residual r is at most ``tol`` times its
-    Ritz value theta, or when the Krylov space becomes invariant (then theta
-    is exact; ``K_z = 0`` gives 0.0).  theta never exceeds ||K_z||, and some
-    singular value of K_z lies in [theta - r, theta + r].  ``max_iter``
-    counts Lanczos steps (two bs_apply calls each) and is capped at
-    ``grid.size``.  Returns theta, or with ``full_output`` the
-    :class:`NormEstimate`.  Raises RuntimeError on non-convergence with the
-    last Ritz values and relative residuals attached.
-    """
-    est = _gkl_norm(kind, m, z, factors, grid, tol, seed, max_iter)
-    return est if full_output else est.value
-
-
 def bs_dense(kind, m, z, factors, grid: GridSpec):
     """Dense matrix of K_z (batched application to the identity)."""
     D = grid.size
@@ -160,11 +143,6 @@ class BSScan:
     excluded: np.ndarray      # bool mask, same shape
     residuals: np.ndarray     # r / theta of each estimate, nan at excluded points
     applies: np.ndarray       # bs_apply calls of each estimate, 0 at excluded points
-    kind: str = ""
-    m: float = 0.0
-    potential_hash: str = ""
-    grid: GridSpec = None
-    meta: dict = field(default_factory=dict)
 
     def z_lattice(self):
         R, I = np.meshgrid(self.re, self.im)
@@ -219,7 +197,6 @@ def bs_scan(kind, m, V: PotentialSpec, grid: GridSpec, rectangle, resolution,
                 excluded[i, k] = True
             else:
                 values[i, k], residuals[i, k], applies[i, k] = bs_norm(
-                    kind, m, z, factors, grid, tol=SCAN_TOL, seed=seed, full_output=True)
+                    kind, m, z, factors, grid, tol=SCAN_TOL, seed=seed)
     return BSScan(re=re, im=im, values=values, excluded=excluded, residuals=residuals,
-                  applies=applies, kind=kind, m=m, potential_hash=V.content_hash(), grid=grid,
-                  meta={"tol": SCAN_TOL, "seed": seed})
+                  applies=applies)

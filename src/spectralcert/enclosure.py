@@ -11,7 +11,8 @@ weighted dyadic norm of V from :func:`potential_norm`, whose upper bound
 
 The qualitative theorems 2.1, 2.2 have existential constants: their norm is
 reported and the verdict is always ``inconclusive``.  ``enclosure`` verdicts
-carry the two closed disks centred at +-m (v^2+1)/(v^2-1), radius 2 m v / (v^2-1).
+carry the two closed disks centred at +-m (v^2+1)/(v^2-1), radius 2 m v / (v^2-1),
+with v = (1 / (C2 N_j) - 1)^2 (v = inf and radius 0 when N_j = 0).
 """
 
 from dataclasses import dataclass, field
@@ -255,13 +256,16 @@ def certify(theorem, V: PotentialSpec, m=0.0, eps=0.25, sigma=2.0,
 
 
 def disk_pair(m, Nj, j, n=3) -> DiskPair:
-    """Disks for a given value of N_j(V); requires 2 C2 N_j < 1."""
+    """Disks for a given value of N_j(V); requires 2 C2 N_j < 1 (0 gives radius 0 at +-m)."""
     C2 = c2_constant(n)
     if not 2.0 * C2 * Nj < 1.0:
         raise ValueError(f"2*C2*N_j = {2.0 * C2 * Nj} >= 1: disks undefined")
-    v = (1.0 / (C2 * Nj) - 1.0) ** 2
-    x0 = m * (v ** 2 + 1.0) / (v ** 2 - 1.0)
-    r0 = m * 2.0 * v / (v ** 2 - 1.0)
+    v = (1.0 / (C2 * Nj) - 1.0) ** 2 if Nj else np.inf
+    if v < 1e150:
+        x0 = m * (v ** 2 + 1.0) / (v ** 2 - 1.0)
+        r0 = m * 2.0 * v / (v ** 2 - 1.0)
+    else:  # v ** 2 overflows; (v^2 + 1) / (v^2 - 1) rounds to 1 beyond v = 2^27
+        x0, r0 = m, m * 2.0 / v
     return DiskPair(x0_plus=x0, x0_minus=-x0, r0=r0, V_j=v, j=j, m=m)
 
 

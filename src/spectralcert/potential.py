@@ -1,4 +1,4 @@
-"""Matrix-valued potentials, pointwise operator norms, and polar factorization.
+"""Matrix-valued potentials, pointwise operator norms, and polar factors.
 
 The preset catalogue covers the hypotheses of the stability theorems:
 
@@ -86,10 +86,10 @@ class PotentialSpec:
 
     def evaluate(self, x):
         """V at points x of shape (n,) or (k, n); returns (N, N) or (k, N, N)."""
+        squeeze = np.ndim(x) == 1
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[-1] != self.n:
             raise ValueError(f"points have dimension {x.shape[-1]}, expected {self.n}")
-        squeeze = x.shape[0] == 1 and np.asarray(x).ndim == 2
         if self.kind == "grid-sampled":
             out = self._lookup(x)
         else:
@@ -100,7 +100,7 @@ class PotentialSpec:
                 out = s[:, None, None] * base[None]
             else:
                 out = s[:, None, None] * np.eye(self.N)[None]
-        return out[0] if squeeze and out.shape[0] == 1 else out
+        return out[0] if squeeze else out
 
     def _lookup(self, x):
         L, M = self.grid_L, self.grid_M
@@ -162,41 +162,20 @@ def opnorm_in_box(V: PotentialSpec, x):
     return out
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Pointwise maps A, B with B(x)* A(x) = V(x) and |A| = |B| = |V|^(1/2).
+def polar_factors(samples):
+    """Factors (A, B) of samples V of shape (..., N, N): B* A = V and |A| = |B| = |V|^(1/2).
 
-    Built from the singular value decomposition V = P S Q*:
+    Built from one singular value decomposition V = P S Q* per sample:
     A = Q sqrt(S) Q* (= sqrt(W) with W = sqrt(V*V)) and B = Q sqrt(S) P*
     (= sqrt(W) U* with the partial isometry U = P Q*, completed by the
     identity on the kernel of W).
     """
-
-    potential: PotentialSpec
-
-    def factors(self, V):
-        """Both factors of samples V of shape (..., N, N) (single SVD per sample)."""
-        P, s, Qh = np.linalg.svd(V)
-        rs = np.sqrt(s)
-        Q = np.swapaxes(Qh.conj(), -1, -2)
-        A = np.einsum("...ik,...k,...jk->...ij", Q, rs, Q.conj())
-        B = np.einsum("...ik,...k,...jk->...ij", Q, rs, P.conj())
-        return A, B
-
-    def A(self, x):
-        return self.factors(self.potential.evaluate(x))[0]
-
-    def B(self, x):
-        return self.factors(self.potential.evaluate(x))[1]
-
-    def AB(self, x):
-        """Both factors at once (single SVD per point)."""
-        return self.factors(self.potential.evaluate(x))
-
-
-def polar_factorize(V: PotentialSpec) -> Factorization:
-    """Polar factorization V = B* A with |A(x)| = |B(x)| = |V(x)|^(1/2)."""
-    return Factorization(potential=V)
+    P, s, Qh = np.linalg.svd(samples)
+    rs = np.sqrt(s)
+    Q = np.swapaxes(Qh.conj(), -1, -2)
+    A = np.einsum("...ik,...k,...jk->...ij", Q, rs, Q.conj())
+    B = np.einsum("...ik,...k,...jk->...ij", Q, rs, P.conj())
+    return A, B
 
 
 # -- grid-sampled potential files --------------------------------------

@@ -49,16 +49,25 @@ def test_factors_reconstruct_potential():
 
 
 def test_dense_matches_matrix_free_apply():
-    factors = factor_on_grid(V_SCALAR, GRID)
-    z = 0.4 + 0.9j
-    K = bs_dense("schrodinger", 0.0, z, factors, GRID)
+    # on the Dirac grid matrix-mix's factor B is not Hermitian, so swapped factors
+    # show; its factors are symmetric, so a transposed one shows only on random samples
+    dirac_grid = GridSpec(n=3, L=2.0, M=2, N=4)
     rng = np.random.default_rng(0)
-    f = GRID.field(rng.normal(size=(16, 1)) + 1j * rng.normal(size=(16, 1)))
-    out = bs_apply("schrodinger", 0.0, z, factors, f)
-    assert np.abs(K @ f.values.ravel() - out.values.ravel()).max() < 1e-12
-    # adjoint application matches K^H
-    outs = bs_apply("schrodinger", 0.0, z, factors, f, adjoint=True)
-    assert np.abs(K.conj().T @ f.values.ravel() - outs.values.ravel()).max() < 1e-12
+    matrix_mix = PotentialSpec.preset("matrix-mix", 3, 4, c=0.5 + 0.3j)
+    sampled = PotentialSpec.from_samples(3, 4, 2.0, 2, rng.normal(size=(8, 4, 4))
+                                         + 1j * rng.normal(size=(8, 4, 4)))
+    for kind, m, V, g in (("schrodinger", 0.0, V_SCALAR, GRID),
+                          ("dirac", 1.0, matrix_mix, dirac_grid),
+                          ("dirac", 1.0, sampled, dirac_grid)):
+        factors = factor_on_grid(V, g)
+        z = 0.4 + 0.9j
+        K = bs_dense(kind, m, z, factors, g)
+        f = g.field(rng.normal(size=(g.size,)) + 1j * rng.normal(size=(g.size,)))
+        out = bs_apply(kind, m, z, factors, f)
+        assert np.abs(K @ f.values.ravel() - out.values.ravel()).max() < 1e-12
+        # adjoint application matches K^H
+        outs = bs_apply(kind, m, z, factors, f, adjoint=True)
+        assert np.abs(K.conj().T @ f.values.ravel() - outs.values.ravel()).max() < 1e-12
 
 
 def test_norm_against_jacobi_oracle():
@@ -66,7 +75,7 @@ def test_norm_against_jacobi_oracle():
     for z in (0.4 + 0.9j, -1.0 + 0.25j, 2.0 - 0.5j):
         K = bs_dense("schrodinger", 0.0, z, factors, GRID)
         oracle = jacobi_svd_top(K)
-        est = bs_norm("schrodinger", 0.0, z, factors, GRID, tol=1e-8)
+        est = bs_norm("schrodinger", 0.0, z, factors, GRID, tol=1e-8).value
         assert est == pytest.approx(oracle, rel=1e-4)
 
 
@@ -76,7 +85,7 @@ def test_norm_against_jacobi_oracle_dirac():
     factors = factor_on_grid(V, g)
     z = 0.3 + 0.6j
     K = bs_dense("dirac", 1.0, z, factors, g)
-    assert bs_norm("dirac", 1.0, z, factors, g, tol=1e-8) == \
+    assert bs_norm("dirac", 1.0, z, factors, g, tol=1e-8).value == \
         pytest.approx(jacobi_svd_top(K), rel=1e-4)
 
 
@@ -84,10 +93,10 @@ def test_norm_scales_linearly_in_coupling():
     z = 0.5 + 0.5j
     a = bs_norm("schrodinger", 0.0, z,
                 factor_on_grid(PotentialSpec.preset("bump", 2, 1, c=1.0), GRID),
-                GRID, tol=1e-9)
+                GRID, tol=1e-9).value
     b = bs_norm("schrodinger", 0.0, z,
                 factor_on_grid(PotentialSpec.preset("bump", 2, 1, c=3.0), GRID),
-                GRID, tol=1e-9)
+                GRID, tol=1e-9).value
     assert b == pytest.approx(3.0 * a, rel=1e-6)
 
 
@@ -117,7 +126,7 @@ def test_eigenvalue_birman_schwinger_correspondence():
     ev = np.linalg.eigvals(K)
     assert np.abs(ev + 1.0).min() < 1e-8
     # and the norm is therefore >= 1
-    assert bs_norm("schrodinger", 0.0, complex(lam), factors, g) >= 1.0 - 1e-6
+    assert bs_norm("schrodinger", 0.0, complex(lam), factors, g).value >= 1.0 - 1e-6
 
 
 def test_scan_basics(tmp_path):
@@ -132,7 +141,7 @@ def test_scan_basics(tmp_path):
     assert z[0, 0] == pytest.approx(-1.0 + 0.2j)
     # spot check one lattice point against a direct norm computation
     factors = factor_on_grid(V_SCALAR, GRID)
-    direct = bs_norm("schrodinger", 0.0, complex(z[2, 3]), factors, GRID, seed=1)
+    direct = bs_norm("schrodinger", 0.0, complex(z[2, 3]), factors, GRID, seed=1).value
     assert scan.values[2, 3] == pytest.approx(direct, rel=1e-6)
     mask = scan.region_mask(threshold=scan.values.min() - 1.0)
     assert mask.all()
@@ -164,8 +173,7 @@ def test_scan_records_residual_bound_and_applies(tmp_path):
     ok = ~scan.excluded
     assert (scan.residuals[ok] <= 1e-4).all() and (scan.applies[ok] > 0).all()
     factors = factor_on_grid(V_SCALAR, GRID)
-    est = bs_norm("schrodinger", 0.0, complex(hit + 1.0, 0.5), factors, GRID, seed=3,
-                  full_output=True)
+    est = bs_norm("schrodinger", 0.0, complex(hit + 1.0, 0.5), factors, GRID, seed=3)
     assert (scan.values[1, 1], scan.residuals[1, 1], scan.applies[1, 1]) == est
     path = tmp_path / "scan.csv"
     scan.to_csv(path)
@@ -195,7 +203,7 @@ def test_norm_matches_dense_svd_where_power_iteration_read_low(z, preset, c):
     V = PotentialSpec.preset(preset, 3, 4, c=c)
     factors = factor_on_grid(V, DIRAC_GRID)
     top = scipy.linalg.svdvals(bs_dense("dirac", 1.0, z, factors, DIRAC_GRID))[0]
-    est = bs_norm("dirac", 1.0, z, factors, DIRAC_GRID, full_output=True)
+    est = bs_norm("dirac", 1.0, z, factors, DIRAC_GRID)
     assert est.value == pytest.approx(top, rel=1e-8)
     assert est.value <= top * (1.0 + 1e-12)          # theta is a lower bound
     assert est.residual <= 1e-4
@@ -203,7 +211,7 @@ def test_norm_matches_dense_svd_where_power_iteration_read_low(z, preset, c):
 
 def test_norm_of_zero_operator_is_zero():
     factors = factor_on_grid(PotentialSpec.preset("bump", 2, 1, c=0.0), GRID)
-    est = bs_norm("schrodinger", 0.0, 0.5 + 0.5j, factors, GRID, full_output=True)
+    est = bs_norm("schrodinger", 0.0, 0.5 + 0.5j, factors, GRID)
     assert est == (0.0, 0.0, 1)
 
 
@@ -217,7 +225,7 @@ def test_rank_deficient_operator_stops_at_breakdown():
     z = 0.4 + 0.9j
     K = bs_dense("schrodinger", 0.0, z, factors, GRID)
     assert np.linalg.matrix_rank(K) == 3
-    est = bs_norm("schrodinger", 0.0, z, factors, GRID, tol=0.0, full_output=True)
+    est = bs_norm("schrodinger", 0.0, z, factors, GRID, tol=0.0)
     assert est.value == pytest.approx(scipy.linalg.svdvals(K)[0], rel=1e-12)
     assert est.applies <= 2 * 4
 
@@ -241,5 +249,5 @@ def test_norm_needs_few_applies(monkeypatch):
 
     monkeypatch.setattr(birman_schwinger, "bs_apply", counted)
     factors = factor_on_grid(PotentialSpec.preset("matrix-mix", 3, 4, c=0.45 + 0.25j), DIRAC_GRID)
-    est = bs_norm("dirac", 1.0, 0.3 + 0.3j, factors, DIRAC_GRID, full_output=True)
+    est = bs_norm("dirac", 1.0, 0.3 + 0.3j, factors, DIRAC_GRID)
     assert len(calls) == est.applies <= 30

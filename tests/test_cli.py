@@ -127,15 +127,20 @@ def test_cli_validation_exit_code(tmp_path, capsys):
 
 
 def test_cli_disks(tmp_path):
-    doc = {"n": 3, "m": 1.0, "j": 1,
-           "potential": {"preset": "inverse-square", "c": 1e-5}}
-    cfg = _write(tmp_path, "d.json", doc)
-    out = str(tmp_path / "d_rep.json")
-    assert main(["disks", "--config", cfg, "--out", out]) == EXIT_OK
-    disks = json.loads(open(out).read())["results"]["certificate"]["disks"]
-    # tangency invariant of the reported geometry
-    assert disks["x0_plus"] ** 2 - disks["r0"] ** 2 == pytest.approx(1.0, abs=1e-6)
-    assert disks["x0_minus"] == -disks["x0_plus"]
+    # N_j = 0 gives the limit disks (centres +-m, radius 0, V_j = inf); N_j near
+    # 1e-85 overflowed v ** 2
+    for preset, c in (("inverse-square", 1e-5), ("bump", 0.0), ("bump", 1e-85)):
+        doc = {"n": 3, "m": 1.0, "j": 1, "potential": {"preset": preset, "c": c}}
+        cfg = _write(tmp_path, "d.json", doc)
+        out = str(tmp_path / "d_rep.json")
+        assert main(["disks", "--config", cfg, "--out", out]) == EXIT_OK
+        disks = json.loads(open(out).read())["results"]["certificate"]["disks"]
+        # tangency invariant of the reported geometry
+        assert disks["x0_plus"] ** 2 - disks["r0"] ** 2 == pytest.approx(1.0, abs=1e-6)
+        assert disks["x0_minus"] == -disks["x0_plus"]
+        if c < 1e-80:
+            assert disks["x0_plus"] == 1.0 and disks["r0"] < 1e-150
+            assert (disks["V_j"] == "inf") == (c == 0.0) == (disks["r0"] == 0.0)
 
 
 def test_cli_scan_and_csv(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spectralcert.potential import (PotentialSpec, Factorization, polar_factorize,
+from spectralcert.potential import (PotentialSpec, polar_factors,
                                     pointwise_opnorm, opnorm_in_box, save_potential_text,
                                     load_potential_text, save_potential_binary,
                                     load_potential_binary)
@@ -68,16 +68,19 @@ def test_batch_evaluate_shape():
     out = V.evaluate(pts)
     assert out.shape == (11, 2, 2)
     assert np.allclose(out[4], V.evaluate(pts[4]))
+    # a batch of one point stays a batch, for presets and files alike
+    F = PotentialSpec.from_samples(3, 2, 4.0, 2, np.ones((8, 2, 2)))
+    for W in (V, F):
+        assert W.evaluate(pts[4:5]).shape == (1, 2, 2)
+        assert W.evaluate(pts[4]).shape == (2, 2)
 
 
 def test_polar_factorization_random_matrices():
     rng = np.random.default_rng(5)
     V = PotentialSpec.from_samples(2, 3, 1.0, 4, _random_samples(rng, 2, 3, 4))
-    fact = polar_factorize(V)
-    pts = V.n * [None]
     pts = rng.uniform(-0.9, 0.9, size=(16, 2))
-    A, B = fact.AB(pts)
     mats = V.evaluate(pts)
+    A, B = polar_factors(mats)
     # B* A = V
     recon = np.einsum("pba,pbc->pac", B.conj(), A)
     assert np.abs(recon - mats).max() < 1e-10
@@ -91,12 +94,9 @@ def test_polar_factorization_random_matrices():
 
 def test_polar_factorization_presets():
     V = PotentialSpec.preset("matrix-mix", 3, 4, c=1 - 0.5j)
-    fact = polar_factorize(V)
     x = np.array([0.3, 0.4, 1.2])
-    A, B = fact.AB(x)
+    A, B = polar_factors(V.evaluate(x))
     assert np.abs(B.conj().T @ A - V.evaluate(x)).max() < 1e-12
-    assert np.allclose(fact.A(x), A)
-    assert np.allclose(fact.B(x), B)
 
 
 def test_singular_value_oracle_eigh():

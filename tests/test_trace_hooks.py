@@ -7,6 +7,7 @@ its spans.  This runs a few tiny CLI jobs under the tracer and checks that
 each layer, and each caller/callee edge the per-layer metrics rely on, shows up.
 """
 
+from collections import Counter
 import importlib.util
 import json
 from pathlib import Path
@@ -52,7 +53,7 @@ def test_tracer_sees_every_layer(tmp_path):
 
     rows = tracer.summary()
     for name in ("bench.run", "bench.context", "weights.grid_norms", "gridops.resolvent",
-                 "bs.apply", "bs.norm", "enclosure.certify", "enclosure.disks",
+                 "bs.scan", "bs.factor_on_grid", "bs.apply", "bs.norm", "enclosure.certify", "enclosure.disks",
                  "enclosure.rho_norms", "weights.dyadic_norm"):
         assert rows.get(name, {}).get("calls", 0) > 0, name
     assert rows["bench.run"]["calls"] == 3
@@ -62,12 +63,17 @@ def test_tracer_sees_every_layer(tmp_path):
     # L3.3-X: two Morrey norms and one dyadic norm per trial; C3.4-b: two dyadic norms
     assert edges.count(("bench.run", "weights.grid_norms")) == 2 * 3 + 2 * 2
     for edge in (("bench.run", "bench.context"), ("bench.run", "weights.grid_norms"),
-                 ("bench.run", "gridops.resolvent"), ("bs.norm", "bs.apply"),
+                 ("bench.run", "gridops.resolvent"), ("bs.scan", "bs.factor_on_grid"),
+                 ("bs.scan", "bs.norm"), ("bs.norm", "bs.apply"),
                  ("bs.apply", "gridops.resolvent"),
                  # each certificate's hypothesis norm is a dyadic norm of its own
                  ("enclosure.certify", "weights.dyadic_norm"),
                  ("enclosure.disks", "weights.dyadic_norm")):
         assert edge in edges, edge
+    # K_z and K_z* each apply the free resolvent once
+    applies = [i for i, span in enumerate(spans) if span[0] == "bs.apply"]
+    children = Counter(parent for name, _, _, parent, _, _ in spans if name == "gridops.resolvent")
+    assert applies and all(children[i] == 1 for i in applies)
 
     assert bench._Context.__init__ is init
     for mod, before in namespaces.items():
