@@ -12,7 +12,7 @@ operator kind, its mass rule, its two sides and its constant.
 ``ESTIMATE_IDS``, ``REPORT_ONLY`` and ``estimate_kind`` are read from it.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,14 +31,12 @@ class BenchReport:
     estimate: str
     trials: int
     discarded: int
-    z_values: list
     max_ratio: float
     paper_constant: float  # None for report-only estimates
     slack: float
     passed: bool  # None for report-only estimates
     grid: GridSpec
     m: float
-    meta: dict = field(default_factory=dict)
 
 
 def random_band_limited_field(grid: GridSpec, rng) -> FieldOnGrid:
@@ -226,7 +224,7 @@ def run_bench(estimate, grid=None, m=1.0, trials=100, seed=0) -> BenchReport:
     spec, grid, ctx = _estimate_setup(estimate, grid, m)
     zs = default_z_arc(grid, spec.kind, ctx.m)
     rng = np.random.default_rng(seed)
-    max_ratio, discarded, used = 0.0, 0, []
+    max_ratio, discarded = 0.0, 0
     for t in range(trials):
         f = random_band_limited_field(grid, rng)
         z = zs[t % len(zs)]
@@ -237,15 +235,12 @@ def run_bench(estimate, grid=None, m=1.0, trials=100, seed=0) -> BenchReport:
         if ratio is None or not np.isfinite(ratio):
             discarded += 1
             continue
-        used.append(complex(z))
         max_ratio = max(max_ratio, ratio)
     const = None if spec.constant is None else spec.constant(ctx)
     passed = None if const is None else bool(max_ratio <= const * (1.0 + SLACK))
     return BenchReport(estimate=estimate, trials=trials, discarded=discarded,
-                       z_values=sorted(set(used), key=lambda w: (w.real, w.imag)),
                        max_ratio=max_ratio, paper_constant=const, slack=SLACK,
-                       passed=passed, grid=grid, m=ctx.m,
-                       meta={"seed": seed})
+                       passed=passed, grid=grid, m=ctx.m)
 
 
 def uniformity_probe(estimate, grid, m, z_path, trials_per_z=3, seed=0):

@@ -95,10 +95,8 @@ def _do_eig(cfg):
 
 
 def _do_bench(cfg):
-    rep = bench_mod.run_bench(cfg.estimate, grid=build_grid(cfg, kind="schrodinger"), m=cfg.m,
-                              trials=cfg.trials, seed=cfg.seed)
+    rep = bench_mod.run_bench(cfg.estimate, build_grid(cfg), cfg.m, cfg.trials, cfg.seed)
     results = asdict(rep)
-    del results["z_values"], results["meta"]
     warns = []
     if rep.paper_constant is None:
         results["paper_constant"] = "non-explicit"

@@ -117,6 +117,10 @@ def _object(checks, required=(), rule=None):
 def _one_source(potential):
     if ("preset" in potential) == ("file" in potential):
         raise ValueError("exactly one of 'preset' or 'file' is required")
+    other = "file" if "preset" in potential else "preset"
+    stray = sorted(set(potential) & _SOURCE_KEYS[other])
+    if stray:
+        raise ValueError(f"only a '{other}' takes {', '.join(stray)}")
 
 
 def _ordered(rect):
@@ -126,6 +130,7 @@ def _ordered(rect):
 
 
 _RECT = ("re_min", "re_max", "im_min", "im_max")
+_SOURCE_KEYS = {"preset": {"c", "R", "sigma", "N"}, "file": {"format"}}  # read by one source only
 
 
 # key -> (its check, its value when the document has no such key)
@@ -230,7 +235,10 @@ def build_potential(cfg: RunConfig) -> PotentialSpec:
     fmt = doc.pop("format", None)
     if "file" in doc:
         binary = fmt == "binary" if fmt else doc["file"].endswith(".bin")
-        V = (load_potential_binary if binary else load_potential_text)(doc["file"])
+        try:
+            V = (load_potential_binary if binary else load_potential_text)(doc["file"])
+        except (OSError, ValueError) as e:
+            raise ValueError(f"cannot read potential file {doc['file']}: {e}") from None
         if V.n != cfg.n:
             raise ValueError(f"potential file {doc['file']} has dimension {V.n}, "
                              f"but the config has n = {cfg.n}")
@@ -244,6 +252,6 @@ def build_weight(cfg: RunConfig) -> WeightSpec:
     return None if cfg.weight is None else WeightSpec(**cfg.weight)
 
 
-def build_grid(cfg: RunConfig, kind=None) -> GridSpec:
+def build_grid(cfg: RunConfig) -> GridSpec:
     g = cfg.grid
-    return GridSpec(n=cfg.n, L=g["L"], M=g["M"], N=spinor_size(kind or cfg.kind, cfg.n))
+    return GridSpec(n=cfg.n, L=g["L"], M=g["M"], N=spinor_size(cfg.kind, cfg.n))

@@ -18,7 +18,6 @@ multiply - inverse FFT, with or without a leading batch axis.
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import ceil
-import struct
 
 import numpy as np
 import scipy.linalg
@@ -296,29 +295,3 @@ def eigenvalues(H):
             raise RuntimeError(f"eigenpair {i} residual {res:.3e} exceeds 1e-8 * |H|")
     return vals
 
-
-# -- field snapshot files ----------------------------------------------
-#
-# Binary layout: magic "SCFD1\n", little-endian int64 n, M, N, float64 L,
-# then M^n * N little-endian complex128 values in C-order.
-
-_FIELD_MAGIC = b"SCFD1\n"
-
-
-def save_field(f: FieldOnGrid, path):
-    g = f.grid
-    with open(path, "wb") as fh:
-        fh.write(_FIELD_MAGIC)
-        fh.write(struct.pack("<qqqd", g.n, g.M, g.N, g.L))
-        fh.write(np.ascontiguousarray(f.values, dtype="<c16").tobytes())
-
-
-def load_field(path) -> FieldOnGrid:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_FIELD_MAGIC))
-        if magic != _FIELD_MAGIC:
-            raise ValueError(f"{path}: not a field snapshot (bad magic {magic!r})")
-        n, M, N, L = struct.unpack("<qqqd", fh.read(32))
-        vals = np.frombuffer(fh.read(M ** n * N * 16), dtype="<c16")
-    grid = GridSpec(n=n, L=L, M=M, N=N)
-    return grid.field(vals.astype(complex))

@@ -17,7 +17,7 @@ potential as 0 there (:func:`opnorm_in_box`).
 
 from dataclasses import dataclass, field
 import hashlib
-from math import ceil
+from math import ceil, inf, log2
 import struct
 
 import numpy as np
@@ -37,14 +37,13 @@ class PotentialSpec:
     c: complex = 1.0
     R: float = 1.0
     sigma: float = 2.0
-    label: str = ""
     # grid-sampled data: samples on the half-cell-offset lattice of a box [-L, L)^n
     grid_L: float = 0.0
     grid_M: int = 0
     values: np.ndarray = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def preset(cls, kind, n, N, c=1.0, R=1.0, sigma=2.0, label=""):
+    def preset(cls, kind, n, N, c=1.0, R=1.0, sigma=2.0):
         if kind == "complex-inverse-square":
             kind = "inverse-square"
         if kind not in PRESETS:
@@ -52,16 +51,18 @@ class PotentialSpec:
         if kind == "matrix-mix" and N != 2 ** ceil(n / 2):
             raise ValueError(f"matrix-mix needs N = {2 ** ceil(n / 2)} in dimension {n}, "
                              f"got N = {N}")
-        return cls(n=n, N=N, kind=kind, c=complex(c), R=float(R), sigma=float(sigma),
-                   label=label or kind)
+        return cls(n=n, N=N, kind=kind, c=complex(c), R=float(R), sigma=float(sigma))
 
     @classmethod
-    def from_samples(cls, n, N, L, M, values, label="grid-sampled"):
+    def from_samples(cls, n, N, L, M, values):
+        """V sampled at the M^n lattice sites of [-L, L)^n, in C-order (last index fastest)."""
+        _check_lattice(n, N, M, L)
         values = np.asarray(values, dtype=complex)
         if values.shape != (M ** n, N, N):
             raise ValueError(f"values shape {values.shape} != {(M ** n, N, N)}")
-        return cls(n=n, N=N, kind="grid-sampled", grid_L=float(L), grid_M=int(M),
-                   values=values, label=label)
+        if not np.isfinite(values).all():
+            raise ValueError("sample values must be finite")
+        return cls(n=n, N=N, kind="grid-sampled", grid_L=float(L), grid_M=int(M), values=values)
 
     # -- evaluation -----------------------------------------------------
 
@@ -109,10 +110,7 @@ class PotentialSpec:
             bad = x[np.any(np.abs(x) > L, axis=-1)][0]
             raise ValueError(f"point {bad} outside sampled box [-{L}, {L})^{self.n}")
         idx = np.clip(np.round((x + L) / h - 0.5).astype(int), 0, M - 1)
-        flat = np.zeros(x.shape[0], dtype=int)
-        for d in range(self.n):
-            flat = flat * M + idx[:, d]
-        return self.values[flat]
+        return self.values[np.ravel_multi_index(idx.T, (M,) * self.n)]
 
     def radial_opnorm(self, r):
         """Exact pointwise operator norm |V(x)| as a function of r = |x| (presets only)."""
@@ -180,67 +178,70 @@ def polar_factors(samples):
 
 # -- grid-sampled potential files --------------------------------------
 #
-# Text format: first line "n N M L", then one row per lattice site in
-# C-order (last index fastest): the n integer indices followed by the N*N
-# matrix entries in row-major order, each as "re im".
+# Text format: first line "n N M L", then one row per lattice site, in any
+# order but each site once: the n integer indices followed by the N*N matrix
+# entries in row-major order, each as "re im".
 #
 # Binary format: ASCII magic "SCPT1\n", then little-endian int64 n, N, M,
-# float64 L, then M^n * N * N little-endian complex128 values in the same
-# C-order (indices are implicit).
+# float64 L, then M^n * N * N little-endian complex128 values, the sites in
+# C-order (last index fastest; indices are implicit).
 
 _MAGIC = b"SCPT1\n"
+_HEADER = struct.Struct("<qqqd")
+
+
+def _check_lattice(n, N, M, L):
+    if min(n, N, M) < 1 or not 0.0 < L < inf or n * log2(M) >= 63:
+        raise ValueError(f"need n, N, M >= 1, M^n < 2^63 and a finite L > 0, got {n, N, M, L}")
 
 
 def save_potential_text(V: PotentialSpec, path):
     if V.kind != "grid-sampled":
         raise ValueError("only grid-sampled potentials are serializable")
-    n, N, M = V.n, V.N, V.grid_M
-    with open(path, "w") as fh:
-        fh.write(f"{n} {N} {M} {float(V.grid_L)!r}\n")
-        for flat in range(M ** n):
-            idx, rem = [], flat
-            for _ in range(n):
-                idx.append(rem % M)
-                rem //= M
-            idx = idx[::-1]
-            row = " ".join(str(i) for i in idx)
-            for v in V.values[flat].ravel():
-                row += f" {float(v.real)!r} {float(v.imag)!r}"
-            fh.write(row + "\n")
+    sites = np.unravel_index(np.arange(len(V.values)), (V.grid_M,) * V.n)
+    pairs = np.stack([V.values.real, V.values.imag], axis=-1).reshape(len(V.values), -1)
+    np.savetxt(path, np.column_stack([*sites, pairs]), fmt="%.17g",
+               header=f"{V.n} {V.N} {V.grid_M} {V.grid_L!r}", comments="")
 
 
 def load_potential_text(path) -> PotentialSpec:
     with open(path) as fh:
         n, N, M, L = fh.readline().split()
         n, N, M, L = int(n), int(N), int(M), float(L)
-        values = np.zeros((M ** n, N, N), dtype=complex)
-        for line in fh:
-            parts = line.split()
-            idx = [int(p) for p in parts[:n]]
-            flat = 0
-            for i in idx:
-                flat = flat * M + i
-            nums = [float(p) for p in parts[n:]]
-            mat = np.array(nums).reshape(N * N, 2)
-            values[flat] = (mat[:, 0] + 1j * mat[:, 1]).reshape(N, N)
-    return PotentialSpec.from_samples(n, N, L, M, values)
+        _check_lattice(n, N, M, L)
+        rows = np.loadtxt(fh, ndmin=2)
+    if rows.shape != (M ** n, n + 2 * N * N):
+        raise ValueError(f"expected {M ** n} rows of {n + 2 * N * N} numbers, got {rows.shape}")
+    idx = rows[:, :n]
+    if np.any((idx != np.round(idx)) | (idx < 0) | (idx >= M)):
+        raise ValueError(f"site indices must be integers in [0, {M})")
+    flat = np.ravel_multi_index(idx.astype(int).T, (M,) * n)
+    order = np.argsort(flat)
+    if np.any(flat[order] != np.arange(M ** n)):
+        raise ValueError("each lattice site must have exactly one row")
+    pairs = rows[order, n:].reshape(M ** n, N, N, 2)
+    return PotentialSpec.from_samples(n, N, L, M, pairs[..., 0] + 1j * pairs[..., 1])
 
 
 def save_potential_binary(V: PotentialSpec, path):
     if V.kind != "grid-sampled":
         raise ValueError("only grid-sampled potentials are serializable")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<qqqd", V.n, V.N, V.grid_M, V.grid_L))
+        fh.write(_MAGIC + _HEADER.pack(V.n, V.N, V.grid_M, V.grid_L))
         fh.write(np.ascontiguousarray(V.values, dtype="<c16").tobytes())
 
 
 def load_potential_binary(path) -> PotentialSpec:
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a potential file (bad magic {magic!r})")
-        n, N, M, L = struct.unpack("<qqqd", fh.read(32))
-        count = M ** n * N * N
-        values = np.frombuffer(fh.read(count * 16), dtype="<c16").reshape(M ** n, N, N)
-    return PotentialSpec.from_samples(n, N, L, M, values.astype(complex))
+        data = fh.read()
+    start = len(_MAGIC) + _HEADER.size
+    if not data.startswith(_MAGIC):
+        raise ValueError(f"not a potential file (bad magic {data[:len(_MAGIC)]!r})")
+    if len(data) < start:
+        raise ValueError(f"header has {len(data) - len(_MAGIC)} bytes, expected {_HEADER.size}")
+    n, N, M, L = _HEADER.unpack_from(data, len(_MAGIC))
+    _check_lattice(n, N, M, L)
+    if len(data) - start != 16 * M ** n * N * N:
+        raise ValueError(f"body has {len(data) - start} bytes, expected {16 * M ** n * N * N}")
+    values = np.frombuffer(data, dtype="<c16", offset=start).reshape(M ** n, N, N)
+    return PotentialSpec.from_samples(n, N, L, M, values)

@@ -7,7 +7,7 @@ import pytest
 from spectralcert.cli import main, EXIT_OK, EXIT_VALIDATION, EXIT_COMPUTE, EXIT_INCONCLUSIVE
 from spectralcert.config import parse_config, ConfigError
 from spectralcert.enclosure import eval_constants
-from spectralcert.potential import PotentialSpec, save_potential_binary
+from spectralcert.potential import PotentialSpec, save_potential_binary, save_potential_text
 from spectralcert.report import canonical_json, make_report, write_report
 from spectralcert.weights import WeightSpec
 
@@ -283,6 +283,54 @@ def test_cli_library_rules_exit_validation(tmp_path, capsys, command, doc, path)
     assert main([command, "--config", _write(tmp_path, "c.json", doc), "--out", str(out)]) \
         == EXIT_VALIDATION
     assert f"  - {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _edit_text_rows(edit):
+    def write(V, path):
+        save_potential_text(V, path)
+        head, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([head, *edit(rows)]) + "\n")
+    return write
+
+
+def _edit_binary(edit):
+    def write(V, path):
+        save_potential_binary(V, path)
+        path.write_bytes(edit(path.read_bytes()))
+    return write
+
+
+def _nan_entry(data):
+    return data[:-16] + np.array([complex(np.nan, 0.0)], dtype="<c16").tobytes()
+
+
+# an 8-site lattice (n = 3, M = 2); the text cases ran at exit 0 with a wrong V
+_MALFORMED = {
+    "index-out-of-range.txt": _edit_text_rows(lambda r: [r[0].replace("0 0 0", "0 0 5", 1),
+                                                         *r[1:]]),
+    "missing-site.txt": _edit_text_rows(lambda r: r[:-1]),
+    "duplicated-site.txt": _edit_text_rows(lambda r: r[:-1] + r[:1]),
+    "non-integral-index.txt": _edit_text_rows(lambda r: [r[0].replace("0 0 0", "0 0 0.5", 1),
+                                                         *r[1:]]),
+    "short-header.bin": _edit_binary(lambda d: d[:20]),
+    "short-body.bin": _edit_binary(lambda d: d[:-16]),
+    "nan-entry.bin": _edit_binary(_nan_entry),
+    "absent.bin": lambda V, path: None,
+}
+
+
+@pytest.mark.parametrize("name", _MALFORMED)
+def test_cli_malformed_potential_file_exits_compute(tmp_path, capsys, name):
+    path = tmp_path / name
+    V = PotentialSpec.from_samples(3, 1, 4.0, 2, np.full((8, 1, 1), 1e-3 + 2e-3j))
+    _MALFORMED[name](V, path)
+    doc = {"n": 3, "p": "inf", "q": 2, "potential": {"file": str(path)}}
+    out = tmp_path / "r.json"
+    assert main(["norms", "--config", _write(tmp_path, "c.json", doc), "--out", str(out)]) \
+        == EXIT_COMPUTE
+    err = capsys.readouterr().err
+    assert f"error: computation failed: cannot read potential file {path}: " in err, err
     assert not out.exists()
 
 

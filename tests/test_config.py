@@ -45,7 +45,7 @@ def test_every_command_key_has_a_table_entry():
 def test_bench_defaults():
     cfg = parse_config({"estimate": "KY", "n": 4}, "bench")
     assert cfg.m == 1.0 and cfg.grid == {"L": 8.0, "M": 32}
-    assert config.build_grid(cfg, kind="schrodinger").n == 4
+    assert config.build_grid(cfg).n == 4
     assert parse_config({"estimate": "KY", "m": 0}, "bench").m == 0.0
 
 
@@ -56,6 +56,10 @@ def test_bench_defaults():
     ({"preset": "bump", "file": "v.bin"}, "$.potential:"),
     ({"preset": "bump", "R": float("nan")}, "$.potential.R"),
     ({"preset": "bump", "c": [0.0, float("inf")]}, "$.potential.c"),
+    # keys the source ignores: "c": 1000 beside a file reported the unscaled norm
+    ({"file": "v.bin", "c": 1000}, "$.potential:"),
+    ({"file": "v.txt", "R": 2, "sigma": 3, "N": 4}, "$.potential:"),
+    ({"preset": "bump", "format": "text"}, "$.potential:"),
 ])
 def test_potential_section_rules(potential, path):
     with pytest.raises(ConfigError) as exc:

@@ -7,8 +7,7 @@ from spectralcert import gridops
 from spectralcert.clifford import build_clifford, dirac_symbol
 from spectralcert.gridops import (GridSpec, apply_free_operator, apply_free_resolvent,
                                   apply_gradient, assemble_perturbed, eigenvalues,
-                                  free_operator, free_spectrum, potential_on_grid,
-                                  save_field, load_field)
+                                  free_operator, free_spectrum, potential_on_grid)
 from spectralcert.potential import PotentialSpec
 
 
@@ -224,19 +223,6 @@ def test_free_eigenvalues_match_symbol():
     vals = eigenvalues(H)
     assert np.abs(np.sort(vals.real) - np.sort(g.freq_sq.ravel())).max() < 1e-10
     assert np.abs(vals.imag).max() < 1e-10
-
-
-def test_field_round_trip(tmp_path):
-    g = GridSpec(n=2, L=1.5, M=4, N=2)
-    f = _rand_field(g, 9)
-    path = tmp_path / "field.bin"
-    save_field(f, path)
-    back = load_field(path)
-    assert back.grid == g
-    assert np.array_equal(back.values, f.values)
-    (tmp_path / "junk.bin").write_bytes(b"NOTAFIELD")
-    with pytest.raises(ValueError):
-        load_field(tmp_path / "junk.bin")
 
 
 def test_field_validation():

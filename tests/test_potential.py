@@ -156,12 +156,34 @@ def test_potential_file_round_trip(tmp_path, fmt):
     if fmt == "text":
         save_potential_text(V, path)
         W = load_potential_text(path)
+        # rows may come in any order: each carries its site's indices
+        head, *rows = path.read_text().splitlines()
+        rng.shuffle(rows)
+        path.write_text("\n".join([head, *rows]) + "\n")
+        assert np.array_equal(load_potential_text(path).values, W.values)
     else:
         save_potential_binary(V, path)
         W = load_potential_binary(path)
     assert (W.n, W.N, W.grid_M, W.grid_L) == (2, 2, 4, 1.5)
     tol = 0.0 if fmt == "binary" else 1e-15
     assert np.abs(W.values - V.values).max() <= tol
+
+
+@pytest.mark.parametrize("n, N, L, M, values", [
+    (0, 1, 1.0, 2, np.ones((1, 1, 1))),
+    (2, 0, 1.0, 2, np.ones((4, 0, 0))),
+    (2, 1, 1.0, 0, np.ones((0, 1, 1))),
+    (2, 1, float("nan"), 2, np.ones((4, 1, 1))),
+    (2, 1, float("inf"), 2, np.ones((4, 1, 1))),
+    (2, 1, 0.0, 2, np.ones((4, 1, 1))),
+    (64, 1, 1.0, 2, np.ones((1, 1, 1))),  # 2^64 sites: rejected without building M^n
+    (2, 1, 1.0, 2, np.ones((3, 1, 1))),
+    (2, 1, 1.0, 2, np.full((4, 1, 1), np.inf)),
+    (2, 1, 1.0, 2, np.full((4, 1, 1), complex(0.0, np.nan))),
+])
+def test_from_samples_validation(n, N, L, M, values):
+    with pytest.raises(ValueError):
+        PotentialSpec.from_samples(n, N, L, M, values)
 
 
 def test_binary_magic_check(tmp_path):
