@@ -1,14 +1,13 @@
 """Discrete spectra of free and perturbed operators on the periodic box.
 
-Assembles the dense Dirac operator with a strong non-Hermitian potential
+Computes the dense spectrum of the Dirac operator with a strong non-Hermitian potential
 and shows how complex eigenvalues appear as the coupling grows, in contrast
 with the real free spectrum.
 """
 
 import numpy as np
 
-from spectralcert import (GridSpec, PotentialSpec, assemble_perturbed,
-                          eigenvalues)
+from spectralcert import GridSpec, PotentialSpec, dense_spectrum
 from spectralcert.gridops import free_spectrum
 
 grid = GridSpec(n=3, L=4.0, M=4, N=4)  # dimension 256: instant dense solves
@@ -22,8 +21,7 @@ print(f"free Dirac spectrum: {len(free)} eigenvalues, "
 print(f"{'coupling':>10} {'max |Im|':>12} {'closest to gap':>16}")
 for c in (0.0, 0.5, 2.0, 2.0 + 4.0j):
     V = PotentialSpec.preset("matrix-mix", 3, 4, c=c) if c else None
-    H = assemble_perturbed("dirac", m, V, grid)
-    vals = eigenvalues(H)
+    vals = dense_spectrum("dirac", m, V, grid)
     nearest = vals[np.argmin(np.abs(vals))]
     print(f"{str(c):>10} {np.abs(vals.imag).max():12.4e} "
           f"{nearest.real:8.4f}{nearest.imag:+.4f}j")

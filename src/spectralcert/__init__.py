@@ -13,7 +13,8 @@ from .potential import PotentialSpec, polar_factors
 from .weights import WeightSpec, NormResult, weight_eval, dyadic_norm, morrey_norms
 from .enclosure import (ConstantsReport, Certificate, DiskPair, eval_constants, potential_norm,
                         certify, enclosure_disks)
-from .gridops import GridSpec, FieldOnGrid, apply_free_operator, apply_free_resolvent, assemble_perturbed, eigenvalues
+from .gridops import (GridSpec, FieldOnGrid, apply_free_operator, apply_free_resolvent,
+                      assemble_perturbed, dense_spectrum, eigenvalues)
 from .birman_schwinger import BSScan, NormEstimate, bs_apply, bs_norm, bs_scan, bs_dense
 from .bench import BenchReport, run_bench, uniformity_probe
 

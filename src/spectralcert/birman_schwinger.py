@@ -117,17 +117,12 @@ def bs_norm(kind, m, z, factors, grid: GridSpec, tol=SCAN_TOL, seed=0,
 
 
 def bs_dense(kind, m, z, factors, grid: GridSpec):
-    """Dense matrix of K_z (batched application to the identity)."""
-    D = grid.size
+    """Dense matrix of K_z: A, then the gathered resolvent kernel, then B* (pointwise)."""
     A, B = factors
-    g = grid
-    shape = (g.M,) * g.n + (g.N,)
-    op = free_operator(kind, m, g)
-    ident = np.eye(D, dtype=complex).reshape((D, g.M ** g.n, g.N))
-    batch = np.einsum("pab,dpb->dpa", np.conj(np.swapaxes(B, -1, -2)), ident)
-    res = op.apply(op.resolvent_block(z), batch.reshape((D,) + shape)).reshape((D, g.M ** g.n, g.N))
-    cols = np.einsum("pab,dpb->dpa", A, res).reshape(D, D)
-    return cols.T.copy()
+    op = free_operator(kind, m, grid)
+    R = op.dense(op.resolvent_block(z)).reshape(len(A), grid.N, len(B), grid.N)
+    K = np.einsum("iac,icjd,jbd->iajb", A, R, np.conj(B), optimize=True)
+    return K.reshape(grid.size, grid.size)
 
 
 SCAN_CSV_HEADER = ("re_z", "im_z", "norm_estimate", "excluded_flag", "residual_bound", "applies")

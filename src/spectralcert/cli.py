@@ -20,7 +20,7 @@ from . import bench as bench_mod
 from .config import (ConfigError, parse_config, build_potential, build_weight,
                      build_grid, COMMANDS)
 from .enclosure import certify as run_certify_op, enclosure_disks, c2_constant, potential_norm
-from .gridops import assemble_perturbed, eigenvalues
+from .gridops import dense_spectrum
 from .report import make_report, write_report
 from .weights import dyadic_norm
 
@@ -83,8 +83,7 @@ def _do_scan(cfg):
 def _do_eig(cfg):
     V = build_potential(cfg)
     grid = build_grid(cfg)
-    H = assemble_perturbed(cfg.kind, cfg.m, V, grid)
-    vals = eigenvalues(H)
+    vals = dense_spectrum(cfg.kind, cfg.m, V, grid)
     results = {
         "count": len(vals),
         "max_abs_imag": float(np.max(np.abs(vals.imag))),

@@ -12,7 +12,12 @@ Every use of H_0 goes through one :class:`FreeOperator` per (kind, m, grid),
 cached by :func:`free_operator`.  It builds the symbol once, measures the
 distance of z from the discrete symbol set (``gap``), lists the free
 spectrum, and applies forward and resolvent multipliers with one FFT -
-multiply - inverse FFT, with or without a leading batch axis.
+multiply - inverse FFT, with or without a leading batch axis.  Dense
+matrices of those multipliers are gathered from their translation-invariant
+kernels.
+
+Dense spectra (:func:`dense_spectrum`) split H_V by the lattice reflections
+i -> M-1-i that commute with it exactly, and solve each block on its own.
 """
 
 from dataclasses import dataclass
@@ -68,8 +73,10 @@ class GridSpec:
 
     @cached_property
     def axis_points(self):
-        # half-cell offset: x_i = -L + (i + 1/2) h
-        return -self.L + (np.arange(self.M) + 0.5) * self.h
+        # half-cell offset x_i = -L + (i + 1/2) h on the first half, mirrored so that
+        # x_{M-1-i} = -x_i holds exactly
+        half = -self.L + (np.arange(self.M // 2) + 0.5) * self.h
+        return np.concatenate([half, -half[::-1]])
 
     @cached_property
     def points(self):
@@ -130,6 +137,11 @@ def _fft(grid, boxed):
 
 def _ifft(grid, boxed):
     return np.fft.ifftn(boxed, axes=tuple(range(boxed.ndim - 1 - grid.n, boxed.ndim - 1)))
+
+
+def _reflect(a, axis):
+    """``a`` at the reflected difference index d -> -d mod M along ``axis``."""
+    return np.roll(np.flip(a, axis), 1, axis)
 
 
 class FreeOperator:
@@ -207,6 +219,31 @@ class FreeOperator:
             out = np.einsum("...ab,...b->...a", block, spec)
         return _ifft(self.grid, out)
 
+    def dense(self, block):
+        """Dense matrix of the multiplier ``block`` on the grid basis (point-major, spinor-minor).
+
+        The multiplier is a circular convolution, so entry ((i, a), (j, b)) is its
+        kernel (one inverse FFT of ``block``) at (i - j) mod M per axis.  On each
+        axis where ``block`` equals its reflection exactly, the kernel is averaged
+        with its reflection, so that the matrix commutes exactly with the
+        reflection i -> M-1-i of that axis.
+        """
+        g = self.grid
+        if self.matrix is None:
+            block = block[..., None, None]
+        axes = tuple(range(g.n))
+        kernel = np.fft.ifftn(block, axes=axes)
+        step = (np.arange(g.M)[:, None] - np.arange(g.M)) % g.M
+        offsets = 0  # C-order index of the per-axis differences, sites i x sites j
+        for ax in axes:
+            if np.array_equal(_reflect(block, ax), block):
+                kernel = 0.5 * (kernel + _reflect(kernel, ax))
+            shape = [1] * (2 * g.n)
+            shape[ax] = shape[g.n + ax] = g.M
+            offsets = offsets * g.M + step.reshape(shape)
+        blocks = kernel.reshape(g.M ** g.n, g.N, g.N)[offsets.reshape(g.M ** g.n, -1)]
+        return np.ascontiguousarray(blocks.transpose(0, 2, 1, 3)).reshape(g.size, g.size)
+
 
 @lru_cache(maxsize=_FREE_OPERATOR_CACHE_SIZE)
 def free_operator(kind, m, grid: GridSpec) -> FreeOperator:
@@ -256,25 +293,70 @@ def potential_on_grid(V: PotentialSpec, grid: GridSpec):
 def assemble_perturbed(kind, m, V, grid: GridSpec):
     """Dense matrix of H_V = H_0 + V on the grid basis (point-major, spinor-minor).
 
-    H_0 is realized by batched application of the free multiplier to the
-    identity; V (a PotentialSpec, or None for H_0) is block-diagonal
-    pointwise multiplication.  Grids above DENSE_SIZE_LIMIT are rejected.
+    H_0 is gathered from its translation-invariant kernel (:meth:`FreeOperator.dense`).
+    V is a PotentialSpec, its samples from :func:`potential_on_grid`, or None
+    for H_0; it is added to the diagonal blocks.  Grids above DENSE_SIZE_LIMIT
+    are rejected.
     """
     D = grid.size
     if D > DENSE_SIZE_LIMIT:
         raise ValueError(f"dense size {D} exceeds limit {DENSE_SIZE_LIMIT}; "
                          "use the matrix-free bs_scan / resolvent path instead")
-    g = grid
-    op = free_operator(kind, m, g)
-    ident = np.eye(D, dtype=complex).reshape((D,) + (g.M,) * g.n + (g.N,))
-    H = op.apply(op.forward_block(), ident).reshape(D, D).T.copy()
-
+    op = free_operator(kind, m, grid)
+    H = op.dense(op.forward_block())
     if V is not None:
-        Vpts = potential_on_grid(V, grid)
-        for i in range(g.M ** g.n):
-            sl = slice(i * g.N, (i + 1) * g.N)
-            H[sl, sl] += Vpts[i]
+        samples = potential_on_grid(V, grid) if isinstance(V, PotentialSpec) else V
+        sites = np.arange(grid.M ** grid.n)
+        H.reshape(len(sites), grid.N, len(sites), grid.N)[sites, :, sites, :] += samples
     return H
+
+
+def _boxed(grid):
+    return (grid.M,) * grid.n + (grid.N,)
+
+
+def reflection_axes(H, grid: GridSpec):
+    """The lattice axes whose reflection i -> M-1-i commutes with the dense H exactly (bitwise)."""
+    boxed = H.reshape(_boxed(grid) * 2)
+    return [a for a in range(grid.n) if np.array_equal(boxed, np.flip(boxed, (a, grid.n + 1 + a)))]
+
+
+def _split(H, grid, axis):
+    """Even and odd blocks of H, which commutes with the reflection of lattice ``axis``.
+
+    In the orthonormal basis (e_i +- e_{M-1-i}) / sqrt(2), i < M/2, the two blocks
+    are H[i, j] +- H[i, M-1-j] over the first half of the axis in both indices.
+    H is boxed as (sites..., N) x (sites..., N) with some axes already halved.
+    """
+    half, col = grid.M // 2, grid.n + 1 + axis
+    top = H[(slice(None),) * axis + (slice(None, half),)]
+    near = top[(slice(None),) * col + (slice(None, half),)]
+    far = top[(slice(None),) * col + (slice(grid.M - 1, half - 1, -1),)]
+    return [near + far, near - far]
+
+
+def dense_spectrum(kind, m, V, grid: GridSpec):
+    """All eigenvalues of H_V = H_0 + V, sorted by (real, imaginary) part, with multiplicity.
+
+    V absent or zero at every sample gives the free spectrum, with no eigensolve.
+    Otherwise H_V is assembled, and every lattice axis whose reflection
+    i -> M-1-i commutes with it exactly (bitwise) splits it into an even and an
+    odd block.  Up to 2^n blocks are then solved by :func:`eigenvalues`, each with
+    its own residual check.  The split is read from the matrix: for the scalar
+    kinds with a radial potential every axis splits; the Dirac matrix and a
+    potential without the symmetry stay whole.
+    """
+    samples = None if V is None else potential_on_grid(V, grid)
+    if samples is None or not samples.any():
+        return free_operator(kind, m, grid).spectrum().astype(complex)
+    H = assemble_perturbed(kind, m, samples, grid)
+    axes = reflection_axes(H, grid)
+    blocks = [H.reshape(_boxed(grid) * 2)]
+    for axis in axes:
+        blocks = [part for b in blocks for part in _split(b, grid, axis)]
+    side = grid.size >> len(axes)
+    vals = np.concatenate([eigenvalues(b.reshape(side, side)) for b in blocks])
+    return vals[np.lexsort((vals.imag, vals.real))]
 
 
 def eigenvalues(H):
@@ -285,13 +367,11 @@ def eigenvalues(H):
     H = np.asarray(H)
     vals, vecs = scipy.linalg.eig(H)
     order = np.lexsort((vals.imag, vals.real))
-    vals, vecs = vals[order], vecs[:, order]
     scale = max(np.linalg.norm(H, ord=np.inf), 1.0)
     idx = np.linspace(0, len(vals) - 1, min(10, len(vals))).astype(int)
     for i in idx:
-        v = vecs[:, i]
-        res = np.linalg.norm(H @ v - vals[i] * v) / np.linalg.norm(v)
+        v, lam = vecs[:, order[i]], vals[order[i]]
+        res = np.linalg.norm(H @ v - lam * v) / np.linalg.norm(v)
         if res > 1e-8 * scale:
             raise RuntimeError(f"eigenpair {i} residual {res:.3e} exceeds 1e-8 * |H|")
-    return vals
-
+    return vals[order]

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import hashlib
 from math import ceil, inf, log2
 import struct
+import warnings
 
 import numpy as np
 
@@ -209,7 +210,10 @@ def load_potential_text(path) -> PotentialSpec:
         n, N, M, L = fh.readline().split()
         n, N, M, L = int(n), int(N), int(M), float(L)
         _check_lattice(n, N, M, L)
-        rows = np.loadtxt(fh, ndmin=2)
+        with warnings.catch_warnings():
+            # a file without rows fails the shape check below; loadtxt need not warn first
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(fh, ndmin=2)
     if rows.shape != (M ** n, n + 2 * N * N):
         raise ValueError(f"expected {M ** n} rows of {n + 2 * N * N} numbers, got {rows.shape}")
     idx = rows[:, :n]

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -332,6 +333,22 @@ def test_cli_malformed_potential_file_exits_compute(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert f"error: computation failed: cannot read potential file {path}: " in err, err
     assert not out.exists()
+
+
+def test_cli_header_only_potential_file_prints_only_the_error(tmp_path, capsys):
+    # numpy's loadtxt warned "input contained no data" before the error line
+    path = tmp_path / "header-only.txt"
+    path.write_text("3 1 2 1.0\n")
+    doc = {"n": 3, "p": "inf", "q": 2, "potential": {"file": str(path)}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["norms", "--config", _write(tmp_path, "c.json", doc),
+                     "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_COMPUTE
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: computation failed: cannot read potential file {path}: "
+        "expected 8 rows of 5 numbers, got (0, 1)"]
 
 
 def test_cli_potential_file_dimension_must_match_n(tmp_path, capsys):

@@ -2,12 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 from spectralcert import gridops
 from spectralcert.clifford import build_clifford, dirac_symbol
 from spectralcert.gridops import (GridSpec, apply_free_operator, apply_free_resolvent,
-                                  apply_gradient, assemble_perturbed, eigenvalues,
-                                  free_operator, free_spectrum, potential_on_grid)
+                                  apply_gradient, assemble_perturbed, dense_spectrum,
+                                  eigenvalues, free_operator, free_spectrum, potential_on_grid,
+                                  reflection_axes)
 from spectralcert.potential import PotentialSpec
 
 
@@ -233,3 +236,114 @@ def test_field_validation():
     bad[3] = np.nan
     with pytest.raises(ValueError):
         g.field(bad)
+
+
+def test_axis_points_exactly_antisymmetric():
+    # (M, L) = (6, 4.0) is an eig grid of the benchmark that the unmirrored formula missed
+    for M, L in itertools.product(range(2, 66, 2), (0.5, 1.0, 3.0, 4.0, 6.0, 7.3, 8.0)):
+        x = GridSpec(n=1, L=L, M=M).axis_points
+        assert np.array_equal(x[::-1], -x), (M, L)
+        assert np.allclose(x, -L + (np.arange(M) + 0.5) * (2.0 * L / M), rtol=0.0, atol=4e-16 * L)
+
+
+# every preset with a sample inside its support on the grids below; scalar kinds take no matrix-mix
+_SCALAR_PRESETS = [("inverse-square", {}), ("bump", {"R": 3.0}), ("dyadic-decay", {"sigma": 2.0})]
+_DIRAC_PRESETS = _SCALAR_PRESETS + [("matrix-mix", {})]
+
+
+@pytest.mark.parametrize("kind", ["schrodinger", "klein_gordon"])
+@pytest.mark.parametrize("preset,extra", _SCALAR_PRESETS)
+def test_scalar_H_commutes_with_every_axis_reflection(kind, preset, extra):
+    g = GridSpec(n=3, L=4.0, M=6)
+    V = PotentialSpec.preset(preset, 3, 1, c=0.8 - 0.6j, **extra)
+    assert reflection_axes(assemble_perturbed(kind, 0.5, V, g), g) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("preset,extra", _DIRAC_PRESETS)
+def test_dirac_H_commutes_with_no_axis_reflection(preset, extra):
+    # the odd term alpha_k xi_k changes sign under a reflection of the lattice alone
+    g = GridSpec(n=3, L=4.0, M=4, N=4)
+    V = PotentialSpec.preset(preset, 3, 4, c=0.8 - 0.6j, **extra)
+    assert reflection_axes(assemble_perturbed("dirac", 1.0, V, g), g) == []
+
+
+@pytest.mark.parametrize("kind", ["schrodinger", "klein_gordon", "dirac"])
+def test_kernel_assembly_matches_matrix_free(kind):
+    N = 4 if kind == "dirac" else 1
+    g = GridSpec(n=3, L=4.0, M=6, N=N)
+    V = PotentialSpec.preset("inverse-square", 3, N, c=0.5 + 0.25j)
+    H = assemble_perturbed(kind, 0.7, V, g)
+    f = _rand_field(g, 9)
+    direct = apply_free_operator(kind, 0.7, f).values \
+        + np.einsum("pab,pb->pa", potential_on_grid(V, g), f.values)
+    assert np.abs((H @ f.values.ravel()).reshape(-1, N) - direct).max() < 1e-10
+
+
+def _count_eigensolves(monkeypatch):
+    calls = []
+
+    def counting(H):
+        calls.append(len(H))
+        return eigenvalues(H)
+
+    monkeypatch.setattr(gridops, "eigenvalues", counting)
+    return calls
+
+
+def _multiset_distance(a, b):
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return cost[rows, cols].max()
+
+
+@pytest.mark.parametrize("kind", ["schrodinger", "klein_gordon"])
+@pytest.mark.parametrize("M,L,preset,extra", [
+    (4, 3.0, "inverse-square", {}), (4, 3.0, "dyadic-decay", {"sigma": 2.5}),
+    (6, 4.0, "bump", {"R": 3.0}), (6, 6.0, "inverse-square", {}),
+    (8, 6.0, "dyadic-decay", {"sigma": 1.5})])
+def test_dense_spectrum_matches_one_block(monkeypatch, kind, M, L, preset, extra):
+    g = GridSpec(n=3, L=L, M=M)
+    V = PotentialSpec.preset(preset, 3, 1, c=1.5 + 1.1j, **extra)
+    H = assemble_perturbed(kind, 0.5, V, g)
+    whole = eigenvalues(H)
+    calls = _count_eigensolves(monkeypatch)
+    split = dense_spectrum(kind, 0.5, V, g)
+    assert calls == [g.size // 8] * 8
+    assert np.array_equal(split, split[np.lexsort((split.imag, split.real))])
+    assert _multiset_distance(split, whole) <= 1e-10 * max(1.0, np.linalg.norm(H, 2))
+    assert np.abs(whole.imag).max() > 1e-3  # a genuinely non-Hermitian case
+
+
+def test_asymmetric_file_takes_one_block(monkeypatch):
+    g = GridSpec(n=3, L=3.0, M=4)
+    rng = np.random.default_rng(3)
+    V = PotentialSpec.from_samples(3, 1, 3.0, 4, rng.normal(size=(64, 1, 1)) + 0.5j)
+    H = assemble_perturbed("schrodinger", 0.0, V, g)
+    assert reflection_axes(H, g) == []
+    calls = _count_eigensolves(monkeypatch)
+    assert np.array_equal(dense_spectrum("schrodinger", 0.0, V, g), eigenvalues(H))
+    assert calls == [g.size]
+
+
+@pytest.mark.parametrize("kind,N", [("schrodinger", 1), ("klein_gordon", 1), ("dirac", 4)])
+def test_zero_potential_gives_free_spectrum_without_eigensolve(monkeypatch, kind, N):
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("scipy.linalg.eig called for V = 0")
+
+    monkeypatch.setattr(scipy.linalg, "eig", no_lapack)
+    g = GridSpec(n=3, L=3.0, M=4, N=N)
+    free = free_spectrum(g, kind, 0.5)
+    # absent, zero, and zero at every sample (the bump's support holds no sample)
+    for V in (None, PotentialSpec.preset("inverse-square", 3, N, c=0.0),
+              PotentialSpec.preset("bump", 3, N, c=2.0, R=0.5)):
+        assert np.array_equal(dense_spectrum(kind, 0.5, V, g), free)
+
+
+def test_eigenvalues_residual_check_pairs_each_value_with_its_vector(monkeypatch):
+    # the values are sorted, the vectors are read in LAPACK's order through the same permutation
+    H = np.diag([3.0, 1.0, 2.0]) + 0j
+    assert np.array_equal(eigenvalues(H), [1.0, 2.0, 3.0])
+    real_eig = scipy.linalg.eig
+    monkeypatch.setattr(scipy.linalg, "eig", lambda A: (real_eig(A)[0], np.eye(3)[:, [1, 0, 2]]))
+    with pytest.raises(RuntimeError, match="residual"):
+        eigenvalues(H)
