@@ -338,7 +338,10 @@ def _split(H, grid, axis):
 def dense_spectrum(kind, m, V, grid: GridSpec):
     """All eigenvalues of H_V = H_0 + V, sorted by (real, imaginary) part, with multiplicity.
 
-    V absent or zero at every sample gives the free spectrum, with no eigensolve.
+    V identically zero (absent, or coupling c = 0) gives the free spectrum, with
+    no eigensolve.  A V that merely vanishes at every sample (a bump whose
+    support holds no site) is solved like any other, so a job's time and memory
+    do not jump with where the support falls on the lattice.
     Otherwise H_V is assembled, and every lattice axis whose reflection
     i -> M-1-i commutes with it exactly (bitwise) splits it into an even and an
     odd block.  Up to 2^n blocks are then solved by :func:`eigenvalues`, each with
@@ -346,10 +349,9 @@ def dense_spectrum(kind, m, V, grid: GridSpec):
     kinds with a radial potential every axis splits; the Dirac matrix and a
     potential without the symmetry stay whole.
     """
-    samples = None if V is None else potential_on_grid(V, grid)
-    if samples is None or not samples.any():
+    if V is None or V.c == 0:
         return free_operator(kind, m, grid).spectrum().astype(complex)
-    H = assemble_perturbed(kind, m, samples, grid)
+    H = assemble_perturbed(kind, m, V, grid)
     axes = reflection_axes(H, grid)
     blocks = [H.reshape(_boxed(grid) * 2)]
     for axis in axes:

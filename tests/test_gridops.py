@@ -333,10 +333,22 @@ def test_zero_potential_gives_free_spectrum_without_eigensolve(monkeypatch, kind
     monkeypatch.setattr(scipy.linalg, "eig", no_lapack)
     g = GridSpec(n=3, L=3.0, M=4, N=N)
     free = free_spectrum(g, kind, 0.5)
-    # absent, zero, and zero at every sample (the bump's support holds no sample)
-    for V in (None, PotentialSpec.preset("inverse-square", 3, N, c=0.0),
-              PotentialSpec.preset("bump", 3, N, c=2.0, R=0.5)):
+    for V in (None, PotentialSpec.preset("inverse-square", 3, N, c=0.0)):
         assert np.array_equal(dense_spectrum(kind, 0.5, V, g), free)
+
+
+@pytest.mark.parametrize("kind,N", [("schrodinger", 1), ("dirac", 4)])
+def test_potential_zero_at_every_sample_is_solved(monkeypatch, kind, N):
+    # the bump's support holds no sample: H_V = H_0 on the grid, but the job does the work
+    # of a nonzero coupling, so its cost does not hinge on where the support falls
+    g = GridSpec(n=3, L=3.0, M=4, N=N)
+    V = PotentialSpec.preset("bump", 3, N, c=2.0, R=0.5)
+    assert not potential_on_grid(V, g).any()
+    calls = _count_eigensolves(monkeypatch)
+    vals = dense_spectrum(kind, 0.5, V, g)
+    assert sum(calls) == g.size
+    free = free_spectrum(g, kind, 0.5)
+    assert np.abs(vals - free).max() <= 1e-10 * max(1.0, np.abs(free).max())
 
 
 def test_eigenvalues_residual_check_pairs_each_value_with_its_vector(monkeypatch):
