@@ -81,18 +81,18 @@ def default_z_arc(grid, kind, m, count=40):
     return zs
 
 
-def _weighted_l2(f: FieldOnGrid, wvals):
-    return float(np.sqrt(np.sum((wvals * np.linalg.norm(f.values, axis=-1)) ** 2)
-                         * f.grid.cell_volume))
+def _mag(u: FieldOnGrid):
+    """|u| at every site."""
+    return np.linalg.norm(u.values, axis=-1)
 
 
-def _grad_field(u: FieldOnGrid) -> FieldOnGrid:
-    """Gradient components stacked as an n-component field on the same lattice."""
-    comps = apply_gradient(u)
-    g = u.grid
-    vals = np.concatenate([c.values for c in comps], axis=-1)
-    vec_grid = GridSpec(n=g.n, L=g.L, M=g.M, N=g.n * g.N)
-    return vec_grid.field(vals)
+def _grad_mag(u: FieldOnGrid):
+    """|grad u| at every site: the magnitude of all n N gradient components."""
+    return np.linalg.norm(apply_gradient(u), axis=-1)
+
+
+def _weighted_l2(ctx, mag, wvals):
+    return float(np.sqrt(np.sum((wvals * mag) ** 2) * ctx.grid.cell_volume))
 
 
 def _bracket(z, m):
@@ -102,11 +102,13 @@ def _bracket(z, m):
 
 
 class _Context:
-    """Cached per-run quantities: weight samples and the weight norms in the constants."""
+    """Cached per-run quantities: the grid that every test field and its resolvent
+    live on, weight samples there, and the weight norms in the constants."""
 
     def __init__(self, grid, m):
         self.m = m
         self.n = grid.n
+        self.grid = grid
         self.r = r = grid.radii
         self.rho_vals = DEFAULT_RHO.radial(r)
         l2, half = rho_norms(DEFAULT_RHO)
@@ -126,63 +128,66 @@ class _Estimate(NamedTuple):
     massless: bool = False  # runs at m = 0 whatever mass is asked for
 
 
-def _dyadic_lhs(ctx, z, u):
-    return grid_dyadic_norm(u, np.inf, 2, weight_exponent=-0.5)
+def _dyadic_lhs(ctx, mag):
+    return grid_dyadic_norm(ctx.grid, mag, np.inf, 2, weight_exponent=-0.5)
 
 
 def _dyadic_rhs(ctx, z, f):
-    return grid_dyadic_norm(f, 1, 2, weight_exponent=0.5)
+    return grid_dyadic_norm(ctx.grid, _mag(f), 1, 2, weight_exponent=0.5)
 
 
-def _rho_lhs(ctx, z, u, power=-0.5):
-    return _weighted_l2(u, ctx.r ** power * ctx.rho_vals)
+def _rho_lhs(ctx, mag, power=-0.5):
+    return _weighted_l2(ctx, mag, ctx.r ** power * ctx.rho_vals)
 
 
 def _rho_rhs(ctx, z, f):
-    return _weighted_l2(f, ctx.r ** 0.5 / ctx.rho_vals)
+    return _weighted_l2(ctx, _mag(f), ctx.r ** 0.5 / ctx.rho_vals)
 
 
 _ESTIMATES = {
-    "L3.1-KG": _Estimate("klein_gordon", lambda c, z, u: _weighted_l2(u, 1.0 / c.tau),
-                         lambda c, z, f: _weighted_l2(f, c.tau)),
-    "L3.2-D0": _Estimate("dirac", lambda c, z, u: _weighted_l2(u, c.wsig ** -0.5),
-                         lambda c, z, f: _weighted_l2(f, c.wsig ** 0.5), massless=True),
-    "L3.2-Dm": _Estimate("dirac", lambda c, z, u: _weighted_l2(u, 1.0 / c.tau),
-                         lambda c, z, f: _weighted_l2(f, c.tau)),
+    "L3.1-KG": _Estimate("klein_gordon", lambda c, z, u: _weighted_l2(c, _mag(u), 1.0 / c.tau),
+                         lambda c, z, f: _weighted_l2(c, _mag(f), c.tau)),
+    "L3.2-D0": _Estimate("dirac", lambda c, z, u: _weighted_l2(c, _mag(u), c.wsig ** -0.5),
+                         lambda c, z, f: _weighted_l2(c, _mag(f), c.wsig ** 0.5), massless=True),
+    "L3.2-Dm": _Estimate("dirac", lambda c, z, u: _weighted_l2(c, _mag(u), 1.0 / c.tau),
+                         lambda c, z, f: _weighted_l2(c, _mag(f), c.tau)),
     "L3.3-X": _Estimate("schrodinger",
-                        lambda c, z, u: np.sqrt(morrey_norms(u)[0] ** 2
-                                                + morrey_norms(_grad_field(u))[1] ** 2),
+                        lambda c, z, u: np.sqrt(morrey_norms(c.grid, _mag(u))[0] ** 2
+                                                + morrey_norms(c.grid, _grad_mag(u))[1] ** 2),
                         _dyadic_rhs, lambda c: 288.0 * c.n),
-    "L3.3-ReY": _Estimate("schrodinger", lambda c, z, u: np.sqrt(abs(z.real)) * morrey_norms(u)[1],
+    "L3.3-ReY": _Estimate("schrodinger",
+                          lambda c, z, u: np.sqrt(abs(z.real)) * morrey_norms(c.grid, _mag(u))[1],
                           _dyadic_rhs, lambda c: 576.0 * np.sqrt(2.0) * c.n ** 2),
-    "L3.3-ImY": _Estimate("schrodinger", lambda c, z, u: np.sqrt(abs(z.imag)) * morrey_norms(u)[1],
+    "L3.3-ImY": _Estimate("schrodinger",
+                          lambda c, z, u: np.sqrt(abs(z.imag)) * morrey_norms(c.grid, _mag(u))[1],
                           _dyadic_rhs, lambda c: 864.0 * np.sqrt(2.0) * c.n),
-    "C3.4-a": _Estimate("schrodinger", lambda c, z, u: morrey_norms(u)[0], _dyadic_rhs,
-                        lambda c: 576.0 * c.n),
-    "C3.4-b": _Estimate("schrodinger", lambda c, z, u: np.sqrt(abs(z)) * _dyadic_lhs(c, z, u),
-                        _dyadic_rhs, lambda c: 576.0 * c.n * (64.0 * c.n + 324.0) ** 0.25),
-    "C3.4-c": _Estimate("schrodinger", lambda c, z, u: _dyadic_lhs(c, z, _grad_field(u)),
+    "C3.4-a": _Estimate("schrodinger", lambda c, z, u: morrey_norms(c.grid, _mag(u))[0],
                         _dyadic_rhs, lambda c: 576.0 * c.n),
-    "C3.5-a": _Estimate("schrodinger", lambda c, z, u: _rho_lhs(c, z, u, -1.5), _rho_rhs,
+    "C3.4-b": _Estimate("schrodinger", lambda c, z, u: np.sqrt(abs(z)) * _dyadic_lhs(c, _mag(u)),
+                        _dyadic_rhs, lambda c: 576.0 * c.n * (64.0 * c.n + 324.0) ** 0.25),
+    "C3.4-c": _Estimate("schrodinger", lambda c, z, u: _dyadic_lhs(c, _grad_mag(u)),
+                        _dyadic_rhs, lambda c: 576.0 * c.n),
+    "C3.5-a": _Estimate("schrodinger", lambda c, z, u: _rho_lhs(c, _mag(u), -1.5), _rho_rhs,
                         lambda c: 576.0 * c.n * c.rho_l2 ** 2),
-    "C3.5-b": _Estimate("schrodinger", lambda c, z, u: np.sqrt(abs(z)) * _rho_lhs(c, z, u),
+    "C3.5-b": _Estimate("schrodinger", lambda c, z, u: np.sqrt(abs(z)) * _rho_lhs(c, _mag(u)),
                         _rho_rhs,
                         lambda c: 576.0 * c.n * (64.0 * c.n + 324.0) ** 0.25 * c.rho_l2 ** 2),
-    "C3.5-c": _Estimate("schrodinger", lambda c, z, u: _rho_lhs(c, z, _grad_field(u)), _rho_rhs,
+    "C3.5-c": _Estimate("schrodinger", lambda c, z, u: _rho_lhs(c, _grad_mag(u)), _rho_rhs,
                         lambda c: 576.0 * c.n * c.rho_l2 ** 2),
     "C3.5-d": _Estimate("schrodinger",
-                        lambda c, z, u: (1.0 + abs(z) ** 2) ** 0.25 * _rho_lhs(c, z, u),
+                        lambda c, z, u: (1.0 + abs(z) ** 2) ** 0.25 * _rho_lhs(c, _mag(u)),
                         _rho_rhs, lambda c: c3_constant(c.n, c.rho_l2, c.rho_half)),
-    "L3.6-dyadic": _Estimate("dirac", _dyadic_lhs,
+    "L3.6-dyadic": _Estimate("dirac", lambda c, z, u: _dyadic_lhs(c, _mag(u)),
                              lambda c, z, f: _bracket(z, c.m) * _dyadic_rhs(c, z, f),
                              lambda c: c2_constant(c.n)),
-    "L3.6-weighted": _Estimate("dirac", _rho_lhs,
+    "L3.6-weighted": _Estimate("dirac", lambda c, z, u: _rho_lhs(c, _mag(u)),
                                lambda c, z, f: _bracket(z, c.m) * _rho_rhs(c, z, f),
                                lambda c: c2_constant(c.n) * c.rho_l2 ** 2),
-    "L3.6-hom": _Estimate("dirac", _rho_lhs, _rho_rhs,
+    "L3.6-hom": _Estimate("dirac", lambda c, z, u: _rho_lhs(c, _mag(u)), _rho_rhs,
                           lambda c: c1_constant(c.n, c.m, c.rho_l2, c.rho_half)),
-    "KY": _Estimate("schrodinger", lambda c, z, u: _weighted_l2(u, 1.0 / c.r),
-                    lambda c, z, f: _weighted_l2(f, c.r), lambda c: kato_yajima_constant(c.n)),
+    "KY": _Estimate("schrodinger", lambda c, z, u: _weighted_l2(c, _mag(u), 1.0 / c.r),
+                    lambda c, z, f: _weighted_l2(c, _mag(f), c.r),
+                    lambda c: kato_yajima_constant(c.n)),
 }
 
 ESTIMATE_IDS = tuple(_ESTIMATES)

@@ -164,8 +164,8 @@ def potential_norm(V: PotentialSpec, w=None, p=np.inf, q=np.inf) -> NormResult:
     """Dyadic ell^p L^q norm of x -> w(|x|) |V(x)| in V's own dimension (w = 1 if None).
 
     The only choice between the two paths: a preset's exact radial profile,
-    which also gives the tail, or direction sampling of a file, taken as 0
-    outside its box, whose tail is unknown.
+    which also gives the tail, or direction sampling of a file's per-site
+    table of |V| (:func:`opnorm_in_box`, 0 outside its box), whose tail is unknown.
     """
     if V.kind != "grid-sampled":
         prof = V.radial_opnorm if w is None else (lambda r: w(r) * V.radial_opnorm(r))

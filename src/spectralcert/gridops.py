@@ -273,14 +273,11 @@ def apply_free_resolvent(kind, m, z, f: FieldOnGrid, adjoint=False) -> FieldOnGr
 
 
 def apply_gradient(f: FieldOnGrid):
-    """i xi multiplier per axis; returns a list of n FieldOnGrid components."""
+    """i xi multiplier per axis, shape (M^n, n N): axis-major, the spinor index fastest."""
     g = f.grid
     spec = _fft(g, f.boxed())
-    comps = []
-    for d in range(g.n):
-        xi_d = g.freqs[..., d]
-        comps.append(g.field(_ifft(g, 1j * xi_d[..., None] * spec)))
-    return comps
+    return np.concatenate([_ifft(g, 1j * g.freqs[..., d, None] * spec).reshape(-1, g.N)
+                           for d in range(g.n)], axis=-1)
 
 
 def potential_on_grid(V: PotentialSpec, grid: GridSpec):

@@ -11,11 +11,14 @@ All presets have radial pointwise operator norm, exposed exactly through
 :meth:`PotentialSpec.radial_opnorm`; the dyadic norm engine uses that as an
 analytic envelope for tail bounds.  Grid-sampled potentials evaluate by
 nearest-sample lookup (no interpolation) and carry no envelope; lookups
-outside the sampled box are errors, while the dyadic norms take such a
-potential as 0 there (:func:`opnorm_in_box`).
+outside the sampled box are errors.  Their operator norms are one table,
+|V| at every lattice site (:attr:`PotentialSpec.opnorm_table`), which the
+dyadic norms read by the same nearest-site index and take as 0 outside
+the box (:func:`opnorm_in_box`).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import hashlib
 from math import ceil, inf, log2
 import struct
@@ -105,13 +108,25 @@ class PotentialSpec:
         return out[0] if squeeze else out
 
     def _lookup(self, x):
-        L, M = self.grid_L, self.grid_M
-        h = 2.0 * L / M
+        L = self.grid_L
         if np.any(np.abs(x) > L):
             bad = x[np.any(np.abs(x) > L, axis=-1)][0]
             raise ValueError(f"point {bad} outside sampled box [-{L}, {L})^{self.n}")
+        return self.values[self._site_index(x)]
+
+    def _site_index(self, x):
+        """C-order index of the lattice site nearest each point of x, shape (k, n)."""
+        L, M = self.grid_L, self.grid_M
+        h = 2.0 * L / M
         idx = np.clip(np.round((x + L) / h - 0.5).astype(int), 0, M - 1)
-        return self.values[np.ravel_multi_index(idx.T, (M,) * self.n)]
+        return np.ravel_multi_index(idx.T, (M,) * self.n)
+
+    @cached_property
+    def opnorm_table(self):
+        """|V| at every lattice site of a grid-sampled V, shape (M^n,): one batched SVD."""
+        if self.kind != "grid-sampled":
+            raise ValueError("only grid-sampled potentials have a table of |V|")
+        return np.linalg.svd(self.values, compute_uv=False)[:, 0]
 
     def radial_opnorm(self, r):
         """Exact pointwise operator norm |V(x)| as a function of r = |x| (presets only)."""
@@ -133,31 +148,16 @@ class PotentialSpec:
         return h.hexdigest()[:16]
 
 
-def pointwise_opnorm(V, x=None):
-    """Largest singular value of V(x).
-
-    V may be a PotentialSpec (evaluated at x) or an explicit matrix/stack of
-    matrices of shape (..., N, N).
-    """
-    if isinstance(V, PotentialSpec):
-        V = V.evaluate(x)
-    V = np.asarray(V, dtype=complex)
-    s = np.linalg.svd(V, compute_uv=False)
-    return s[..., 0] if V.ndim > 2 else float(s[0])
-
-
 def opnorm_in_box(V: PotentialSpec, x):
-    """|V(x)| at points x of shape (k, n), taking a grid-sampled V as 0 outside its box.
+    """|V(x)| of a grid-sampled V at points x of shape (k, n), read from its
+    :attr:`~PotentialSpec.opnorm_table`, and 0 outside its box.
 
     The dyadic norms sample every annulus out to 2^40, beyond the box of
     most potential files; lookups (``evaluate``) still reject such points.
     """
-    if V.kind != "grid-sampled":
-        return pointwise_opnorm(V, x)
     out = np.zeros(len(x))
     inside = np.all(np.abs(x) <= V.grid_L, axis=-1)
-    if inside.any():
-        out[inside] = pointwise_opnorm(V, x[inside])
+    out[inside] = V.opnorm_table[V._site_index(x[inside])]
     return out
 
 

@@ -286,53 +286,46 @@ def dyadic_norm(f, p, q, n, j_range=(-40, 40), radial_profile=None, j_ext=200,
 
 
 # -- grid-field norms ---------------------------------------------------
+#
+# A field enters these norms as its grid and its magnitude at every site
+# (shape (M^n,)), so a spinor field, its gradient or any other stack of
+# components on the same lattice is measured the same way.
 
-def _field_scalars(u):
-    """Pointwise spinor magnitude, radii, and cell volume of a grid field."""
-    vals = np.linalg.norm(u.values, axis=-1)
-    radii = u.grid.radii
-    return vals, radii, u.grid.cell_volume
-
-
-def grid_dyadic_norm(u, p, q, weight_exponent=0.0) -> float:
-    """Dyadic ell^p L^q norm of a grid field, optionally of |x|^a u.
+def grid_dyadic_norm(grid, mag, p, q, weight_exponent=0.0) -> float:
+    """Dyadic ell^p L^q norm of a field on ``grid`` with site magnitudes ``mag``,
+    optionally of |x|^a times it.
 
     Annuli are the cells with 2^(j-1) <= |x| < 2^j; L^2 sums carry the cell
     volume.  Only annuli intersecting the box contribute (the field is
     supported there by construction).
     """
-    vals, radii, vol = _field_scalars(u)
+    radii = grid.radii
     if weight_exponent != 0.0:
-        vals = radii ** weight_exponent * vals
+        mag = radii ** weight_exponent * mag
     j_idx = np.floor(np.log2(radii)).astype(int) + 1
     terms = []
     for j in np.unique(j_idx):
         sel = j_idx == j
         if np.isinf(q):
-            terms.append(vals[sel].max())
+            terms.append(mag[sel].max())
         else:
-            terms.append(np.sqrt(np.sum(vals[sel] ** 2) * vol))
+            terms.append(np.sqrt(np.sum(mag[sel] ** 2) * grid.cell_volume))
     return _aggregate(terms, p)
 
 
-def morrey_norms(u):
-    """Morrey-Campanato norms (X, Y, Ystar_dyadic) of a grid field.
+def morrey_norms(grid, mag):
+    """Morrey-Campanato norms (X, Y) of a field on ``grid`` with site magnitudes ``mag``.
 
     X:  sup over radial shells of R^-2 * (surface integral of |u|^2),
         shells of width h, surface integral = shell cell sum / h;
     Y:  sup over R of R^-1 * (integral of |u|^2 over |x| <= R), the sup
-        taken over all sample radii;
-    Ystar_dyadic: the dyadic equivalent || |x|^(1/2) u ||_{ell^1 L^2} used
-        in place of the predual norm.
+        taken over all sample radii.
     """
-    vals, radii, vol = _field_scalars(u)
-    h = u.grid.h
-    sq = vals ** 2
+    radii, vol, h = grid.radii, grid.cell_volume, grid.h
+    sq = mag ** 2
 
     shell = np.floor(radii / h).astype(int)
     n_shells = shell.max() + 1
-    if n_shells < 1 or len(radii) == 0:
-        raise ValueError("grid too coarse: no complete radial shell")
     shell_sum = np.bincount(shell, weights=sq, minlength=n_shells)
     R_shell = (np.arange(n_shells) + 0.5) * h
     X2 = np.max(shell_sum * vol / h / R_shell ** 2)
@@ -340,6 +333,4 @@ def morrey_norms(u):
     order = np.argsort(radii)
     csum = np.cumsum(sq[order]) * vol
     Y2 = np.max(csum / radii[order])
-
-    ystar = grid_dyadic_norm(u, 1, 2, weight_exponent=0.5)
-    return float(np.sqrt(X2)), float(np.sqrt(Y2)), float(ystar)
+    return float(np.sqrt(X2)), float(np.sqrt(Y2))

@@ -173,11 +173,15 @@ def test_free_operator_builds_clifford_once(monkeypatch):
 
 
 def test_gradient_plane_wave():
-    g = GridSpec(n=2, L=3.0, M=8, N=1)
-    f, xi = _plane_wave(g, (2, 5))
-    comps = apply_gradient(f)
-    for d in range(2):
-        assert np.abs(comps[d].values - 1j * xi[d] * f.values).max() < 1e-10
+    # component d N + a is d/dx_d of spinor component a (axis-major, spinor fastest)
+    for N in (1, 2):
+        g = GridSpec(n=2, L=3.0, M=8, N=N)
+        f, xi = _plane_wave(g, (2, 5), spinor=np.arange(1.0, N + 1))
+        grad = apply_gradient(f)
+        assert grad.shape == (g.M ** 2, 2 * N)
+        for d in range(2):
+            for a in range(N):
+                assert np.abs(grad[:, d * N + a] - 1j * xi[d] * f.values[:, a]).max() < 1e-10
 
 
 def test_assemble_matches_matrix_free():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from spectralcert.potential import (PotentialSpec, polar_factors,
-                                    pointwise_opnorm, opnorm_in_box, save_potential_text,
-                                    load_potential_text, save_potential_binary,
-                                    load_potential_binary)
+from spectralcert.enclosure import J_RANGE, potential_norm
+from spectralcert.potential import (PotentialSpec, polar_factors, opnorm_in_box,
+                                    save_potential_text, load_potential_text,
+                                    save_potential_binary, load_potential_binary)
+from spectralcert.weights import dyadic_norm
 
 
 def _random_samples(rng, n, N, M):
@@ -47,7 +48,6 @@ def test_matrix_mix_opnorm_oracle():
     top = np.linalg.svd(mat, compute_uv=False)[0]
     r = np.linalg.norm(x)
     assert V.radial_opnorm(r) == pytest.approx(top, rel=1e-12)
-    assert pointwise_opnorm(V, x) == pytest.approx(top, rel=1e-12)
     # non-Hermitian by construction
     assert np.abs(mat - mat.conj().T).max() > 0.1
 
@@ -102,11 +102,12 @@ def test_polar_factorization_presets():
 def test_singular_value_oracle_eigh():
     # independent oracle: largest singular value via eigvalsh of V^H V
     rng = np.random.default_rng(9)
-    for _ in range(20):
-        mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        ours = pointwise_opnorm(mat)
+    V = PotentialSpec.from_samples(1, 4, 1.0, 20, _random_samples(rng, 1, 4, 20))
+    for mat, ours in zip(V.values, V.opnorm_table):
         oracle = float(np.sqrt(np.linalg.eigvalsh(mat.conj().T @ mat)[-1]))
         assert ours == pytest.approx(oracle, rel=1e-10)
+    with pytest.raises(ValueError):
+        PotentialSpec.preset("bump", 3, 1).opnorm_table
 
 
 def test_grid_sampled_lookup_and_bounds():
@@ -124,20 +125,53 @@ def test_grid_sampled_lookup_and_bounds():
         V.radial_opnorm(1.0)
 
 
+def _svd_in_box(V, x):
+    """Reference for a file's |V|: one SVD of the looked-up sample per point, 0 outside the box."""
+    inside = np.all(np.abs(x) <= V.grid_L, axis=-1)
+    return np.array([np.linalg.svd(V.evaluate(p), compute_uv=False)[0] if ok else 0.0
+                     for p, ok in zip(x, inside)])
+
+
 def test_opnorm_in_box_is_zero_outside_the_box():
+    # inside the box and on its faces, |V| is the SVD of the sample looked up at each point
     rng = np.random.default_rng(4)
     M, L = 4, 2.0
-    V = PotentialSpec.from_samples(3, 2, L, M, _random_samples(rng, 3, 2, M))
-    x = np.array([[0.3, -1.2, 1.9], [2.5, 0.0, 0.0], [0.0, -0.4, -2.0], [1e6, 1e6, 1e6]])
-    got = opnorm_in_box(V, x)
-    assert got[1] == 0.0 and got[3] == 0.0
-    assert np.array_equal(got[[0, 2]], pointwise_opnorm(V, x[[0, 2]]))
-    assert np.array_equal(opnorm_in_box(V, x[[1, 3]]), [0.0, 0.0])
-    # the lookup itself stays strict
-    with pytest.raises(ValueError):
-        V.evaluate(x)
-    P = PotentialSpec.preset("inverse-square", 3, 2, c=0.5)
-    assert np.array_equal(opnorm_in_box(P, x), pointwise_opnorm(P, x))
+    inner = rng.uniform(-L, L, size=(40, 3))
+    faces = rng.uniform(-L, L, size=(12, 3))
+    faces[np.arange(12), np.arange(12) % 3] = np.where(np.arange(12) < 6, L, -L)
+    outer = np.array([[2.5, 0.0, 0.0], [0.0, -0.4, -2.0 - 1e-12], [1e6, 1e6, 1e6]])
+    x = np.concatenate([inner, faces, [[L, L, -L], [-L, -L, -L]], outer])
+    for N in (1, 4):
+        V = PotentialSpec.from_samples(3, N, L, M, _random_samples(rng, 3, N, M))
+        got = opnorm_in_box(V, x)
+        assert np.array_equal(got, _svd_in_box(V, x))
+        assert np.count_nonzero(got) == len(x) - len(outer)
+        assert np.array_equal(opnorm_in_box(V, outer), np.zeros(len(outer)))
+        # the lookup itself stays strict
+        with pytest.raises(ValueError):
+            V.evaluate(x)
+        zero = PotentialSpec.from_samples(3, N, L, M, np.zeros((M ** 3, N, N)))
+        assert np.array_equal(opnorm_in_box(zero, x), np.zeros(len(x)))
+
+
+@pytest.mark.parametrize("N", [1, 4])
+@pytest.mark.parametrize("w, p, q", [(None, np.inf, np.inf), (lambda r: r, 1, 2)])
+def test_file_norm_reads_the_svd_of_each_site(N, w, p, q):
+    rng = np.random.default_rng(5)
+    V = PotentialSpec.from_samples(3, N, 2.0, 4, _random_samples(rng, 3, N, 4))
+
+    def reference(pts):
+        inside = np.all(np.abs(pts) <= V.grid_L, axis=-1)
+        mag = np.zeros(len(pts))
+        mag[inside] = np.linalg.svd(V.evaluate(pts[inside]), compute_uv=False)[:, 0]
+        return mag if w is None else w(np.linalg.norm(pts, axis=-1)) * mag
+
+    got = potential_norm(V, w, p, q)
+    want = dyadic_norm(reference, p, q, 3, j_range=J_RANGE)
+    assert got.value == want.value > 0.0
+    assert got.tail_bound is None
+    zero = PotentialSpec.from_samples(3, N, 2.0, 4, np.zeros((4 ** 3, N, N)))
+    assert potential_norm(zero, w, p, q).value == 0.0
 
 
 def test_content_hash_sensitivity():

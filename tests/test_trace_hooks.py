@@ -12,7 +12,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
 from spectralcert import bench, cli, enclosure, weights
+from spectralcert.potential import PotentialSpec, save_potential_binary
 
 _PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 _spec = importlib.util.spec_from_file_location("tracing", _PATH)
@@ -34,16 +37,23 @@ JOBS = [
                  "weight": {"kind": "rho2", "eps": 0.5, "delta": 0.5}}),
     ("disks", {"n": 3, "m": 1.0, "j": 1, "potential": {"preset": "bump", "c": 1e-6}}),
     ("norms", {"n": 3, "p": "inf", "q": "inf", "potential": {"preset": "bump", "c": 0.5}}),
+    ("eig", {"kind": "schrodinger", "n": 3, "m": 1.0,
+             "potential": {"preset": "inverse-square", "c": 0.5}, "grid": {"L": 3.0, "M": 4}}),
 ]
 
 
 def test_tracer_sees_every_layer(tmp_path):
+    pot = tmp_path / "pot.bin"
+    values = np.random.default_rng(0).normal(size=(4 ** 3, 1, 1))
+    save_potential_binary(PotentialSpec.from_samples(3, 1, 8.0, 4, values), pot)
+    file_norms = ("norms", {"n": 3, "p": "inf", "q": "inf",
+                            "potential": {"file": str(pot), "format": "binary"}})
     namespaces = {mod: dict(vars(mod)) for mod in (bench, cli, enclosure, weights)}
     init = bench._Context.__init__
     tracer = tracing.Tracer()
     tracing.install(tracer)
     try:
-        for i, (command, doc) in enumerate(JOBS):
+        for i, (command, doc) in enumerate(JOBS + [file_norms]):
             cfg = tmp_path / f"job{i}.json"
             cfg.write_text(json.dumps(doc))
             out = str(tmp_path / f"job{i}_report.json")
@@ -54,7 +64,8 @@ def test_tracer_sees_every_layer(tmp_path):
     rows = tracer.summary()
     for name in ("bench.run", "bench.context", "weights.grid_norms", "gridops.resolvent",
                  "bs.scan", "bs.factor_on_grid", "bs.apply", "bs.norm", "enclosure.certify", "enclosure.disks",
-                 "enclosure.rho_norms", "weights.dyadic_norm"):
+                 "enclosure.rho_norms", "weights.dyadic_norm", "gridops.assemble",
+                 "gridops.eigenvalues", "lapack.eig", "potential.load"):
         assert rows.get(name, {}).get("calls", 0) > 0, name
     assert rows["bench.run"]["calls"] == 3
 
@@ -68,7 +79,8 @@ def test_tracer_sees_every_layer(tmp_path):
                  ("bs.apply", "gridops.resolvent"),
                  # each certificate's hypothesis norm is a dyadic norm of its own
                  ("enclosure.certify", "weights.dyadic_norm"),
-                 ("enclosure.disks", "weights.dyadic_norm")):
+                 ("enclosure.disks", "weights.dyadic_norm"),
+                 ("gridops.eigenvalues", "lapack.eig")):
         assert edge in edges, edge
     # K_z and K_z* each apply the free resolvent once
     applies = [i for i, span in enumerate(spans) if span[0] == "bs.apply"]

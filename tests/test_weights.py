@@ -347,16 +347,16 @@ def test_grid_dyadic_norm_against_direct_sum():
     j_idx = np.floor(np.log2(radii)).astype(int) + 1
     terms = [np.sqrt((vals[j_idx == j] ** 2).sum() * grid.cell_volume)
              for j in np.unique(j_idx)]
-    assert grid_dyadic_norm(u, 1, 2) == pytest.approx(sum(terms), rel=1e-12)
-    assert grid_dyadic_norm(u, np.inf, np.inf) == pytest.approx(vals.max(), rel=1e-12)
+    assert grid_dyadic_norm(grid, vals, 1, 2) == pytest.approx(sum(terms), rel=1e-12)
+    assert grid_dyadic_norm(grid, vals, np.inf, np.inf) == pytest.approx(vals.max(), rel=1e-12)
 
 
 def test_grid_norm_weight_exponent():
     grid = GridSpec(n=3, L=4.0, M=8, N=1)
     u = _random_field(grid, 1)
-    plain = grid_dyadic_norm(u, np.inf, np.inf)
-    weighted = grid_dyadic_norm(u, np.inf, np.inf, weight_exponent=1.0)
     vals = np.abs(u.values[:, 0])
+    plain = grid_dyadic_norm(grid, vals, np.inf, np.inf)
+    weighted = grid_dyadic_norm(grid, vals, np.inf, np.inf, weight_exponent=1.0)
     assert weighted == pytest.approx((grid.radii * vals).max(), rel=1e-12)
     assert weighted != plain
 
@@ -366,21 +366,20 @@ def test_morrey_equivalence_chain():
     # 2^j * (annulus L^2 of |x|^(-1/2) u)^2, giving Y <= 2 ||...||_{ell^inf L^2}
     for seed in range(10):
         grid = GridSpec(n=3, L=4.0, M=8, N=1)
-        u = _random_field(grid, seed)
-        _, Y, ystar = morrey_norms(u)
-        dy = grid_dyadic_norm(u, np.inf, 2, weight_exponent=-0.5)
+        mag = np.abs(_random_field(grid, seed).values[:, 0])
+        _, Y = morrey_norms(grid, mag)
+        dy = grid_dyadic_norm(grid, mag, np.inf, 2, weight_exponent=-0.5)
         assert Y <= 2.0 * dy * (1 + 1e-12)
-        assert ystar == pytest.approx(grid_dyadic_norm(u, 1, 2, weight_exponent=0.5))
 
 
 def test_morrey_scaling_homogeneity():
     # doubling the field doubles every norm
     grid = GridSpec(n=3, L=4.0, M=8, N=2)
-    u = _random_field(grid, 4)
-    two = grid.field(2.0 * u.values)
-    for a, b in zip(morrey_norms(u), morrey_norms(two)):
+    mag = np.linalg.norm(_random_field(grid, 4).values, axis=-1)
+    for a, b in zip(morrey_norms(grid, mag), morrey_norms(grid, 2.0 * mag)):
         assert b == pytest.approx(2.0 * a, rel=1e-12)
-    assert grid_dyadic_norm(two, 1, 2) == pytest.approx(2 * grid_dyadic_norm(u, 1, 2))
+    assert grid_dyadic_norm(grid, 2.0 * mag, 1, 2) == \
+        pytest.approx(2 * grid_dyadic_norm(grid, mag, 1, 2))
 
 
 def test_morrey_y_definition():
@@ -392,7 +391,7 @@ def test_morrey_y_definition():
     for R in np.unique(radii):
         mass = vals[radii <= R].sum() * grid.cell_volume
         best = max(best, mass / R)
-    _, Y, _ = morrey_norms(u)
+    _, Y = morrey_norms(grid, np.abs(u.values[:, 0]))
     assert Y == pytest.approx(np.sqrt(best), rel=1e-12)
 
 

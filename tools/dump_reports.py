@@ -78,12 +78,14 @@ def main(argv=None):
                         help="job-list seed; repeat for several")
     parser.add_argument("--out", required=True, help="directory for the reports (created if missing)")
     args = parser.parse_args(argv)
+    # resolved before any run: Run.cleanup() leaves the working directory at the tree root
+    out_root = Path(args.out).resolve()
     run_mod = load_run_module(args.tree)
     workloads = WORKLOADS if args.workload == "all" else (args.workload,)
     any_failed = False
     for workload in workloads:
         for seed in args.seed:
-            out = Path(args.out).resolve() / f"{workload}-{seed}"
+            out = out_root / f"{workload}-{seed}"
             out.mkdir(parents=True, exist_ok=True)
             jobs, failed = dump(run_mod, workload, seed, out)
             any_failed |= failed > 0
