@@ -157,7 +157,7 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         results, warnings, siblings, code = _RUNNERS[args.command](cfg)
-    except (ValueError, RuntimeError) as e:
+    except (ValueError, RuntimeError, MemoryError) as e:
         print(f"error: computation failed: {e}", file=sys.stderr)
         return EXIT_COMPUTE
     elapsed = time.monotonic() - t0

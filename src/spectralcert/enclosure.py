@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .potential import PotentialSpec, opnorm_in_box
-from .weights import WeightSpec, NormResult, dyadic_norm
+from .weights import J_RANGE, WeightSpec, NormResult, dyadic_norm
 
 CERTIFY_THEOREMS = ("2.1", "2.2-massless", "2.2-massive", "2.3", "2.4")  # 2.5: enclosure_disks
 MASSLESS_THEOREMS = ("2.2-massless", "2.4")  # stated for m = 0 only
@@ -32,8 +32,6 @@ QUALITATIVE = {"2.1": ("tau", "eps", 2), "2.2-massive": ("tau", "eps", 2),
                "2.2-massless": ("w_sigma", "sigma", 1)}
 
 DEFAULT_RHO = WeightSpec("rho2", eps=0.5, delta=0.5)  # the weight rho when none is given
-
-J_RANGE = (-40, 40)  # dyadic annuli 2^j, j in J_RANGE, sampled by every norm here
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,11 @@
 
 Annulus j is {2^(j-1) <= |x| < 2^j}.  The dyadic norm aggregates per-annulus
 L^q norms in ell^p over j; the Morrey-Campanato norms are computed on grid
-fields by radial shell / ball sums.  Sup norms on annuli are estimated by
-iterative sampling refinement, never by quadrature.
+fields by radial shell / ball sums.  One engine takes every per-annulus
+norm, from the magnitudes along D rays: a radial profile is one ray, a
+field that is not radial is sampled along 2n + 16 fixed rays.  Sup norms on
+annuli are estimated by iterative sampling refinement, never by quadrature;
+L^2 norms by Gauss-Legendre nodes in r.  The sample counts are fixed.
 
 Tail policy: when an analytic radial envelope is available (all weight and
 potential presets are radial in operator norm) the annuli outside the
@@ -16,6 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .gridops import GridSpec
 
 WEIGHT_KINDS = ("tau", "w_sigma", "rho1", "rho2", "power")  # the catalogue; "product" composes it
 
@@ -109,20 +114,22 @@ class NormResult:
 
 # -- sampling helpers ---------------------------------------------------
 
-def _directions(n, count, seed=7):
-    """Deterministic direction set: signed coordinate axes + seeded random."""
-    dirs = []
-    for d in range(n):
-        e = np.zeros(n)
-        e[d] = 1.0
-        dirs.append(e.copy())
-        e[d] = -1.0
-        dirs.append(e.copy())
-    rng = np.random.default_rng(seed)
-    while len(dirs) < count:
-        v = rng.normal(size=n)
-        dirs.append(v / np.linalg.norm(v))
-    return np.array(dirs[:count])
+J_RANGE = (-40, 40)  # dyadic annuli 2^j, j in J_RANGE, sampled by default
+
+_J_EXT = 200                # continuation annuli beyond each end of a radial range
+_RADIAL_SUP_SAMPLES = 256   # radii per refinement round of a radial sup
+_RAY_SUP_SAMPLES = 64       # radii per refinement round along each ray
+_GAUSS_NODES = 64           # Gauss-Legendre nodes of an L^2 norm
+_SUP_ROUNDS = 3             # refinement rounds of a sup
+_RAY_EXTRA, _RAY_SEED = 16, 7  # seeded random rays beyond the 2n signed axes
+_BLOCK_SAMPLES = 8192       # samples per profile call, about 64 KB per temporary
+
+
+def _directions(n):
+    """The 2n + 16 fixed rays: e_0, -e_0, e_1, ..., then seeded random unit vectors."""
+    axes = np.stack([np.eye(n), 0.0 - np.eye(n)], axis=1).reshape(2 * n, n)
+    random = np.random.default_rng(_RAY_SEED).normal(size=(_RAY_EXTRA, n))
+    return np.concatenate([axes, [v / np.linalg.norm(v) for v in random]])
 
 
 def _sphere_area(n):
@@ -130,91 +137,58 @@ def _sphere_area(n):
     return 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
 
 
-# Annuli per profile call: a (32, 256) radial block or a (4, 64, 22) block of
-# direction samples keeps each temporary near 64 KB.
-_RADIAL_CHUNK = 32
-_DIRECTIONAL_CHUNK = 4
-_RADIAL_SUP_SAMPLES = 256   # radii per refinement round of a radial sup
-_RADIAL_GAUSS_NODES = 64    # Gauss-Legendre nodes of a radial L^2 norm
-
-
 def _annulus_bounds(js):
     """Inner and outer radius of each annulus j in ``js`` (exact powers of two)."""
     return np.ldexp(1.0, js - 1), np.ldexp(1.0, js)
 
 
-def _refined_sup(values, lo, hi, n_samples, rounds):
+def _refined_sup(values, lo, hi, n_samples):
     """Sup over [lo, hi] per row by log-spaced refinement.
 
     ``values`` maps radii of shape (J, n_samples) to magnitudes of shape
-    (J, n_samples) or (J, n_samples, D).  Each round samples every active
-    row, keeps its running max, and narrows the row to the two neighbours
-    of its argmax radius; a row whose bracket collapses stops.
+    (J, n_samples, D).  Each round samples every row, keeps its running max
+    and narrows the row to the two neighbours of its argmax radius (with 64
+    or more samples, no bracket collapses in 3 rounds).
     """
     best = np.zeros(len(lo))
-    active = np.arange(len(lo))
-    for _ in range(rounds):
+    rows = np.arange(len(lo))
+    for _ in range(_SUP_ROUNDS):
         r = np.ascontiguousarray(np.geomspace(lo, hi, n_samples, axis=-1))
         vals = values(r).reshape(len(r), -1)
-        rows = np.arange(len(r))
         flat = np.argmax(vals, axis=1)
         top = vals[rows, flat]
-        best[active] = np.where(top > best[active], top, best[active])
+        best = np.where(top > best, top, best)
         i = flat // (vals.shape[1] // n_samples)
-        lo2 = r[rows, np.maximum(i - 1, 0)]
-        hi2 = r[rows, np.minimum(i + 1, n_samples - 1)]
-        go = hi2 > lo2
-        active, lo, hi = active[go], lo2[go], hi2[go]
-        if not len(active):
-            break
+        lo = r[rows, np.maximum(i - 1, 0)]
+        hi = r[rows, np.minimum(i + 1, n_samples - 1)]
     return best
 
 
-@lru_cache(maxsize=4)
-def _legendre(n_nodes):
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per node count."""
-    t, wts = np.polynomial.legendre.leggauss(n_nodes)
+@lru_cache(maxsize=1)
+def _legendre():
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once."""
+    t, wts = np.polynomial.legendre.leggauss(_GAUSS_NODES)
     t.setflags(write=False)
     wts.setflags(write=False)
     return t, wts
 
 
-def _gauss_nodes(lo, hi, n_nodes):
+def _gauss_nodes(lo, hi):
     """Gauss-Legendre nodes and weights mapped onto each [lo, hi], one row per annulus."""
-    t, wts = _legendre(n_nodes)
+    t, wts = _legendre()
     lo, hi = lo[:, None], hi[:, None]
     return 0.5 * (hi - lo) * t + 0.5 * (hi + lo), 0.5 * (hi - lo) * wts
 
 
-def _radial_terms(profile, js, n, q, rounds):
-    """Per-annulus L^q norms of a radial profile: 256-point sup refinement or 64 Gauss nodes."""
+def _annulus_terms(values, js, n, q, n_sup):
+    """Per-annulus L^q norms of ``values``, which maps radii (J, S) to magnitudes (J, S, D):
+    a sup of ``n_sup`` radii per round, or the Gauss L^2 norm of the mean of |.|^2 over rays."""
     lo, hi = _annulus_bounds(js)
     if np.isinf(q):
-        return _refined_sup(lambda r: np.abs(profile(r)), lo, hi * (1.0 - 1e-9),
-                            _RADIAL_SUP_SAMPLES, rounds)
-    r, w = _gauss_nodes(lo, hi, _RADIAL_GAUSS_NODES)
-    g = np.abs(profile(r))
-    return np.sqrt(_sphere_area(n) * np.sum(w * r ** (n - 1) * g ** 2, axis=-1))
-
-
-def _directional_terms(f, js, n, q, dirs, n_radial, rounds):
-    """Per-annulus L^q norms of a field sampled along the rays ``dirs``."""
-    lo, hi = _annulus_bounds(js)
-
-    def values(r):
-        pts = r[:, :, None, None] * dirs[None, None, :, :]
-        return np.abs(f(pts.reshape(-1, n))).reshape(r.shape + (len(dirs),))
-
-    if np.isinf(q):
-        return _refined_sup(values, lo, hi * (1.0 - 1e-9), n_radial, rounds)
-    r, w = _gauss_nodes(lo, hi, n_radial)
+        return _refined_sup(values, lo, hi * (1.0 - 1e-9), n_sup)
+    r, w = _gauss_nodes(lo, hi)
     sph_mean = np.mean(values(r) ** 2, axis=-1)
     return np.sqrt(_sphere_area(n) * np.sum(w * r ** (n - 1) * sph_mean, axis=-1))
-
-
-def _chunked(terms, js, chunk):
-    """``terms`` applied to consecutive slices of ``js`` of at most ``chunk`` annuli."""
-    return np.concatenate([terms(js[k:k + chunk]) for k in range(0, len(js), chunk)])
 
 
 def _detect_divergence(terms, p):
@@ -238,16 +212,16 @@ def _aggregate(terms, p):
     return float(np.sum(t ** p) ** (1.0 / p))
 
 
-def dyadic_norm(f, p, q, n, j_range=(-40, 40), radial_profile=None, j_ext=200,
-                n_radial=64, n_angular=16, refine_rounds=3, seed=7) -> NormResult:
+def dyadic_norm(f, p, q, n, j_range=J_RANGE, radial_profile=None) -> NormResult:
     """ell^p aggregation over dyadic annuli of per-annulus L^q norms.
 
     ``f`` is a callable on point arrays of shape (k, n) returning nonnegative
-    scalars; for radial fields pass ``radial_profile`` (a function of r)
-    instead, which is evaluated exactly in 1-D and doubles as the tail
-    envelope: the ``j_ext`` annuli beyond each end of the range give
-    ``tail_bound``.  Both callables receive many annuli per call (radii of
-    shape (J, S), or (J * S * D, n) points).
+    scalars, sampled along the 2n + 16 fixed rays; for radial fields pass
+    ``radial_profile`` (a function of r) instead, which is one ray evaluated
+    exactly in 1-D and doubles as the tail envelope: the 200 annuli beyond
+    each end of the range give ``tail_bound``.  Both callables receive many
+    annuli per call (radii of shape (J, S), or (J * S * D, n) points); each
+    annulus gets exactly the samples and arithmetic it would get alone.
 
     A divergent ell^p sum (terms not decaying toward either end of the
     range) is reported with ``diverged=True`` and an infinite value rather
@@ -262,25 +236,31 @@ def dyadic_norm(f, p, q, n, j_range=(-40, 40), radial_profile=None, j_ext=200,
         raise ValueError(f"empty annulus range {j_range}")
 
     if radial_profile is not None:
-        js = np.arange(j_min - j_ext, j_max + 1 + j_ext)
-        every = _chunked(lambda part: _radial_terms(radial_profile, part, n, q, refine_rounds),
-                         js, _RADIAL_CHUNK)
-        terms = every[j_ext:len(js) - j_ext]
-        ext_terms = np.concatenate([every[:j_ext], every[len(js) - j_ext:]])
-        samples = _RADIAL_SUP_SAMPLES if np.isinf(q) else _RADIAL_GAUSS_NODES
+        ext, n_sup, rays = _J_EXT, _RADIAL_SUP_SAMPLES, 1
+
+        def values(r):
+            return np.abs(radial_profile(r))[..., None]
     else:
-        dirs = _directions(n, 2 * n + n_angular, seed)
-        terms = _chunked(
-            lambda part: _directional_terms(f, part, n, q, dirs, n_radial, refine_rounds),
-            np.arange(j_min, j_max + 1), _DIRECTIONAL_CHUNK)
-        ext_terms = None
-        samples = n_radial * len(dirs)
+        dirs = _directions(n)
+        ext, n_sup, rays = 0, _RAY_SUP_SAMPLES, len(dirs)
+
+        def values(r):
+            pts = r[..., None, None] * dirs
+            return np.abs(f(pts.reshape(-1, n))).reshape(r.shape + (rays,))
+    samples = (n_sup if np.isinf(q) else _GAUSS_NODES) * rays
+    chunk = max(1, _BLOCK_SAMPLES // samples)
+    js = np.arange(j_min - ext, j_max + 1 + ext)
+    every = np.concatenate([_annulus_terms(values, js[k:k + chunk], n, q, n_sup)
+                            for k in range(0, len(js), chunk)])
+    terms = every[ext:len(js) - ext]
     diverged = _detect_divergence(terms, p)
     value = np.inf if diverged else _aggregate(terms, p)
 
     tail = None
-    if not diverged and ext_terms is not None and not _detect_divergence(ext_terms, p):
-        tail = _aggregate(ext_terms, p)
+    if not diverged and ext:
+        ext_terms = np.concatenate([every[:ext], every[len(js) - ext:]])
+        if not _detect_divergence(ext_terms, p):
+            tail = _aggregate(ext_terms, p)
     return NormResult(value=value, p=float(p), j_min=j_min, j_max=j_max,
                       tail_bound=tail, samples_per_annulus=samples, diverged=diverged)
 
@@ -291,6 +271,25 @@ def dyadic_norm(f, p, q, n, j_range=(-40, 40), radial_profile=None, j_ext=200,
 # (shape (M^n,)), so a spinor field, its gradient or any other stack of
 # components on the same lattice is measured the same way.
 
+@lru_cache(maxsize=4)
+def _lattice_annuli(n, L, M):
+    """Site orders of the lattice (n, L, M) that the grid norms read, computed once per lattice.
+
+    Returns the sites grouped by annulus index (a stable sort, so each
+    annulus keeps its sites in site order), the start of every group after
+    the first, and the sites in order of radius.  Keyed by the lattice, not
+    by a GridSpec, so the cache keeps no grid and none of its cached arrays.
+    """
+    radii = GridSpec(n, L, M).radii
+    j_idx = np.floor(np.log2(radii)).astype(int) + 1
+    by_annulus = np.argsort(j_idx, kind="stable")
+    starts = np.flatnonzero(np.diff(j_idx[by_annulus])) + 1
+    by_radius = np.argsort(radii)
+    for a in (by_annulus, starts, by_radius):
+        a.setflags(write=False)
+    return by_annulus, starts, by_radius
+
+
 def grid_dyadic_norm(grid, mag, p, q, weight_exponent=0.0) -> float:
     """Dyadic ell^p L^q norm of a field on ``grid`` with site magnitudes ``mag``,
     optionally of |x|^a times it.
@@ -299,17 +298,14 @@ def grid_dyadic_norm(grid, mag, p, q, weight_exponent=0.0) -> float:
     volume.  Only annuli intersecting the box contribute (the field is
     supported there by construction).
     """
-    radii = grid.radii
     if weight_exponent != 0.0:
-        mag = radii ** weight_exponent * mag
-    j_idx = np.floor(np.log2(radii)).astype(int) + 1
-    terms = []
-    for j in np.unique(j_idx):
-        sel = j_idx == j
-        if np.isinf(q):
-            terms.append(mag[sel].max())
-        else:
-            terms.append(np.sqrt(np.sum(mag[sel] ** 2) * grid.cell_volume))
+        mag = grid.radii ** weight_exponent * mag
+    by_annulus, starts, _ = _lattice_annuli(grid.n, grid.L, grid.M)
+    groups = np.split(mag[by_annulus], starts)
+    if np.isinf(q):
+        terms = [g.max() for g in groups]
+    else:
+        terms = [np.sqrt(np.sum(g ** 2) * grid.cell_volume) for g in groups]
     return _aggregate(terms, p)
 
 
@@ -330,7 +326,7 @@ def morrey_norms(grid, mag):
     R_shell = (np.arange(n_shells) + 0.5) * h
     X2 = np.max(shell_sum * vol / h / R_shell ** 2)
 
-    order = np.argsort(radii)
+    order = _lattice_annuli(grid.n, grid.L, grid.M)[2]
     csum = np.cumsum(sq[order]) * vol
     Y2 = np.max(csum / radii[order])
     return float(np.sqrt(X2)), float(np.sqrt(Y2))

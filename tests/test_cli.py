@@ -174,6 +174,22 @@ def test_cli_scan_spinor_mismatch_fails(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("command", ["scan", "eig"])
+def test_cli_grid_too_large_to_allocate_fails_cleanly(tmp_path, capsys, command):
+    # M^3 = 1e15 sites: numpy refuses the 7 PiB lattice at once, nothing is allocated
+    doc = {"kind": "schrodinger", "n": 3, "m": 0.0,
+           "potential": {"preset": "bump", "c": 1.0, "N": 1},
+           "grid": {"L": 8.0, "M": 100000}}
+    if command == "scan":
+        doc.update(rectangle={"re_min": -1.0, "re_max": 1.0, "im_min": 0.3, "im_max": 0.9},
+                   resolution={"n_re": 2, "n_im": 2})
+    cfg = _write(tmp_path, "big.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r.json")]) == EXIT_COMPUTE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: computation failed: ")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cli_eig(tmp_path):
     doc = {"kind": "schrodinger", "n": 3, "m": 0.0,
            "potential": {"preset": "bump", "c": 1.0, "N": 1},

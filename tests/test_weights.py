@@ -190,6 +190,16 @@ def _ref_sup(values, lo, hi, n_samples, rounds):
     return best
 
 
+def _ref_directions(n):
+    # 2n signed axes, then 16 unit vectors from a normal draw seeded with 7
+    dirs = [s * e for e in np.eye(n) for s in (1.0, -1.0)]
+    rng = np.random.default_rng(7)
+    for _ in range(16):
+        v = rng.normal(size=n)
+        dirs.append(v / np.linalg.norm(v))
+    return np.array(dirs)
+
+
 def _ref_annulus(j, n, q, profile=None, f=None, dirs=None, n_radial=64, rounds=3):
     from scipy.special import gamma
     area = 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
@@ -215,13 +225,13 @@ def _ref_annulus(j, n, q, profile=None, f=None, dirs=None, n_radial=64, rounds=3
     return float(np.sqrt(area * np.sum(w * r ** (n - 1) * sph_mean)))
 
 
-def reference_dyadic_norm(f, p, q, n, j_range=(-40, 40), radial_profile=None, j_ext=200,
-                          n_radial=64, n_angular=16, refine_rounds=3, seed=7):
+def reference_dyadic_norm(f, p, q, n, j_range=(-40, 40), radial_profile=None):
     j_min, j_max = j_range
-    dirs = weights._directions(n, 2 * n + n_angular, seed)
+    j_ext = 200
+    dirs = _ref_directions(n)
 
     def annulus(j):
-        return _ref_annulus(j, n, q, radial_profile, f, dirs, n_radial, refine_rounds)
+        return _ref_annulus(j, n, q, radial_profile, f, dirs)
 
     terms = [annulus(j) for j in range(j_min, j_max + 1)]
     diverged = weights._detect_divergence(terms, p)
@@ -262,7 +272,7 @@ def test_batched_directional_matches_reference(q):
         return _bumpy(r) * (1.0 + 0.5 * np.tanh(pts[:, 0] - pts[:, 2]))
 
     _assert_same_as_reference(f, 1, q, 3, j_range=(-6, 6))
-    _assert_same_as_reference(f, 2, q, 4, j_range=(-3, 2), n_radial=16, n_angular=5)
+    _assert_same_as_reference(f, 2, q, 4, j_range=(-3, 2))
 
 
 def test_batched_constant_profile_matches_reference():
@@ -271,9 +281,6 @@ def test_batched_constant_profile_matches_reference():
     res = _assert_same_as_reference(None, 1, np.inf, 3, radial_profile=one, j_range=(-20, 20))
     assert res.diverged
     _assert_same_as_reference(None, np.inf, np.inf, 3, radial_profile=one, j_range=(-3, 3))
-    # one radial sample per ray: every row's bracket collapses after the first round
-    _assert_same_as_reference(lambda pts: np.ones(len(pts)), np.inf, np.inf, 3,
-                              j_range=(-3, 3), n_radial=1)
 
 
 def test_batched_single_annulus_and_ragged_ranges():
@@ -281,8 +288,10 @@ def test_batched_single_annulus_and_ragged_ranges():
     _assert_same_as_reference(None, 2, 2, 3, radial_profile=_bumpy, j_range=(1, 1))
     f = lambda pts: _bumpy(np.linalg.norm(pts, axis=-1))
     _assert_same_as_reference(f, 1, np.inf, 3, j_range=(1, 1))
-    # lengths that are not multiples of either chunk size
-    assert (2 * 200 + 37) % weights._RADIAL_CHUNK and 7 % weights._DIRECTIONAL_CHUNK
+    # lengths that are not multiples of the annuli per profile call: 32 for a
+    # radial sup, 5 for 64 samples along each of 22 rays
+    assert weights._BLOCK_SAMPLES // 256 == 32 and weights._BLOCK_SAMPLES // (64 * 22) == 5
+    assert (2 * 200 + 37) % 32 and 7 % 5
     _assert_same_as_reference(None, 1, np.inf, 3, radial_profile=_bumpy, j_range=(-18, 18))
     _assert_same_as_reference(f, 1, 2, 3, j_range=(-3, 3))
 
@@ -295,7 +304,7 @@ def test_radial_norm_evaluates_many_annuli_per_call():
         return _bumpy(r)
 
     dyadic_norm(None, 1, np.inf, 3, radial_profile=profile)
-    assert len(calls) <= 3 * math.ceil(481 / weights._RADIAL_CHUNK)
+    assert len(calls) == 3 * math.ceil(481 / 32)
     assert sum(np.prod(s) for s in calls) == 481 * 3 * 256
 
 
@@ -312,15 +321,15 @@ def test_samples_per_annulus_counts_the_samples_taken(q, rounds):
     res = dyadic_norm(None, 1, q, 3, radial_profile=profile)
     assert res.samples_per_annulus * 481 * rounds == sum(points)
     assert res.samples_per_annulus == (256 if np.isinf(q) else 64)
-    # direction-sampled: 7 annuli, n_radial radii along each of 2n + n_angular rays
+    # direction-sampled: 7 annuli, 64 radii along each of the 2n + 16 rays
     points.clear()
 
     def field(pts):
         points.append(len(pts))
         return _bumpy(np.linalg.norm(pts, axis=-1))
 
-    res = dyadic_norm(field, 1, q, 3, j_range=(-3, 3), n_radial=16, n_angular=5)
-    assert res.samples_per_annulus == 16 * 11
+    res = dyadic_norm(field, 1, q, 3, j_range=(-3, 3))
+    assert res.samples_per_annulus == 64 * 22
     assert res.samples_per_annulus * 7 * rounds == sum(points)
 
 
@@ -339,16 +348,26 @@ def _random_field(grid, seed):
     return grid.field(vals)
 
 
+def _masked_grid_norm(grid, mag, p, q):
+    # one boolean mask per annulus, summed in site order
+    j_idx = np.floor(np.log2(grid.radii)).astype(int) + 1
+    vol = grid.cell_volume
+    groups = [mag[j_idx == j] for j in np.unique(j_idx)]
+    terms = [g.max() if np.isinf(q) else np.sqrt(np.sum(g ** 2) * vol) for g in groups]
+    return weights._aggregate(terms, p)
+
+
 def test_grid_dyadic_norm_against_direct_sum():
-    grid = GridSpec(n=3, L=4.0, M=8, N=2)
-    u = _random_field(grid, 0)
-    vals = np.linalg.norm(u.values, axis=-1)
-    radii = grid.radii
-    j_idx = np.floor(np.log2(radii)).astype(int) + 1
-    terms = [np.sqrt((vals[j_idx == j] ** 2).sum() * grid.cell_volume)
-             for j in np.unique(j_idx)]
-    assert grid_dyadic_norm(grid, vals, 1, 2) == pytest.approx(sum(terms), rel=1e-12)
-    assert grid_dyadic_norm(grid, vals, np.inf, np.inf) == pytest.approx(vals.max(), rel=1e-12)
+    # grids called alternately that differ only in L or only in M, so a
+    # per-lattice cache keyed wrongly shows
+    grids = [GridSpec(n=3, L=4.0, M=8, N=2), GridSpec(n=3, L=3.0, M=8, N=2),
+             GridSpec(n=3, L=4.0, M=10, N=2)]
+    mags = [np.linalg.norm(_random_field(g, k).values, axis=-1) for k, g in enumerate(grids)]
+    for _ in range(2):
+        for grid, vals in zip(grids, mags):
+            for p, q in [(1, 2), (2, 2), (np.inf, 2), (1, np.inf), (np.inf, np.inf)]:
+                assert grid_dyadic_norm(grid, vals, p, q) == _masked_grid_norm(grid, vals, p, q)
+            assert grid_dyadic_norm(grid, vals, np.inf, np.inf) == vals.max()
 
 
 def test_grid_norm_weight_exponent():
