@@ -218,14 +218,12 @@ def _estimate_setup(estimate, grid, m):
     return spec, grid, _Context(grid, 0.0 if spec.massless else m)
 
 
-def run_bench(estimate, grid=None, m=1.0, trials=100, seed=0) -> BenchReport:
+def run_bench(estimate, grid, m=1.0, trials=100, seed=0) -> BenchReport:
     """Worst LHS/RHS ratio of one estimate over random trials on ``default_z_arc``.
 
     Needs a Dirac-compatible grid for the Dirac estimates (N = 2^ceil(n/2));
     scalar estimates use an N = 1 view of the same box.
     """
-    if grid is None:
-        grid = GridSpec(n=3, L=8.0, M=32, N=1)
     spec, grid, ctx = _estimate_setup(estimate, grid, m)
     zs = default_z_arc(grid, spec.kind, ctx.m)
     rng = np.random.default_rng(seed)

@@ -24,7 +24,6 @@ import numpy as np
 from .gridops import (EXCLUSION_MARGIN, GridSpec, FieldOnGrid, apply_free_resolvent,
                       free_operator, potential_on_grid)
 from .potential import PotentialSpec, polar_factors
-from .report import write_csv
 
 
 def factor_on_grid(V: PotentialSpec, grid: GridSpec):
@@ -161,9 +160,6 @@ class BSScan:
         return [(zi.real, zi.imag, vi, int(ei), ri, int(ai)) for zi, vi, ei, ri, ai in
                 zip(self.z_lattice().ravel(), self.values.ravel(), self.excluded.ravel(),
                     self.residuals.ravel(), self.applies.ravel())]
-
-    def to_csv(self, path):
-        write_csv(path, SCAN_CSV_HEADER, self.csv_rows())
 
 
 def bs_scan(kind, m, V: PotentialSpec, grid: GridSpec, rectangle, resolution,

@@ -106,7 +106,7 @@ def _do_bench(cfg):
 def _do_norms(cfg):
     table = {}
     if cfg.weight is not None:
-        res = dyadic_norm(None, cfg.p, cfg.q, cfg.n, radial_profile=build_weight(cfg).radial)
+        res = dyadic_norm(build_weight(cfg).radial, cfg.p, cfg.q, cfg.n)
         table["weight"] = asdict(res)
     if cfg.potential is not None:
         table["potential"] = asdict(potential_norm(build_potential(cfg), p=cfg.p, q=cfg.q))

@@ -2,10 +2,11 @@
 
 Configs are JSON documents.  ``_KEYS`` is the one table of config keys, each
 with its check and its value when absent; ``_COMMAND_DEFAULTS`` holds where a
-command's default differs.  Names to choose from and rules that a library
-object owns are read from the module that owns them.  Unknown keys are fatal
-and every problem is reported at once with its path, so a typo in a weight
-parameter cannot silently produce a wrong certificate.
+command's default differs.  Names to choose from, the parameters each one
+reads and rules that a library object owns are read from the module that
+owns them.  Unknown keys and unread parameters are fatal, and every problem
+is reported at once with its path, so a typo in a weight parameter cannot
+silently produce a wrong certificate.
 """
 
 import json
@@ -13,10 +14,12 @@ import math
 from types import SimpleNamespace
 
 from .bench import ESTIMATE_IDS
-from .enclosure import CERTIFY_THEOREMS, MASSLESS_THEOREMS, QUALITATIVE, check_dimension
+from .enclosure import (CERTIFY_THEOREMS, MASSLESS_THEOREMS, QUALITATIVE, THEOREM_PARAMS,
+                        check_dimension)
 from .gridops import KINDS, GridSpec, spinor_size
-from .potential import PRESETS, PotentialSpec, load_potential_text, load_potential_binary
-from .weights import WEIGHT_KINDS, WeightSpec
+from .potential import (PRESET_PARAMS, PRESETS, PotentialSpec, load_potential_text,
+                        load_potential_binary)
+from .weights import WEIGHT_KINDS, WEIGHT_PARAMS, WeightSpec
 
 COMMANDS = ("certify", "disks", "scan", "eig", "bench", "norms")
 
@@ -184,12 +187,26 @@ _DOCUMENT = {cmd: _object({k: _KEYS[k][0] for k in keys}, _REQUIRED[cmd])
              for cmd, keys in _COMMAND_KEYS.items()}
 
 
+def _unread(path, given, table, item, owner):
+    """Problems for the keys of ``given`` that some item of the owner's ``table`` reads
+    but the chosen ``item`` does not."""
+    for key in sorted(set(given) & set().union(*table.values()) - set(table[item])):
+        yield f"{path}.{key}: not read by {owner} {item}"
+
+
 def _command_rules(cfg):
     """Problems across keys of a parsed config, including rules a library object owns."""
     if cfg.command == "disks" and cfg.m <= 0.0:
         yield "$.m: disks need m > 0"
     if cfg.command == "norms" and cfg.potential is None and cfg.weight is None:
         yield "$: norms needs a 'potential' or a 'weight' target"
+    if cfg.command in ("certify", "disks"):
+        yield from _unread("$", cfg.raw, THEOREM_PARAMS, cfg.theorem or f"2.5-j{cfg.j}", "theorem")
+    if cfg.potential is not None and "preset" in cfg.potential:
+        yield from _unread("$.potential", cfg.potential, PRESET_PARAMS, cfg.potential["preset"],
+                           "preset")
+    if cfg.weight is not None:
+        yield from _unread("$.weight", cfg.weight, WEIGHT_PARAMS, cfg.weight["kind"], "weight")
     if cfg.theorem in MASSLESS_THEOREMS and cfg.m != 0.0:
         yield f"$.m: theorem {cfg.theorem} needs m = 0"
     if cfg.theorem in QUALITATIVE:

@@ -20,8 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .potential import PotentialSpec, opnorm_in_box
-from .weights import J_RANGE, WeightSpec, NormResult, dyadic_norm
+from .potential import PotentialSpec
+from .weights import WeightSpec, NormResult, cell_dyadic_norm, dyadic_norm
 
 CERTIFY_THEOREMS = ("2.1", "2.2-massless", "2.2-massive", "2.3", "2.4")  # 2.5: enclosure_disks
 MASSLESS_THEOREMS = ("2.2-massless", "2.4")  # stated for m = 0 only
@@ -30,6 +30,10 @@ MASSLESS_THEOREMS = ("2.2-massless", "2.4")  # stated for m = 0 only
 #                         the certify parameter that sets w, the power k)
 QUALITATIVE = {"2.1": ("tau", "eps", 2), "2.2-massive": ("tau", "eps", 2),
                "2.2-massless": ("w_sigma", "sigma", 1)}
+
+# theorem (2.5: enclosure_disks, by j) -> the certify or disks keys its hypothesis reads
+THEOREM_PARAMS = {**{theorem: (param,) for theorem, (_, param, _) in QUALITATIVE.items()},
+                  "2.3": ("weight",), "2.4": (), "2.5-j1": (), "2.5-j2": ("weight",)}
 
 DEFAULT_RHO = WeightSpec("rho2", eps=0.5, delta=0.5)  # the weight rho when none is given
 
@@ -127,9 +131,8 @@ def c3_constant(n, rho_l2linf, rho_halfpower_linf) -> float:
 @lru_cache(maxsize=16)
 def rho_norms(rho: WeightSpec):
     """(|rho|_{ell2 Linf}, | |x|^(1/2) rho |_Linf) as NormResults, shared per rho."""
-    l2 = dyadic_norm(None, 2, np.inf, 3, j_range=J_RANGE, radial_profile=rho.radial)
-    half = dyadic_norm(None, np.inf, np.inf, 3, j_range=J_RANGE,
-                       radial_profile=lambda r: r ** 0.5 * rho.radial(r))
+    l2 = dyadic_norm(rho.radial, 2, np.inf, 3)
+    half = dyadic_norm(lambda r: r ** 0.5 * rho.radial(r), np.inf, np.inf, 3)
     return l2, half
 
 
@@ -162,18 +165,13 @@ def potential_norm(V: PotentialSpec, w=None, p=np.inf, q=np.inf) -> NormResult:
     """Dyadic ell^p L^q norm of x -> w(|x|) |V(x)| in V's own dimension (w = 1 if None).
 
     The only choice between the two paths: a preset's exact radial profile,
-    which also gives the tail, or direction sampling of a file's per-site
-    table of |V| (:func:`opnorm_in_box`, 0 outside its box), whose tail is unknown.
+    which also gives the tail, or a file's cells, each holding its site's |V|
+    (:attr:`PotentialSpec.opnorm_table`, 0 outside the box), whose tail is unknown.
     """
-    if V.kind != "grid-sampled":
-        prof = V.radial_opnorm if w is None else (lambda r: w(r) * V.radial_opnorm(r))
-        return dyadic_norm(None, p, q, V.n, j_range=J_RANGE, radial_profile=prof)
-
-    def f(pts):
-        mag = opnorm_in_box(V, pts)
-        return mag if w is None else w(np.linalg.norm(pts, axis=-1)) * mag
-
-    return dyadic_norm(f, p, q, V.n, j_range=J_RANGE)
+    if V.kind == "grid-sampled":
+        return cell_dyadic_norm(V.opnorm_table, V.n, V.grid_L, V.grid_M, p, q, w)
+    prof = V.radial_opnorm if w is None else (lambda r: w(r) * V.radial_opnorm(r))
+    return dyadic_norm(prof, p, q, V.n)
 
 
 def _rho_weight(rho: WeightSpec):

@@ -12,9 +12,9 @@ All presets have radial pointwise operator norm, exposed exactly through
 analytic envelope for tail bounds.  Grid-sampled potentials evaluate by
 nearest-sample lookup (no interpolation) and carry no envelope; lookups
 outside the sampled box are errors.  Their operator norms are one table,
-|V| at every lattice site (:attr:`PotentialSpec.opnorm_table`), which the
-dyadic norms read by the same nearest-site index and take as 0 outside
-the box (:func:`opnorm_in_box`).
+|V| at every lattice site (:attr:`PotentialSpec.opnorm_table`): V is
+constant on the closed cell around each site, and the dyadic norms read
+each cell's |V| from the table and take |V| as 0 outside the box.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +28,10 @@ import numpy as np
 
 from .clifford import build_clifford
 
-PRESETS = ("inverse-square", "complex-inverse-square", "bump", "dyadic-decay", "matrix-mix")
+# preset -> the parameters beyond c that its profile reads
+PRESET_PARAMS = {"inverse-square": (), "complex-inverse-square": (), "bump": ("R",),
+                 "dyadic-decay": ("sigma",), "matrix-mix": ()}
+PRESETS = tuple(PRESET_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -108,18 +111,13 @@ class PotentialSpec:
         return out[0] if squeeze else out
 
     def _lookup(self, x):
-        L = self.grid_L
+        """The sample at the lattice site nearest each point of x, shape (k, n)."""
+        L, M = self.grid_L, self.grid_M
         if np.any(np.abs(x) > L):
             bad = x[np.any(np.abs(x) > L, axis=-1)][0]
             raise ValueError(f"point {bad} outside sampled box [-{L}, {L})^{self.n}")
-        return self.values[self._site_index(x)]
-
-    def _site_index(self, x):
-        """C-order index of the lattice site nearest each point of x, shape (k, n)."""
-        L, M = self.grid_L, self.grid_M
-        h = 2.0 * L / M
-        idx = np.clip(np.round((x + L) / h - 0.5).astype(int), 0, M - 1)
-        return np.ravel_multi_index(idx.T, (M,) * self.n)
+        idx = np.clip(np.round((x + L) / (2.0 * L / M) - 0.5).astype(int), 0, M - 1)
+        return self.values[np.ravel_multi_index(idx.T, (M,) * self.n)]
 
     @cached_property
     def opnorm_table(self):
@@ -146,19 +144,6 @@ class PotentialSpec:
         if self.values is not None:
             h.update(np.ascontiguousarray(self.values).tobytes())
         return h.hexdigest()[:16]
-
-
-def opnorm_in_box(V: PotentialSpec, x):
-    """|V(x)| of a grid-sampled V at points x of shape (k, n), read from its
-    :attr:`~PotentialSpec.opnorm_table`, and 0 outside its box.
-
-    The dyadic norms sample every annulus out to 2^40, beyond the box of
-    most potential files; lookups (``evaluate``) still reject such points.
-    """
-    out = np.zeros(len(x))
-    inside = np.all(np.abs(x) <= V.grid_L, axis=-1)
-    out[inside] = V.opnorm_table[V._site_index(x[inside])]
-    return out
 
 
 def polar_factors(samples):

@@ -2,11 +2,12 @@
 
 Annulus j is {2^(j-1) <= |x| < 2^j}.  The dyadic norm aggregates per-annulus
 L^q norms in ell^p over j; the Morrey-Campanato norms are computed on grid
-fields by radial shell / ball sums.  One engine takes every per-annulus
-norm, from the magnitudes along D rays: a radial profile is one ray, a
-field that is not radial is sampled along 2n + 16 fixed rays.  Sup norms on
-annuli are estimated by iterative sampling refinement, never by quadrature;
-L^2 norms by Gauss-Legendre nodes in r.  The sample counts are fixed.
+fields by radial shell / ball sums.  A radial field's per-annulus norms
+come from its profile in r: sup norms by iterative sampling refinement,
+never by quadrature, L^2 norms by Gauss-Legendre nodes in r, with fixed
+sample counts.  A potential file is read cell by cell: each closed cell
+meets the annuli its radius range meets, and only a weight's sup on that
+overlap is sampled.
 
 Tail policy: when an analytic radial envelope is available (all weight and
 potential presets are radial in operator norm) the annuli outside the
@@ -22,7 +23,10 @@ import numpy as np
 
 from .gridops import GridSpec
 
-WEIGHT_KINDS = ("tau", "w_sigma", "rho1", "rho2", "power")  # the catalogue; "product" composes it
+# the catalogue, each kind with the parameters it reads; "product" composes it
+WEIGHT_PARAMS = {"tau": ("eps",), "w_sigma": ("sigma",), "rho1": ("sigma",),
+                 "rho2": ("eps", "delta"), "power": ("exponent",)}
+WEIGHT_KINDS = tuple(WEIGHT_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -89,9 +93,10 @@ class NormResult:
     aggregated envelope contribution of the omitted annuli (None when no
     envelope was available).  ``value + tail_bound`` is always a valid
     upper estimate; :meth:`rigorous_upper` combines them with the exact
-    ell^p rule instead.  ``samples_per_annulus`` counts the samples of one
-    sup refinement round (q = inf) or the Gauss nodes (q = 2), over all
-    sampled directions.
+    ell^p rule instead.  ``samples_per_annulus`` counts the radii of one
+    sup refinement round (q = inf) or the Gauss nodes (q = 2) of a radial
+    profile; of a file's norm, the radii per round of a weight's sup on one
+    cell's overlap with an annulus (0 without a weight).
     """
 
     value: float
@@ -117,19 +122,10 @@ class NormResult:
 J_RANGE = (-40, 40)  # dyadic annuli 2^j, j in J_RANGE, sampled by default
 
 _J_EXT = 200                # continuation annuli beyond each end of a radial range
-_RADIAL_SUP_SAMPLES = 256   # radii per refinement round of a radial sup
-_RAY_SUP_SAMPLES = 64       # radii per refinement round along each ray
+_SUP_SAMPLES = 256          # radii per refinement round of a sup
 _GAUSS_NODES = 64           # Gauss-Legendre nodes of an L^2 norm
 _SUP_ROUNDS = 3             # refinement rounds of a sup
-_RAY_EXTRA, _RAY_SEED = 16, 7  # seeded random rays beyond the 2n signed axes
 _BLOCK_SAMPLES = 8192       # samples per profile call, about 64 KB per temporary
-
-
-def _directions(n):
-    """The 2n + 16 fixed rays: e_0, -e_0, e_1, ..., then seeded random unit vectors."""
-    axes = np.stack([np.eye(n), 0.0 - np.eye(n)], axis=1).reshape(2 * n, n)
-    random = np.random.default_rng(_RAY_SEED).normal(size=(_RAY_EXTRA, n))
-    return np.concatenate([axes, [v / np.linalg.norm(v) for v in random]])
 
 
 def _sphere_area(n):
@@ -142,25 +138,31 @@ def _annulus_bounds(js):
     return np.ldexp(1.0, js - 1), np.ldexp(1.0, js)
 
 
-def _refined_sup(values, lo, hi, n_samples):
+def _blocks(fn, rows, samples):
+    """``fn`` over blocks of ``rows`` that take ``samples`` samples each, as many rows
+    per call as fit in _BLOCK_SAMPLES samples (at least one), concatenated."""
+    step = max(1, _BLOCK_SAMPLES // samples)
+    return np.concatenate([fn(rows[k:k + step]) for k in range(0, len(rows), step)])
+
+
+def _refined_sup(values, lo, hi):
     """Sup over [lo, hi] per row by log-spaced refinement.
 
-    ``values`` maps radii of shape (J, n_samples) to magnitudes of shape
-    (J, n_samples, D).  Each round samples every row, keeps its running max
-    and narrows the row to the two neighbours of its argmax radius (with 64
-    or more samples, no bracket collapses in 3 rounds).
+    ``values`` maps radii of shape (J, _SUP_SAMPLES) to magnitudes of the
+    same shape.  Each round samples every row, keeps its running max and
+    narrows the row to the two neighbours of its argmax radius (with this
+    many samples, no bracket collapses in 3 rounds).
     """
     best = np.zeros(len(lo))
     rows = np.arange(len(lo))
     for _ in range(_SUP_ROUNDS):
-        r = np.ascontiguousarray(np.geomspace(lo, hi, n_samples, axis=-1))
-        vals = values(r).reshape(len(r), -1)
-        flat = np.argmax(vals, axis=1)
-        top = vals[rows, flat]
+        r = np.ascontiguousarray(np.geomspace(lo, hi, _SUP_SAMPLES, axis=-1))
+        vals = values(r)
+        i = np.argmax(vals, axis=1)
+        top = vals[rows, i]
         best = np.where(top > best, top, best)
-        i = flat // (vals.shape[1] // n_samples)
         lo = r[rows, np.maximum(i - 1, 0)]
-        hi = r[rows, np.minimum(i + 1, n_samples - 1)]
+        hi = r[rows, np.minimum(i + 1, _SUP_SAMPLES - 1)]
     return best
 
 
@@ -180,26 +182,26 @@ def _gauss_nodes(lo, hi):
     return 0.5 * (hi - lo) * t + 0.5 * (hi + lo), 0.5 * (hi - lo) * wts
 
 
-def _annulus_terms(values, js, n, q, n_sup):
-    """Per-annulus L^q norms of ``values``, which maps radii (J, S) to magnitudes (J, S, D):
-    a sup of ``n_sup`` radii per round, or the Gauss L^2 norm of the mean of |.|^2 over rays."""
+def _annulus_terms(profile, js, n, q):
+    """Per-annulus L^q norms of the radial ``profile`` on the annuli ``js``: a refined
+    sup, or the Gauss L^2 norm."""
     lo, hi = _annulus_bounds(js)
     if np.isinf(q):
-        return _refined_sup(values, lo, hi * (1.0 - 1e-9), n_sup)
+        return _refined_sup(lambda r: np.abs(profile(r)), lo, hi * (1.0 - 1e-9))
     r, w = _gauss_nodes(lo, hi)
-    sph_mean = np.mean(values(r) ** 2, axis=-1)
-    return np.sqrt(_sphere_area(n) * np.sum(w * r ** (n - 1) * sph_mean, axis=-1))
+    return np.sqrt(_sphere_area(n) * np.sum(w * r ** (n - 1) * np.abs(profile(r)) ** 2, axis=-1))
 
 
-def _detect_divergence(terms, p):
-    """Partial sums not Cauchy: outward non-decaying significant terms."""
+def _detect_divergence(terms, p, outer=True):
+    """Partial sums not Cauchy: non-decaying significant terms outward from the
+    inner end of the range, or from its outer end if ``outer``."""
     if np.isinf(p) or len(terms) < 8:
         return False
     t = np.asarray(terms)
     peak = t.max()
     if peak == 0.0:
         return False
-    for edge in (t[:6][::-1], t[-6:]):  # outward order at each end
+    for edge in (t[:6][::-1], t[-6:])[:2 if outer else 1]:  # outward order at each end
         if edge[-1] > 1e-10 * peak and np.all(np.diff(edge) > -1e-12 * peak):
             return True
     return False
@@ -212,57 +214,94 @@ def _aggregate(terms, p):
     return float(np.sum(t ** p) ** (1.0 / p))
 
 
-def dyadic_norm(f, p, q, n, j_range=J_RANGE, radial_profile=None) -> NormResult:
-    """ell^p aggregation over dyadic annuli of per-annulus L^q norms.
+def _check_exponents(p, q):
+    if p not in (1, 2, np.inf) or q not in (2, np.inf):
+        raise ValueError(f"need p in (1, 2, inf) and q in (2, inf), got p = {p}, q = {q}")
 
-    ``f`` is a callable on point arrays of shape (k, n) returning nonnegative
-    scalars, sampled along the 2n + 16 fixed rays; for radial fields pass
-    ``radial_profile`` (a function of r) instead, which is one ray evaluated
-    exactly in 1-D and doubles as the tail envelope: the 200 annuli beyond
-    each end of the range give ``tail_bound``.  Both callables receive many
-    annuli per call (radii of shape (J, S), or (J * S * D, n) points); each
-    annulus gets exactly the samples and arithmetic it would get alone.
+
+def dyadic_norm(profile, p, q, n, j_range=J_RANGE) -> NormResult:
+    """ell^p aggregation over dyadic annuli of per-annulus L^q norms of a radial field.
+
+    ``profile`` gives the field's magnitude as a function of r = |x|.  It is
+    evaluated exactly in 1-D and doubles as the tail envelope: the 200 annuli
+    beyond each end of the range give ``tail_bound``.  It receives many
+    annuli per call (radii of shape (J, S)); each annulus gets exactly the
+    samples and arithmetic it would get alone.
 
     A divergent ell^p sum (terms not decaying toward either end of the
     range) is reported with ``diverged=True`` and an infinite value rather
     than a misleading number.
     """
-    if p not in (1, 2, np.inf):
-        raise ValueError(f"p must be 1, 2 or inf, got {p}")
-    if q not in (2, np.inf):
-        raise ValueError(f"q must be 2 or inf, got {q}")
+    _check_exponents(p, q)
     j_min, j_max = int(j_range[0]), int(j_range[1])
     if j_min > j_max:
         raise ValueError(f"empty annulus range {j_range}")
-
-    if radial_profile is not None:
-        ext, n_sup, rays = _J_EXT, _RADIAL_SUP_SAMPLES, 1
-
-        def values(r):
-            return np.abs(radial_profile(r))[..., None]
-    else:
-        dirs = _directions(n)
-        ext, n_sup, rays = 0, _RAY_SUP_SAMPLES, len(dirs)
-
-        def values(r):
-            pts = r[..., None, None] * dirs
-            return np.abs(f(pts.reshape(-1, n))).reshape(r.shape + (rays,))
-    samples = (n_sup if np.isinf(q) else _GAUSS_NODES) * rays
-    chunk = max(1, _BLOCK_SAMPLES // samples)
-    js = np.arange(j_min - ext, j_max + 1 + ext)
-    every = np.concatenate([_annulus_terms(values, js[k:k + chunk], n, q, n_sup)
-                            for k in range(0, len(js), chunk)])
-    terms = every[ext:len(js) - ext]
+    samples = _SUP_SAMPLES if np.isinf(q) else _GAUSS_NODES
+    js = np.arange(j_min - _J_EXT, j_max + 1 + _J_EXT)
+    every = _blocks(lambda block: _annulus_terms(profile, block, n, q), js, samples)
+    terms = every[_J_EXT:len(js) - _J_EXT]
     diverged = _detect_divergence(terms, p)
     value = np.inf if diverged else _aggregate(terms, p)
 
     tail = None
-    if not diverged and ext:
-        ext_terms = np.concatenate([every[:ext], every[len(js) - ext:]])
+    if not diverged:
+        ext_terms = np.concatenate([every[:_J_EXT], every[len(js) - _J_EXT:]])
         if not _detect_divergence(ext_terms, p):
             tail = _aggregate(ext_terms, p)
     return NormResult(value=value, p=float(p), j_min=j_min, j_max=j_max,
                       tail_bound=tail, samples_per_annulus=samples, diverged=diverged)
+
+
+@lru_cache(maxsize=4)
+def _lattice_cells(n, L, M):
+    """Squared-radius range (near, far) of each closed cell of the lattice (n, L, M), in
+    site order, and the orthants it has volume in; exact on dyadic lattices."""
+    a = (2 * np.arange(M) - M) * (L / M)
+    b = (2 * np.arange(M) + 2 - M) * (L / M)
+    sites = np.indices((M,) * n).reshape(n, -1)
+    cells = (np.where(a * b <= 0.0, 0.0, np.minimum(a * a, b * b))[sites].sum(axis=0),
+             np.maximum(a * a, b * b)[sites].sum(axis=0),
+             ((a < 0.0).astype(int) + (b > 0.0))[sites].prod(axis=0))
+    for x in cells:
+        x.setflags(write=False)
+    return cells
+
+
+def cell_dyadic_norm(mag, n, L, M, p, q, weight=None) -> NormResult:
+    """Dyadic ell^p L^q norm over J_RANGE of weight(|x|) mag[c] (weight None: 1) on each
+    closed cell c of the lattice (n, L, M), 0 outside its box: a potential file's norm.
+
+    Cell c meets annulus j when near < 4^j and far >= 4^(j-1).  A sup is the largest
+    mag[c] times the weight's sup on the overlap of the radius ranges; an L^2 norm is
+    the upper bound sqrt(sum_c mag[c]^2 sup w^2 min(vol c, vol(A_j) o_c / 2^n)), o_c the
+    orthants c has volume in.  Beyond the box every term is 0, so only the inner end is
+    checked for divergence; the tail is unknown.
+    """
+    _check_exponents(p, q)
+    js = np.arange(J_RANGE[0], J_RANGE[1] + 1)
+    lo, hi = _annulus_bounds(js)
+    near, far, orthants = _lattice_cells(n, L, M)
+    cells = np.flatnonzero(mag)
+    row, k = np.nonzero((near[cells, None] < hi * hi) & (far[cells, None] >= lo * lo))
+    c = cells[row]  # the (cell, annulus) pairs that meet, by cell, then annulus
+    val = mag[c]
+    if weight is not None and len(c):
+        overlaps = np.stack([np.maximum(np.sqrt(near[c]), lo[k]),
+                             np.minimum(np.sqrt(far[c]), hi[k] * (1.0 - 1e-9))], axis=1)
+        overlaps, pair = np.unique(overlaps, axis=0, return_inverse=True)
+        val = val * _blocks(lambda rows: _refined_sup(lambda r: np.abs(weight(r)), *rows.T),
+                            overlaps, _SUP_SAMPLES)[pair]
+    terms = np.zeros(len(js))
+    if np.isinf(q):
+        np.maximum.at(terms, k, val)
+    else:
+        annulus = _sphere_area(n) / n * hi ** n * (1.0 - 0.5 ** n)
+        share = np.minimum((2.0 * L / M) ** n, annulus[k] * orthants[c] / 2 ** n)
+        terms = np.sqrt(np.bincount(k, weights=val ** 2 * share, minlength=len(js)))
+    diverged = _detect_divergence(terms, p, outer=False)
+    return NormResult(value=np.inf if diverged else _aggregate(terms, p), p=float(p),
+                      j_min=J_RANGE[0], j_max=J_RANGE[1], diverged=diverged,
+                      samples_per_annulus=0 if weight is None else _SUP_SAMPLES)
 
 
 # -- grid-field norms ---------------------------------------------------

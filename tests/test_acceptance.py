@@ -130,8 +130,7 @@ def test_criterion_3_norm_engine(capsys):
         }
         for name, prof in profiles.items():
             for p in (1, 2):
-                res = dyadic_norm(None, p, np.inf, 3, j_range=(-12, 12),
-                                  radial_profile=prof)
+                res = dyadic_norm(prof, p, np.inf, 3, j_range=(-12, 12))
                 oracle = _oracle_dyadic(prof, p, -12, 12)
                 assert res.value == pytest.approx(oracle, rel=1e-2), (name, p)
         l2, half = rho_norms(rho2)

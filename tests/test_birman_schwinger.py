@@ -3,9 +3,10 @@ import pytest
 import scipy.linalg
 
 from spectralcert.birman_schwinger import (factor_on_grid, bs_apply, bs_norm,
-                                           bs_dense, bs_scan, BSScan)
+                                           bs_dense, bs_scan, BSScan, SCAN_CSV_HEADER)
 from spectralcert.gridops import GridSpec, assemble_perturbed, eigenvalues, free_spectrum
 from spectralcert.potential import PotentialSpec
+from spectralcert.report import write_csv
 
 
 def jacobi_svd_top(K, sweeps=60, tol=1e-13):
@@ -149,7 +150,7 @@ def test_scan_basics(tmp_path):
     assert box == (-1.0, 1.0, pytest.approx(0.2), 1.0)
     assert scan.region_bounding_box(threshold=scan.values.max() + 1.0) is None
     path = tmp_path / "scan.csv"
-    scan.to_csv(path)
+    write_csv(path, SCAN_CSV_HEADER, scan.csv_rows())
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "re_z,im_z,norm_estimate,excluded_flag,residual_bound,applies"
     assert len(lines) == 21
@@ -176,7 +177,7 @@ def test_scan_records_residual_bound_and_applies(tmp_path):
     est = bs_norm("schrodinger", 0.0, complex(hit + 1.0, 0.5), factors, GRID, seed=3)
     assert (scan.values[1, 1], scan.residuals[1, 1], scan.applies[1, 1]) == est
     path = tmp_path / "scan.csv"
-    scan.to_csv(path)
+    write_csv(path, SCAN_CSV_HEADER, scan.csv_rows())
     rows = [line.split(",") for line in path.read_text().strip().split("\n")[1:]]
     assert rows[0][2:] == ["nan", "1", "nan", "0"]
     assert rows[3][4:] == [f"{est.residual:.12g}", str(est.applies)]

@@ -303,6 +303,38 @@ def test_cli_library_rules_exit_validation(tmp_path, capsys, command, doc, path)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, doc, key, path", [
+    # each ran at exit 0 or 3 with the key ignored
+    ("norms", {"p": 2, "q": "inf", "weight": {"kind": "tau", "eps": 0.5, "sigma": 3.0}},
+     ("weight", "sigma"), "$.weight.sigma"),
+    ("certify", {"theorem": "2.4", "potential": {"preset": "inverse-square", "R": 2.0}},
+     ("potential", "R"), "$.potential.R"),
+    ("certify", {"theorem": "2.4", "potential": {"preset": "inverse-square", "sigma": 3.0}},
+     ("potential", "sigma"), "$.potential.sigma"),
+    ("certify", {"theorem": "2.3", "eps": 0.1, "potential": {"preset": "bump"}},
+     ("eps",), "$.eps"),
+    ("certify", {"theorem": "2.3", "sigma": 3.0, "potential": {"preset": "bump"}},
+     ("sigma",), "$.sigma"),
+    ("certify", {"theorem": "2.4", "potential": {"preset": "bump", "R": 2.0, "sigma": 3.0}},
+     ("potential", "sigma"), "$.potential.sigma"),
+    ("disks", {"m": 1.0, "j": 1, "weight": {"kind": "rho2"}, "potential": {"preset": "bump"}},
+     ("weight",), "$.weight"),
+])
+def test_cli_rejects_keys_that_are_not_read(tmp_path, capsys, command, doc, key, path):
+    out = tmp_path / "r.json"
+    assert main([command, "--config", _write(tmp_path, "c.json", doc), "--out", str(out)]) \
+        == EXIT_VALIDATION
+    assert f"  - {path}: not read by " in capsys.readouterr().err
+    assert not out.exists()
+    # the same config without that key is valid, and so is any seed
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for k in key[:-1]:
+        parent = parent[k]
+    del parent[key[-1]]
+    parse_config(dict(doc, seed=3), command)
+
+
 def _edit_text_rows(edit):
     def write(V, path):
         save_potential_text(V, path)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from spectralcert.enclosure import J_RANGE, potential_norm
-from spectralcert.potential import (PotentialSpec, polar_factors, opnorm_in_box,
+from spectralcert import weights
+from spectralcert.enclosure import potential_norm
+from spectralcert.potential import (PotentialSpec, polar_factors,
                                     save_potential_text, load_potential_text,
                                     save_potential_binary, load_potential_binary)
-from spectralcert.weights import dyadic_norm
 
 
 def _random_samples(rng, n, N, M):
@@ -125,53 +125,123 @@ def test_grid_sampled_lookup_and_bounds():
         V.radial_opnorm(1.0)
 
 
-def _svd_in_box(V, x):
-    """Reference for a file's |V|: one SVD of the looked-up sample per point, 0 outside the box."""
-    inside = np.all(np.abs(x) <= V.grid_L, axis=-1)
-    return np.array([np.linalg.svd(V.evaluate(p), compute_uv=False)[0] if ok else 0.0
-                     for p, ok in zip(x, inside)])
+# -- file norms, read from the cells ------------------------------------
+
+def _ref_sup(w, lo, hi):
+    # 256 log-spaced radii, narrowed to the neighbours of the largest, 3 rounds
+    best = 0.0
+    for _ in range(3):
+        r = np.geomspace(lo, hi, 256)
+        vals = np.abs(w(r))
+        i = int(np.argmax(vals))
+        best = max(best, float(vals[i]))
+        lo, hi = r[max(i - 1, 0)], r[min(i + 1, 255)]
+    return best
 
 
-def test_opnorm_in_box_is_zero_outside_the_box():
-    # inside the box and on its faces, |V| is the SVD of the sample looked up at each point
-    rng = np.random.default_rng(4)
-    M, L = 4, 2.0
-    inner = rng.uniform(-L, L, size=(40, 3))
-    faces = rng.uniform(-L, L, size=(12, 3))
-    faces[np.arange(12), np.arange(12) % 3] = np.where(np.arange(12) < 6, L, -L)
-    outer = np.array([[2.5, 0.0, 0.0], [0.0, -0.4, -2.0 - 1e-12], [1e6, 1e6, 1e6]])
-    x = np.concatenate([inner, faces, [[L, L, -L], [-L, -L, -L]], outer])
-    for N in (1, 4):
-        V = PotentialSpec.from_samples(3, N, L, M, _random_samples(rng, 3, N, M))
-        got = opnorm_in_box(V, x)
-        assert np.array_equal(got, _svd_in_box(V, x))
-        assert np.count_nonzero(got) == len(x) - len(outer)
-        assert np.array_equal(opnorm_in_box(V, outer), np.zeros(len(outer)))
-        # the lookup itself stays strict
-        with pytest.raises(ValueError):
-            V.evaluate(x)
-        zero = PotentialSpec.from_samples(3, N, L, M, np.zeros((M ** 3, N, N)))
-        assert np.array_equal(opnorm_in_box(zero, x), np.zeros(len(x)))
+def _ref_file_norm(V, w, p, q):
+    """A file's dyadic norm over annuli -40..40, one cell and one annulus at a time:
+    |V| is the top singular value of the sample looked up at the cell's site."""
+    from scipy.special import gamma
+    L, M = V.grid_L, V.grid_M
+    h = 2.0 * L / M
+    area = 2.0 * np.pi ** 1.5 / gamma(1.5)
+    terms = np.zeros(81)
+    for site in range(M ** 3):
+        idx = np.unravel_index(site, (M,) * 3)
+        near = far = 0.0
+        orthants = 1
+        for i in idx:
+            a, b = -L + i * h, -L + (i + 1) * h
+            near += 0.0 if a <= 0.0 <= b else min(a * a, b * b)
+            far += max(a * a, b * b)
+            orthants *= (a < 0.0) + (b > 0.0)
+        point = -L + (np.array(idx) + 0.5) * h
+        mag = np.linalg.svd(V.evaluate(point), compute_uv=False)[0]
+        for k, j in enumerate(range(-40, 41)):
+            lo, hi = 2.0 ** (j - 1), 2.0 ** j
+            if mag == 0.0 or not (near < hi * hi and far >= lo * lo):
+                continue
+            sup = 1.0 if w is None else _ref_sup(w, max(np.sqrt(near), lo),
+                                                 min(np.sqrt(far), hi * (1.0 - 1e-9)))
+            if np.isinf(q):
+                terms[k] = max(terms[k], mag * sup)
+            else:
+                annulus = area / 3 * (8.0 ** j * 0.875)
+                terms[k] += (mag * sup) ** 2 * min(h ** 3, annulus * orthants / 8)
+    if not np.isinf(q):
+        terms = np.sqrt(terms)
+    return weights._aggregate(terms, p)
+
+
+def _bumpy_weight(r):
+    return np.abs(np.sin(3.0 * np.log(r))) * r + 0.1 * r
 
 
 @pytest.mark.parametrize("N", [1, 4])
-@pytest.mark.parametrize("w, p, q", [(None, np.inf, np.inf), (lambda r: r, 1, 2)])
+@pytest.mark.parametrize("w, p, q", [(None, np.inf, np.inf), (lambda r: r, 1, 2),
+                                     (_bumpy_weight, 1, np.inf), (_bumpy_weight, np.inf, 2)])
 def test_file_norm_reads_the_svd_of_each_site(N, w, p, q):
     rng = np.random.default_rng(5)
     V = PotentialSpec.from_samples(3, N, 2.0, 4, _random_samples(rng, 3, N, 4))
-
-    def reference(pts):
-        inside = np.all(np.abs(pts) <= V.grid_L, axis=-1)
-        mag = np.zeros(len(pts))
-        mag[inside] = np.linalg.svd(V.evaluate(pts[inside]), compute_uv=False)[:, 0]
-        return mag if w is None else w(np.linalg.norm(pts, axis=-1)) * mag
-
     got = potential_norm(V, w, p, q)
-    want = dyadic_norm(reference, p, q, 3, j_range=J_RANGE)
-    assert got.value == want.value > 0.0
-    assert got.tail_bound is None
+    assert got.value == _ref_file_norm(V, w, p, q) > 0.0
+    assert got.tail_bound is None and not got.diverged
     zero = PotentialSpec.from_samples(3, N, 2.0, 4, np.zeros((4 ** 3, N, N)))
     assert potential_norm(zero, w, p, q).value == 0.0
+
+
+def test_every_single_cell_file_reads_its_value():
+    # n = 3, M = 8, L = 4: one cell holds 1 and every other 0; the sup is 1 wherever it is
+    for site in range(8 ** 3):
+        values = np.zeros((8 ** 3, 1, 1))
+        values[site] = 1.0
+        assert potential_norm(PotentialSpec.from_samples(3, 1, 4.0, 8, values)).value == 1.0
+
+
+def test_odd_lattice_centre_cell_has_volume_in_every_orthant():
+    # M = 3, L = 1.5: the centre cell [-1/2, 1/2]^3 holds |V| = 2 and straddles the origin.
+    # Annuli j <= -1 lie inside it, so their L^2 norms are exact, 2 sqrt(vol A_j); annulus 0
+    # meets it in volume 1 - pi/6 and is bounded by the cell's volume 1; annulus 1 begins at
+    # |x| = 1, beyond the corner at sqrt(3)/2.
+    values = np.zeros((27, 1, 1))
+    values[13] = 2.0
+    V = PotentialSpec.from_samples(3, 1, 1.5, 3, values)
+    inner = 4.0 * np.pi / 3.0 * (2.0 ** -3 - 2.0 ** -123)  # vol A_j summed over j = -40 ... -1
+    res = potential_norm(V, p=2, q=2)
+    assert res.value == pytest.approx(2.0 * np.sqrt(inner + 1.0), rel=1e-12)
+    assert potential_norm(V, p=np.inf, q=2).value == pytest.approx(2.0, rel=1e-12)
+    assert potential_norm(V, p=np.inf, q=np.inf).value == 2.0
+
+
+def test_closed_cell_meets_an_annulus_at_a_single_radius():
+    # n = 1, M = 2, L = 1: the cell [0, 1] holds 2 and meets annulus 1 = [1, 2) only at
+    # |x| = 1, where the weight r reaches 1; on annulus 0 it stays below 1
+    V = PotentialSpec.from_samples(1, 1, 1.0, 2, np.array([0.0, 2.0]).reshape(2, 1, 1))
+    assert potential_norm(V, lambda r: r, p=np.inf, q=np.inf).value == 2.0
+
+
+def _bench_like_file(mag):
+    # n = 3, M = 4, L = 2^41: the 8 cells at the origin hold |V| = mag and contain every
+    # annulus j <= 40; the other cells, beyond 2^41, hold larger random values
+    rng = np.random.default_rng(2)
+    values = 3.0 * mag * (rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4)))
+    values[1:3, 1:3, 1:3] = mag * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(2, 2, 2)))
+    return PotentialSpec.from_samples(3, 1, 2.0 ** 41, 4, values.reshape(64, 1, 1))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_file_l2_norm_is_the_finite_cell_sum(p):
+    # the terms grow toward the box's outer annuli, and beyond it they are 0: only the
+    # inner end of the range is checked for divergence
+    mag = 0.7
+    js = np.arange(-40, 41)
+    terms = mag * np.sqrt(4.0 * np.pi / 3.0 * 0.875 * 8.0 ** js)
+    res = potential_norm(_bench_like_file(mag), p=p, q=2)
+    assert not res.diverged and res.tail_bound is None
+    assert res.value == pytest.approx(np.sum(terms ** p) ** (1.0 / p), rel=1e-12)
+    # without a weight, the sups near the origin do not decay: the ell^1 sum diverges at 0
+    assert potential_norm(_bench_like_file(mag), p=p, q=np.inf).diverged
 
 
 def test_content_hash_sensitivity():

@@ -74,7 +74,7 @@ def test_product_weight():
 def test_indicator_annulus_l1_linf():
     # indicator of annulus j=1 has ell^1 L^inf norm exactly 1
     prof = lambda r: ((r >= 1.0) & (r < 2.0)).astype(float)
-    res = dyadic_norm(None, 1, np.inf, 3, j_range=(-5, 5), radial_profile=prof)
+    res = dyadic_norm(prof, 1, np.inf, 3, j_range=(-5, 5))
     assert res.value == pytest.approx(1.0)
     assert res.tail_bound == pytest.approx(0.0)
 
@@ -82,7 +82,7 @@ def test_indicator_annulus_l1_linf():
 def test_power_profile_against_oracle():
     # |x|^-1 on annuli: sup over annulus j is 2^(1-j)
     prof = lambda r: 1.0 / r
-    res = dyadic_norm(None, np.inf, np.inf, 3, j_range=(0, 10), radial_profile=prof)
+    res = dyadic_norm(prof, np.inf, np.inf, 3, j_range=(0, 10))
     assert res.value == pytest.approx(2.0, rel=1e-9)
     oracle = oracle_dyadic_radial(prof, np.inf, np.inf, 3, 0, 10)
     assert res.value == pytest.approx(oracle, rel=1e-6)
@@ -91,7 +91,7 @@ def test_power_profile_against_oracle():
 def test_l2_annulus_against_closed_form():
     # f = 1 on R^3: L^2 norm over annulus j is sqrt(4pi (hi^3-lo^3)/3)
     prof = lambda r: np.ones_like(r)
-    res = dyadic_norm(None, np.inf, 2, 3, j_range=(1, 1), radial_profile=prof)
+    res = dyadic_norm(prof, np.inf, 2, 3, j_range=(1, 1))
     expect = np.sqrt(4 * np.pi * (8.0 - 1.0) / 3.0)
     assert res.value == pytest.approx(expect, rel=1e-10)
 
@@ -103,26 +103,34 @@ def test_engine_matches_oracle_random_profiles(p, q):
         a = rng.uniform(0.3, 2.0)
         b = rng.uniform(0.3, 1.5)
         prof = lambda r: a / ((1.0 + r) ** 2) + b * r ** 0.3 * np.exp(-r)
-        res = dyadic_norm(None, p, q, 3, j_range=(-8, 8), radial_profile=prof)
+        res = dyadic_norm(prof, p, q, 3, j_range=(-8, 8))
         oracle = oracle_dyadic_radial(prof, p, q, 3, -8, 8)
         assert res.value == pytest.approx(oracle, rel=1e-2)
 
 
+def _unit_origin_cells():
+    # n = 3, M = 4, L = 2^41: the 8 cells [0, +-2^41]^3 hold 1 and contain every annulus
+    # j <= 40; every other cell holds 0
+    mag = np.zeros((4, 4, 4))
+    mag[1:3, 1:3, 1:3] = 1.0
+    return mag.ravel(), 3, 2.0 ** 41, 4
+
+
 def test_nonradial_sampler_agrees_with_radial_path():
-    prof = lambda r: 1.0 / (1.0 + r) ** 2
-
-    def f(pts):
-        return prof(np.linalg.norm(pts, axis=-1))
-
-    a = dyadic_norm(None, 1, np.inf, 3, j_range=(-6, 6), radial_profile=prof)
-    b = dyadic_norm(f, 1, np.inf, 3, j_range=(-6, 6))
-    assert b.value == pytest.approx(a.value, rel=1e-6)
-    assert b.tail_bound is None  # no envelope without a radial profile
+    # a file read cell by cell agrees with the radial path where its cells cover the annuli
+    prof = lambda r: r / (1.0 + r) ** 3
+    one = lambda r: np.ones_like(r)
+    for weight, q, p in ((prof, np.inf, 1), (None, 2, np.inf)):
+        a = dyadic_norm(one if weight is None else prof, p, q, 3)
+        b = weights.cell_dyadic_norm(*_unit_origin_cells(), p, q, weight)
+        assert b.value == pytest.approx(a.value, rel=1e-12)
+        assert not b.diverged
+        assert b.tail_bound is None  # no envelope without a radial profile
 
 
 def test_divergence_detected():
     prof = lambda r: np.ones_like(r)  # constant: ell^1 of sups diverges
-    res = dyadic_norm(None, 1, np.inf, 3, j_range=(-20, 20), radial_profile=prof)
+    res = dyadic_norm(prof, 1, np.inf, 3, j_range=(-20, 20))
     assert res.diverged
     assert np.isinf(res.value)
     assert np.isinf(res.rigorous_upper())
@@ -130,8 +138,8 @@ def test_divergence_detected():
 
 def test_tail_bound_and_rigorous_upper():
     prof = lambda r: r / (1.0 + r) ** 4
-    res = dyadic_norm(None, 1, np.inf, 3, j_range=(-3, 3), radial_profile=prof)
-    wide = dyadic_norm(None, 1, np.inf, 3, j_range=(-40, 40), radial_profile=prof)
+    res = dyadic_norm(prof, 1, np.inf, 3, j_range=(-3, 3))
+    wide = dyadic_norm(prof, 1, np.inf, 3, j_range=(-40, 40))
     assert res.tail_bound > 0.0
     # narrow value + tail covers the wide value
     assert res.rigorous_upper() >= wide.value - 1e-12
@@ -148,10 +156,9 @@ def test_sup_tail_combines_by_max():
 def test_holder_consistency():
     # ell^1 >= ell^2 >= ell^inf for the same per-annulus terms
     prof = lambda r: np.exp(-r) / (0.1 + r)
-    kw = dict(j_range=(-10, 10), radial_profile=prof)
-    v1 = dyadic_norm(None, 1, np.inf, 3, **kw).value
-    v2 = dyadic_norm(None, 2, np.inf, 3, **kw).value
-    vi = dyadic_norm(None, np.inf, np.inf, 3, **kw).value
+    v1 = dyadic_norm(prof, 1, np.inf, 3, j_range=(-10, 10)).value
+    v2 = dyadic_norm(prof, 2, np.inf, 3, j_range=(-10, 10)).value
+    vi = dyadic_norm(prof, np.inf, np.inf, 3, j_range=(-10, 10)).value
     assert v1 >= v2 * (1 - 1e-12) >= vi * (1 - 1e-12)
 
 
@@ -159,16 +166,12 @@ def test_weighted_sup_norm_paths():
     prof = lambda r: 1.0 / (1.0 + r)
     w = WeightSpec("power", exponent=1.0)
     wprof = lambda r: w.radial(r) * prof(r)
-    a = dyadic_norm(None, np.inf, np.inf, 3, radial_profile=wprof)
+    a = dyadic_norm(wprof, np.inf, np.inf, 3)
     # r/(1+r) -> 1 monotonically
     assert a.value == pytest.approx(1.0, rel=1e-6)
 
-    def wf(pts):
-        return wprof(np.linalg.norm(pts, axis=-1))
-
-    a10 = dyadic_norm(None, np.inf, np.inf, 3, j_range=(-10, 10), radial_profile=wprof)
-    b = dyadic_norm(wf, np.inf, np.inf, 3, j_range=(-10, 10))
-    assert b.value == pytest.approx(a10.value, rel=1e-4)
+    b = weights.cell_dyadic_norm(*_unit_origin_cells(), np.inf, np.inf, wprof)
+    assert b.value == pytest.approx(a.value, rel=1e-12)
 
 
 # -- reference: the engine one annulus per profile call -----------------
@@ -190,54 +193,30 @@ def _ref_sup(values, lo, hi, n_samples, rounds):
     return best
 
 
-def _ref_directions(n):
-    # 2n signed axes, then 16 unit vectors from a normal draw seeded with 7
-    dirs = [s * e for e in np.eye(n) for s in (1.0, -1.0)]
-    rng = np.random.default_rng(7)
-    for _ in range(16):
-        v = rng.normal(size=n)
-        dirs.append(v / np.linalg.norm(v))
-    return np.array(dirs)
-
-
-def _ref_annulus(j, n, q, profile=None, f=None, dirs=None, n_radial=64, rounds=3):
+def _ref_annulus(j, n, q, profile, rounds=3):
     from scipy.special import gamma
     area = 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
     lo, hi = 2.0 ** (j - 1), 2.0 ** j
-    if profile is not None:
-        if np.isinf(q):
-            return _ref_sup(lambda r: np.abs(profile(r)), lo, hi * (1.0 - 1e-9), 256, rounds)
-        t, wts = np.polynomial.legendre.leggauss(64)
-        r = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
-        w = 0.5 * (hi - lo) * wts
-        return float(np.sqrt(area * np.sum(w * r ** (n - 1) * np.abs(profile(r)) ** 2)))
-
-    def values(r):
-        pts = r[:, None, None] * dirs[None, :, :]
-        return np.abs(f(pts.reshape(-1, n))).reshape(len(r), len(dirs))
-
     if np.isinf(q):
-        return _ref_sup(values, lo, hi * (1.0 - 1e-9), n_radial, rounds)
-    t, wts = np.polynomial.legendre.leggauss(n_radial)
+        return _ref_sup(lambda r: np.abs(profile(r)), lo, hi * (1.0 - 1e-9), 256, rounds)
+    t, wts = np.polynomial.legendre.leggauss(64)
     r = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
     w = 0.5 * (hi - lo) * wts
-    sph_mean = np.mean(values(r) ** 2, axis=1)
-    return float(np.sqrt(area * np.sum(w * r ** (n - 1) * sph_mean)))
+    return float(np.sqrt(area * np.sum(w * r ** (n - 1) * np.abs(profile(r)) ** 2)))
 
 
-def reference_dyadic_norm(f, p, q, n, j_range=(-40, 40), radial_profile=None):
+def reference_dyadic_norm(profile, p, q, n, j_range=(-40, 40)):
     j_min, j_max = j_range
     j_ext = 200
-    dirs = _ref_directions(n)
 
     def annulus(j):
-        return _ref_annulus(j, n, q, radial_profile, f, dirs)
+        return _ref_annulus(j, n, q, profile)
 
     terms = [annulus(j) for j in range(j_min, j_max + 1)]
     diverged = weights._detect_divergence(terms, p)
     value = np.inf if diverged else weights._aggregate(terms, p)
     tail = None
-    if not diverged and radial_profile is not None:
+    if not diverged:
         ext = [annulus(j) for j in range(j_min - j_ext, j_min)]
         ext += [annulus(j) for j in range(j_max + 1, j_max + 1 + j_ext)]
         if not weights._detect_divergence(ext, p):
@@ -245,9 +224,9 @@ def reference_dyadic_norm(f, p, q, n, j_range=(-40, 40), radial_profile=None):
     return value, tail, diverged
 
 
-def _assert_same_as_reference(f, p, q, n, **kw):
-    res = dyadic_norm(f, p, q, n, **kw)
-    value, tail, diverged = reference_dyadic_norm(f, p, q, n, **kw)
+def _assert_same_as_reference(profile, p, q, n, **kw):
+    res = dyadic_norm(profile, p, q, n, **kw)
+    value, tail, diverged = reference_dyadic_norm(profile, p, q, n, **kw)
     assert res.value == value
     assert res.tail_bound == tail
     assert res.diverged == diverged
@@ -260,40 +239,28 @@ def _bumpy(r):
 
 @pytest.mark.parametrize("p,q", [(1, np.inf), (np.inf, np.inf), (2, 2), (np.inf, 2)])
 def test_batched_radial_matches_reference(p, q):
-    _assert_same_as_reference(None, p, q, 3, radial_profile=_bumpy)
+    _assert_same_as_reference(_bumpy, p, q, 3)
     rho = WeightSpec("rho2", eps=0.5, delta=0.5)
-    _assert_same_as_reference(None, p, q, 3, radial_profile=rho.radial, j_range=(-5, 7))
-
-
-@pytest.mark.parametrize("q", [np.inf, 2])
-def test_batched_directional_matches_reference(q):
-    def f(pts):
-        r = np.linalg.norm(pts, axis=-1)
-        return _bumpy(r) * (1.0 + 0.5 * np.tanh(pts[:, 0] - pts[:, 2]))
-
-    _assert_same_as_reference(f, 1, q, 3, j_range=(-6, 6))
-    _assert_same_as_reference(f, 2, q, 4, j_range=(-3, 2))
+    _assert_same_as_reference(rho.radial, p, q, 3, j_range=(-5, 7))
 
 
 def test_batched_constant_profile_matches_reference():
     # a constant: the argmax is the first sample of every row, and the sums diverge
     one = lambda r: np.ones_like(r)
-    res = _assert_same_as_reference(None, 1, np.inf, 3, radial_profile=one, j_range=(-20, 20))
+    res = _assert_same_as_reference(one, 1, np.inf, 3, j_range=(-20, 20))
     assert res.diverged
-    _assert_same_as_reference(None, np.inf, np.inf, 3, radial_profile=one, j_range=(-3, 3))
+    _assert_same_as_reference(one, np.inf, np.inf, 3, j_range=(-3, 3))
 
 
 def test_batched_single_annulus_and_ragged_ranges():
-    _assert_same_as_reference(None, 1, np.inf, 3, radial_profile=_bumpy, j_range=(1, 1))
-    _assert_same_as_reference(None, 2, 2, 3, radial_profile=_bumpy, j_range=(1, 1))
-    f = lambda pts: _bumpy(np.linalg.norm(pts, axis=-1))
-    _assert_same_as_reference(f, 1, np.inf, 3, j_range=(1, 1))
+    _assert_same_as_reference(_bumpy, 1, np.inf, 3, j_range=(1, 1))
+    _assert_same_as_reference(_bumpy, 2, 2, 3, j_range=(1, 1))
     # lengths that are not multiples of the annuli per profile call: 32 for a
-    # radial sup, 5 for 64 samples along each of 22 rays
-    assert weights._BLOCK_SAMPLES // 256 == 32 and weights._BLOCK_SAMPLES // (64 * 22) == 5
-    assert (2 * 200 + 37) % 32 and 7 % 5
-    _assert_same_as_reference(None, 1, np.inf, 3, radial_profile=_bumpy, j_range=(-18, 18))
-    _assert_same_as_reference(f, 1, 2, 3, j_range=(-3, 3))
+    # sup, 128 for an L^2 norm
+    assert weights._BLOCK_SAMPLES // 256 == 32 and weights._BLOCK_SAMPLES // 64 == 128
+    assert (2 * 200 + 37) % 32 and (2 * 200 + 37) % 128
+    _assert_same_as_reference(_bumpy, 1, np.inf, 3, j_range=(-18, 18))
+    _assert_same_as_reference(_bumpy, 1, 2, 3, j_range=(-18, 18))
 
 
 def test_radial_norm_evaluates_many_annuli_per_call():
@@ -303,7 +270,7 @@ def test_radial_norm_evaluates_many_annuli_per_call():
         calls.append(r.shape)
         return _bumpy(r)
 
-    dyadic_norm(None, 1, np.inf, 3, radial_profile=profile)
+    dyadic_norm(profile, 1, np.inf, 3)
     assert len(calls) == 3 * math.ceil(481 / 32)
     assert sum(np.prod(s) for s in calls) == 481 * 3 * 256
 
@@ -318,23 +285,13 @@ def test_samples_per_annulus_counts_the_samples_taken(q, rounds):
         points.append(r.size)
         return _bumpy(r)
 
-    res = dyadic_norm(None, 1, q, 3, radial_profile=profile)
+    res = dyadic_norm(profile, 1, q, 3)
     assert res.samples_per_annulus * 481 * rounds == sum(points)
     assert res.samples_per_annulus == (256 if np.isinf(q) else 64)
-    # direction-sampled: 7 annuli, 64 radii along each of the 2n + 16 rays
-    points.clear()
-
-    def field(pts):
-        points.append(len(pts))
-        return _bumpy(np.linalg.norm(pts, axis=-1))
-
-    res = dyadic_norm(field, 1, q, 3, j_range=(-3, 3))
-    assert res.samples_per_annulus == 64 * 22
-    assert res.samples_per_annulus * 7 * rounds == sum(points)
 
 
 def test_norm_result_is_frozen():
-    res = dyadic_norm(None, 1, np.inf, 3, radial_profile=_bumpy, j_range=(0, 2))
+    res = dyadic_norm(_bumpy, 1, np.inf, 3, j_range=(0, 2))
     with pytest.raises(dataclasses.FrozenInstanceError):
         res.value = 0.0
 
@@ -416,6 +373,6 @@ def test_morrey_y_definition():
 
 def test_invalid_pq():
     with pytest.raises(ValueError):
-        dyadic_norm(None, 3, np.inf, 3, radial_profile=lambda r: r)
+        dyadic_norm(lambda r: r, 3, np.inf, 3)
     with pytest.raises(ValueError):
-        dyadic_norm(None, 1, 1, 3, radial_profile=lambda r: r)
+        dyadic_norm(lambda r: r, 1, 1, 3)
