@@ -7,15 +7,16 @@ for a range of coupling strengths straddling the threshold.
 
 import numpy as np
 
-from spectralcert import PotentialSpec, WeightSpec, certify, eval_constants
+from spectralcert import PotentialSpec, WeightSpec, certify
+from spectralcert.enclosure import c1_constant, c2_constant, c3_constant
 
 rho = WeightSpec("rho2", eps=0.5, delta=0.5)
 
 # the closed-form constants for dimension 3, mass 1, with the analytic
 # weight-norm bounds (2, 1)
-rep = eval_constants(3, 1.0, rho_l2linf=2.0, rho_halfpower_linf=1.0)
-print(f"C1 = {rep.C1:.6g}   C2 = {rep.C2:.6g}   C3 = {rep.C3:.6g}")
-print(f"certifiable coupling threshold ~ 1/C1 = {1.0 / rep.C1:.3e}\n")
+C1 = c1_constant(3, 1.0, 2.0, 1.0)
+print(f"C1 = {C1:.6g}   C2 = {c2_constant(3):.6g}   C3 = {c3_constant(3, 2.0, 1.0):.6g}")
+print(f"certifiable coupling threshold ~ 1/C1 = {1.0 / C1:.3e}\n")
 
 print(f"{'coupling':>12} {'norm upper':>12} {'C1 * norm':>12}  verdict")
 for c in np.geomspace(1e-7, 1e-4, 7):

@@ -10,12 +10,11 @@ the complex plane.
 
 from .clifford import CliffordRep, build_clifford, anticommutator_defect, dirac_symbol
 from .potential import PotentialSpec, polar_factors
-from .weights import WeightSpec, NormResult, weight_eval, dyadic_norm, morrey_norms
-from .enclosure import (ConstantsReport, Certificate, DiskPair, eval_constants, potential_norm,
-                        certify, enclosure_disks)
+from .weights import WeightSpec, NormResult, dyadic_norm, morrey_norms
+from .enclosure import Certificate, DiskPair, potential_norm, certify, enclosure_disks
 from .gridops import (GridSpec, FieldOnGrid, apply_free_operator, apply_free_resolvent,
                       assemble_perturbed, dense_spectrum, eigenvalues)
 from .birman_schwinger import BSScan, NormEstimate, bs_apply, bs_norm, bs_scan, bs_dense
-from .bench import BenchReport, run_bench, uniformity_probe
+from .bench import BenchReport, run_bench
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ pass/fail is declared.
 
 ``_ESTIMATES`` is the single place where an estimate is declared: its
 operator kind, its mass rule, its two sides and its constant.
-``ESTIMATE_IDS``, ``REPORT_ONLY`` and ``estimate_kind`` are read from it.
+``ESTIMATE_IDS`` and ``REPORT_ONLY`` are read from it.
 """
 
 from dataclasses import dataclass, replace
@@ -194,10 +194,6 @@ ESTIMATE_IDS = tuple(_ESTIMATES)
 REPORT_ONLY = tuple(est for est, spec in _ESTIMATES.items() if spec.constant is None)
 
 
-def estimate_kind(est):
-    return _ESTIMATES[est].kind
-
-
 def _ratio(spec, ctx, z, f: FieldOnGrid):
     """LHS / RHS of one inequality with the analytic constant removed."""
     u = apply_free_resolvent(spec.kind, ctx.m, z, f)
@@ -208,23 +204,17 @@ def _ratio(spec, ctx, z, f: FieldOnGrid):
     return lhs / rhs
 
 
-def _estimate_setup(estimate, grid, m):
-    """(table entry, grid, context) of one estimate: the box of ``grid`` with the
-    kind's spinor size, at mass 0 for a massless estimate."""
+def run_bench(estimate, grid, m=1.0, trials=100, seed=0) -> BenchReport:
+    """Worst LHS/RHS ratio of one estimate over random trials on ``default_z_arc``.
+
+    The trials run on the box of ``grid`` with the kind's spinor size, at mass 0
+    for a massless estimate.
+    """
     if estimate not in _ESTIMATES:
         raise ValueError(f"unknown estimate id {estimate!r}; known: {ESTIMATE_IDS}")
     spec = _ESTIMATES[estimate]
     grid = replace(grid, N=spinor_size(spec.kind, grid.n))
-    return spec, grid, _Context(grid, 0.0 if spec.massless else m)
-
-
-def run_bench(estimate, grid, m=1.0, trials=100, seed=0) -> BenchReport:
-    """Worst LHS/RHS ratio of one estimate over random trials on ``default_z_arc``.
-
-    Needs a Dirac-compatible grid for the Dirac estimates (N = 2^ceil(n/2));
-    scalar estimates use an N = 1 view of the same box.
-    """
-    spec, grid, ctx = _estimate_setup(estimate, grid, m)
+    ctx = _Context(grid, 0.0 if spec.massless else m)
     zs = default_z_arc(grid, spec.kind, ctx.m)
     rng = np.random.default_rng(seed)
     max_ratio, discarded = 0.0, 0
@@ -245,26 +235,3 @@ def run_bench(estimate, grid, m=1.0, trials=100, seed=0) -> BenchReport:
                        max_ratio=max_ratio, paper_constant=const, slack=SLACK,
                        passed=passed, grid=grid, m=ctx.m)
 
-
-def uniformity_probe(estimate, grid, m, z_path, trials_per_z=3, seed=0):
-    """Ratio series along a path of z values; flags a growth trend > 2x.
-
-    Returns (z_path, ratios, trend_flag): ratios[i] is the max ratio over the
-    trials at z_path[i]; the flag compares the medians of the last and first
-    quarters of the path.
-    """
-    spec, grid, ctx = _estimate_setup(estimate, grid, m)
-    rng = np.random.default_rng(seed)
-    fields = [random_band_limited_field(grid, rng) for _ in range(trials_per_z)]
-    ratios = []
-    for z in z_path:
-        best = 0.0
-        for f in fields:
-            r = _ratio(spec, ctx, complex(z), f)
-            if r is not None and np.isfinite(r):
-                best = max(best, r)
-        ratios.append(best)
-    ratios = np.array(ratios)
-    q = max(len(ratios) // 4, 1)
-    trend = bool(np.median(ratios[-q:]) > 2.0 * np.median(ratios[:q]) > 0.0)
-    return list(z_path), ratios, trend

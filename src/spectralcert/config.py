@@ -1,12 +1,13 @@
 """Strict parsing and validation of run configurations.
 
 Configs are JSON documents.  ``_KEYS`` is the one table of config keys, each
-with its check and its value when absent; ``_COMMAND_DEFAULTS`` holds where a
-command's default differs.  Names to choose from, the parameters each one
-reads and rules that a library object owns are read from the module that
-owns them.  Unknown keys and unread parameters are fatal, and every problem
-is reported at once with its path, so a typo in a weight parameter cannot
-silently produce a wrong certificate.
+with its check and its value when absent; ``_COMMAND_KEYS`` names the keys
+each command requires and the others it reads, and ``_COMMAND_DEFAULTS``
+holds where a command's default differs.  Names to choose from, the
+parameters each one reads and rules that a library object owns are read from
+the module that owns them.  Unknown keys and unread parameters are fatal, and
+every problem is reported at once with its path, so a typo in a weight
+parameter cannot silently produce a wrong certificate.
 """
 
 import json
@@ -163,28 +164,20 @@ _KEYS = {
     "q": (_choice({2: 2.0, "inf": math.inf}), None),
 }
 
+# command -> (the keys it requires, the other keys it reads)
 _COMMAND_KEYS = {
-    "certify": {"theorem", "kind", "n", "m", "potential", "weight", "eps", "sigma", "seed"},
-    "disks": {"n", "m", "j", "potential", "weight", "seed"},
-    "scan": {"kind", "n", "m", "potential", "grid", "rectangle", "resolution", "seed"},
-    "eig": {"kind", "n", "m", "potential", "grid", "seed"},
-    "bench": {"estimate", "n", "m", "trials", "grid", "seed"},
-    "norms": {"n", "potential", "weight", "p", "q", "seed"},
-}
-
-_REQUIRED = {
-    "certify": {"theorem", "potential"},
-    "disks": {"m", "potential"},
-    "scan": {"kind", "potential", "grid", "rectangle", "resolution"},
-    "eig": {"kind", "potential", "grid"},
-    "bench": {"estimate"},
-    "norms": {"p", "q"},
+    "certify": ({"theorem", "potential"}, {"kind", "n", "m", "weight", "eps", "sigma", "seed"}),
+    "disks": ({"m", "potential"}, {"n", "j", "weight", "seed"}),
+    "scan": ({"kind", "potential", "grid", "rectangle", "resolution"}, {"n", "m", "seed"}),
+    "eig": ({"kind", "potential", "grid"}, {"n", "m", "seed"}),
+    "bench": ({"estimate"}, {"n", "m", "trials", "grid", "seed"}),
+    "norms": ({"p", "q"}, {"n", "potential", "weight", "seed"}),
 }
 
 _COMMAND_DEFAULTS = {"bench": {"m": 1.0, "grid": {"L": 8.0, "M": 32}}}
 
-_DOCUMENT = {cmd: _object({k: _KEYS[k][0] for k in keys}, _REQUIRED[cmd])
-             for cmd, keys in _COMMAND_KEYS.items()}
+_DOCUMENT = {cmd: _object({k: _KEYS[k][0] for k in required | other}, sorted(required))
+             for cmd, (required, other) in _COMMAND_KEYS.items()}
 
 
 def _unread(path, given, table, item, owner):

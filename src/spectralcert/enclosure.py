@@ -38,20 +38,6 @@ THEOREM_PARAMS = {**{theorem: (param,) for theorem, (_, param, _) in QUALITATIVE
 DEFAULT_RHO = WeightSpec("rho2", eps=0.5, delta=0.5)  # the weight rho when none is given
 
 
-@dataclass(frozen=True)
-class ConstantsReport:
-    """The closed-form constants for given dimension, mass and weight norms."""
-
-    n: int
-    m: float
-    C1: float
-    C2: float
-    C3: float
-    kato_yajima: float
-    rho_l2linf: float
-    rho_halfpower_linf: float = None
-
-
 @dataclass
 class DiskPair:
     """Two closed disks on the real axis confining the massive Dirac point spectrum."""
@@ -134,31 +120,6 @@ def rho_norms(rho: WeightSpec):
     l2 = dyadic_norm(rho.radial, 2, np.inf, 3)
     half = dyadic_norm(lambda r: r ** 0.5 * rho.radial(r), np.inf, np.inf, 3)
     return l2, half
-
-
-def eval_constants(n, m, rho=None, rho_l2linf=None, rho_halfpower_linf=None) -> ConstantsReport:
-    """Closed-form arithmetic evaluation of C1, C2, C3 and the Kato-Yajima constant.
-
-    The weight norms may be given directly (e.g. the analytic bounds 2 and 1
-    for rho = (|x|^(-1/2)+|x|^(1/2))^(-1)) or computed from a WeightSpec.
-    """
-    check_dimension(n)
-    if m < 0:
-        raise ValueError("mass must be nonnegative")
-    if rho_l2linf is None:
-        if rho is None:
-            raise ValueError("need either a weight or its precomputed norms")
-        l2, half = rho_norms(rho)
-        rho_l2linf = l2.rigorous_upper()
-        rho_halfpower_linf = half.rigorous_upper()
-    C2 = c2_constant(n)
-    C1 = c1_constant(n, m, rho_l2linf, rho_halfpower_linf)
-    C3 = (c3_constant(n, rho_l2linf, rho_halfpower_linf)
-          if rho_halfpower_linf is not None else None)
-    return ConstantsReport(n=n, m=m, C1=C1, C2=C2, C3=C3,
-                           kato_yajima=kato_yajima_constant(n),
-                           rho_l2linf=rho_l2linf,
-                           rho_halfpower_linf=rho_halfpower_linf)
 
 
 def potential_norm(V: PotentialSpec, w=None, p=np.inf, q=np.inf) -> NormResult:

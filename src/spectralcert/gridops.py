@@ -12,9 +12,8 @@ Every use of H_0 goes through one :class:`FreeOperator` per (kind, m, grid),
 cached by :func:`free_operator`.  It builds the symbol once, measures the
 distance of z from the discrete symbol set (``gap``), lists the free
 spectrum, and applies forward and resolvent multipliers with one FFT -
-multiply - inverse FFT, with or without a leading batch axis.  Dense
-matrices of those multipliers are gathered from their translation-invariant
-kernels.
+multiply - inverse FFT.  Dense matrices of those multipliers are gathered
+from their translation-invariant kernels.
 
 Dense spectra (:func:`dense_spectrum`) split H_V by the lattice reflections
 i -> M-1-i that commute with it exactly, and solve each block on its own.
@@ -132,11 +131,11 @@ class FieldOnGrid:
 
 
 def _fft(grid, boxed):
-    return np.fft.fftn(boxed, axes=tuple(range(boxed.ndim - 1 - grid.n, boxed.ndim - 1)))
+    return np.fft.fftn(boxed, axes=tuple(range(grid.n)))
 
 
 def _ifft(grid, boxed):
-    return np.fft.ifftn(boxed, axes=tuple(range(boxed.ndim - 1 - grid.n, boxed.ndim - 1)))
+    return np.fft.ifftn(boxed, axes=tuple(range(grid.n)))
 
 
 def _reflect(a, axis):
@@ -208,10 +207,8 @@ class FreeOperator:
         return np.swapaxes(np.conj(block, out=block), -1, -2) if adjoint else block
 
     def apply(self, block, values):
-        """FFT over the lattice axes, multiply by ``block``, inverse FFT.
-
-        ``values`` has shape (M,)*n + (N,), optionally after a leading batch axis.
-        """
+        """FFT over the lattice axes of ``values`` (shape (M,)*n + (N,)), multiply by
+        ``block``, inverse FFT."""
         spec = _fft(self.grid, values)
         if self.matrix is None:
             out = block[..., None] * spec
@@ -291,9 +288,8 @@ def assemble_perturbed(kind, m, V, grid: GridSpec):
     """Dense matrix of H_V = H_0 + V on the grid basis (point-major, spinor-minor).
 
     H_0 is gathered from its translation-invariant kernel (:meth:`FreeOperator.dense`).
-    V is a PotentialSpec, its samples from :func:`potential_on_grid`, or None
-    for H_0; it is added to the diagonal blocks.  Grids above DENSE_SIZE_LIMIT
-    are rejected.
+    V is a PotentialSpec, or None for H_0; its samples from :func:`potential_on_grid`
+    are added to the diagonal blocks.  Grids above DENSE_SIZE_LIMIT are rejected.
     """
     D = grid.size
     if D > DENSE_SIZE_LIMIT:
@@ -302,7 +298,7 @@ def assemble_perturbed(kind, m, V, grid: GridSpec):
     op = free_operator(kind, m, grid)
     H = op.dense(op.forward_block())
     if V is not None:
-        samples = potential_on_grid(V, grid) if isinstance(V, PotentialSpec) else V
+        samples = potential_on_grid(V, grid)
         sites = np.arange(grid.M ** grid.n)
         H.reshape(len(sites), grid.N, len(sites), grid.N)[sites, :, sites, :] += samples
     return H

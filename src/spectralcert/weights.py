@@ -23,7 +23,7 @@ import numpy as np
 
 from .gridops import GridSpec
 
-# the catalogue, each kind with the parameters it reads; "product" composes it
+# the catalogue, each kind with the parameters it reads
 WEIGHT_PARAMS = {"tau": ("eps",), "w_sigma": ("sigma",), "rho1": ("sigma",),
                  "rho2": ("eps", "delta"), "power": ("exponent",)}
 WEIGHT_KINDS = tuple(WEIGHT_PARAMS)
@@ -38,7 +38,6 @@ class WeightSpec:
     rho1:    (1+|log|x||)^(-sigma/2)
     rho2:    (|x|^-eps + |x|^delta)^-1
     power:   |x|^exponent
-    product: pointwise product of other WeightSpecs
     """
 
     kind: str
@@ -46,10 +45,9 @@ class WeightSpec:
     sigma: float = 2.0
     delta: float = 0.5
     exponent: float = 1.0
-    factors: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in WEIGHT_KINDS and self.kind != "product":
+        if self.kind not in WEIGHT_KINDS:
             raise ValueError(f"unknown weight kind {self.kind!r}")
         if self.kind == "tau" and not self.eps > 0:
             raise ValueError("tau weight needs eps > 0")
@@ -68,21 +66,7 @@ class WeightSpec:
             return (1.0 + np.abs(np.log(r))) ** (-self.sigma / 2.0)
         if self.kind == "rho2":
             return 1.0 / (r ** -self.eps + r ** self.delta)
-        if self.kind == "power":
-            return r ** self.exponent
-        out = np.ones_like(r)
-        for w in self.factors:
-            out = out * w.radial(r)
-        return out
-
-
-def weight_eval(w: WeightSpec, x):
-    """Weight value at points x (shape (n,) or (k, n)); rejects x = 0."""
-    x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(x, axis=-1)
-    if np.any(r == 0.0):
-        raise ValueError("weights are singular or vanishing at the origin; x must be nonzero")
-    return w.radial(r)
+        return r ** self.exponent
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from spectralcert.bench import (ESTIMATE_IDS, REPORT_ONLY, run_bench,
-                                uniformity_probe, random_band_limited_field,
-                                default_z_arc, estimate_kind, _bracket)
+from spectralcert import bench
+from spectralcert.bench import (ESTIMATE_IDS, REPORT_ONLY, run_bench, random_band_limited_field,
+                                default_z_arc, _bracket)
 from spectralcert.gridops import GridSpec
 
 FAST_GRID = GridSpec(n=3, L=8.0, M=16, N=1)
@@ -13,9 +13,9 @@ def test_estimate_catalogue():
     assert len(ESTIMATE_IDS) == 17
     for est in REPORT_ONLY:
         assert est in ESTIMATE_IDS
-    assert estimate_kind("KY") == "schrodinger"
-    assert estimate_kind("L3.1-KG") == "klein_gordon"
-    assert estimate_kind("L3.6-dyadic") == "dirac"
+    assert bench._ESTIMATES["KY"].kind == "schrodinger"
+    assert bench._ESTIMATES["L3.1-KG"].kind == "klein_gordon"
+    assert bench._ESTIMATES["L3.6-dyadic"].kind == "dirac"
 
 
 def test_band_limited_field_properties():
@@ -73,23 +73,6 @@ def test_bench_deterministic():
 def test_bench_unknown_estimate():
     with pytest.raises(ValueError):
         run_bench("nope", grid=FAST_GRID)
-
-
-def test_uniformity_probe_flat_for_uniform_estimate():
-    path = [0.2 * 1j + 0.1 * k for k in range(1, 9)]
-    zs, ratios, trend = uniformity_probe("KY", FAST_GRID, 0.0, path,
-                                         trials_per_z=2, seed=0)
-    assert len(ratios) == len(path)
-    assert np.all(ratios > 0.0)
-    assert trend in (True, False)
-
-
-def test_uniformity_probe_deterministic():
-    path = [0.7 + 0.4j, 1.5 + 0.2j]
-    _, r1, t1 = uniformity_probe("KY", FAST_GRID, 0.0, path, trials_per_z=3, seed=1)
-    _, r2, t2 = uniformity_probe("KY", FAST_GRID, 0.0, path, trials_per_z=3, seed=1)
-    assert np.array_equal(r1, r2)
-    assert t1 == t2
 
 
 PINNED_GRID = GridSpec(n=3, L=8.0, M=8)

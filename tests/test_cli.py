@@ -7,7 +7,7 @@ import pytest
 
 from spectralcert.cli import main, EXIT_OK, EXIT_VALIDATION, EXIT_COMPUTE, EXIT_INCONCLUSIVE
 from spectralcert.config import parse_config, ConfigError
-from spectralcert.enclosure import eval_constants
+from spectralcert.enclosure import c2_constant, rho_norms
 from spectralcert.potential import PotentialSpec, save_potential_binary, save_potential_text
 from spectralcert.report import canonical_json, make_report, write_report
 from spectralcert.weights import WeightSpec
@@ -224,9 +224,8 @@ def test_cli_bench_explicit_zero_mass(tmp_path):
     res = json.loads(open(out).read())["results"]
     assert res["m"] == 0.0
     # the massless constant 2 C2 |rho|^2, not the massive one
-    constants = eval_constants(3, 0.0, rho=WeightSpec("rho2", eps=0.5, delta=0.5))
-    assert res["paper_constant"] == pytest.approx(2.0 * constants.C2 * constants.rho_l2linf ** 2,
-                                                  rel=1e-11)
+    rho_l2 = rho_norms(WeightSpec("rho2", eps=0.5, delta=0.5))[0].rigorous_upper()
+    assert res["paper_constant"] == pytest.approx(2.0 * c2_constant(3) * rho_l2 ** 2, rel=1e-11)
     del doc["m"]
     assert main(["bench", "--config", _write(tmp_path, "b.json", doc), "--out", out]) == EXIT_OK
     assert json.loads(open(out).read())["results"]["m"] == 1.0

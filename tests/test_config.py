@@ -36,10 +36,17 @@ def test_echo_reparses_to_an_equal_config(command):
 
 
 def test_every_command_key_has_a_table_entry():
-    for command, keys in config._COMMAND_KEYS.items():
-        assert keys <= set(config._KEYS), command
-        assert config._REQUIRED[command] <= keys, command
-        assert set(config._COMMAND_DEFAULTS.get(command, {})) <= keys, command
+    for command, (required, other) in config._COMMAND_KEYS.items():
+        assert not required & other, command
+        assert required | other <= set(config._KEYS), command
+        assert set(config._COMMAND_DEFAULTS.get(command, {})) <= required | other, command
+
+
+def test_missing_required_keys_are_listed_in_a_fixed_order():
+    with pytest.raises(ConfigError) as e:
+        parse_config({}, "scan")
+    assert e.value.errors == [f"$.{k}: required"
+                              for k in ("grid", "kind", "potential", "rectangle", "resolution")]
 
 
 def test_bench_defaults():

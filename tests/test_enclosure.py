@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spectralcert.enclosure import (c1_constant, c2_constant, c3_constant,
-                                    kato_yajima_constant, rho_norms, eval_constants,
+                                    kato_yajima_constant, rho_norms,
                                     n1_norm, n2_norm, certify, disk_pair,
                                     enclosure_disks, DiskPair)
 from spectralcert.potential import PotentialSpec
@@ -54,17 +54,6 @@ def test_rho2_analytic_bounds():
     # sharp: |x|^1/2 rho = r/(1+r) -> 1, so the sup is essentially 1
     assert half.value == pytest.approx(1.0, rel=1e-6)
     assert l2.value == pytest.approx(1.3010, rel=1e-3)
-
-
-def test_eval_constants_from_given_norms():
-    rep = eval_constants(3, 1.0, rho_l2linf=2.0, rho_halfpower_linf=1.0)
-    assert rep.C2 == pytest.approx(c2_constant(3))
-    assert rep.C1 == pytest.approx(c1_constant(3, 1.0, 2.0, 1.0))
-    assert rep.C3 == pytest.approx(c3_constant(3, 2.0, 1.0))
-    with pytest.raises(ValueError):
-        eval_constants(2, 0.0, rho_l2linf=1.0)
-    with pytest.raises(ValueError):
-        eval_constants(3, -1.0, rho_l2linf=1.0)
 
 
 def test_n1_norm_inverse_square():
@@ -120,6 +109,17 @@ def test_certify_massless_dyadic():
     assert cert.verdict == "stable"
     with pytest.raises(ValueError):
         certify("2.4", small, m=1.0)
+
+
+# N_1 of c |x|^-1 (1+|log|x||)^-sigma is infinite at sigma = 1 (a harmonic series);
+# at sigma = 2, c = 1.486e-5 the sum over |j| <= 1e5 alone gives 2 C2 N_1 = 1.0033.
+# The dyadic tail stops 200 annuli past the sampled range and the divergence check
+# only sees terms that do not decay, so both read stable (2 C2 N_1 = 0.785, 0.9991).
+@pytest.mark.xfail(strict=True, reason="dyadic tail truncated; slow decay is not detected")
+@pytest.mark.parametrize("sigma,c", [(1.0, 3e-6), (2.0, 1.486e-5)])
+def test_certify_massless_dyadic_decay_not_stable(sigma, c):
+    V = PotentialSpec.preset("dyadic-decay", 3, 4, c=c, sigma=sigma)
+    assert certify("2.4", V, m=0.0).verdict != "stable"
 
 
 def test_certify_qualitative_always_inconclusive():

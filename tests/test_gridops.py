@@ -143,19 +143,6 @@ def test_free_operator_gap_brute_force(kind, m, N):
         op.resolvent_block(hit)
 
 
-@pytest.mark.parametrize("kind,m,N", KIND_CASES)
-def test_free_operator_batched_apply_bitwise(kind, m, N):
-    g = GridSpec(n=3, L=2.0, M=4, N=N)
-    op = free_operator(kind, m, g)
-    fields = [_rand_field(g, s) for s in range(5)]
-    stack = np.stack([f.boxed() for f in fields])
-    for block in (op.forward_block(), op.resolvent_block(0.4 + 0.3j),
-                  op.resolvent_block(0.4 + 0.3j, adjoint=True)):
-        batched = op.apply(block, stack)
-        for k, f in enumerate(fields):
-            assert np.array_equal(batched[k], op.apply(block, f.boxed()))
-
-
 def test_free_operator_builds_clifford_once(monkeypatch):
     calls = []
 

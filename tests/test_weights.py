@@ -6,7 +6,7 @@ import pytest
 
 from spectralcert import weights
 from spectralcert.gridops import GridSpec
-from spectralcert.weights import (WeightSpec, NormResult, weight_eval, dyadic_norm,
+from spectralcert.weights import (WeightSpec, NormResult, dyadic_norm,
                                   grid_dyadic_norm, morrey_norms)
 
 
@@ -56,19 +56,6 @@ def test_weight_validation():
         WeightSpec("rho2", eps=0.5, delta=0.0)
     with pytest.raises(ValueError):
         WeightSpec("unknown")
-
-
-def test_weight_eval_rejects_origin():
-    w = WeightSpec("power", exponent=-1.0)
-    with pytest.raises(ValueError):
-        weight_eval(w, np.zeros((2, 3)))
-    assert weight_eval(w, np.array([2.0, 0.0, 0.0])) == pytest.approx(0.5)
-
-
-def test_product_weight():
-    w = WeightSpec("product", factors=(WeightSpec("power", exponent=1.0),
-                                       WeightSpec("power", exponent=-0.5)))
-    assert w.radial(4.0) == pytest.approx(2.0)
 
 
 def test_indicator_annulus_l1_linf():
