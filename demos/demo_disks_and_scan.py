@@ -27,7 +27,7 @@ print(f"scanning ||K_z|| on a 12x9 lattice over [-2,2]x[-1,1] "
       f"(grid dimension {grid.size})...")
 scan = bs_scan("dirac", 1.0, V, grid, (-2.0, 2.0, -1.0, 1.0), (12, 9), seed=0)
 print(f"max norm estimate: {np.nanmax(scan.values):.3e}")
-box = scan.region_bounding_box(threshold=1.0)
+box = scan.region_bounding_box()
 print(f"region with ||K_z|| >= 1: {'empty' if box is None else box}")
 print("-> eigenvalues can only live where the norm reaches 1, so the "
       "point spectrum off the real axis is empty at this coupling.")

@@ -4,16 +4,16 @@ V = B* A with the pointwise polar factors of :func:`polar_factors`.  On the
 finite-dimensional discretization every factor is bounded, so K_z and K_z*
 are one composition, left R right*: pointwise multiplication by right*, the
 multiplier resolvent R = R_0(z) (or R_0(z)*), and pointwise multiplication
-by left, with (left, right) = (A, B) (or (B, A)).  The operator norm comes
+by left, with (left, right) = (A, B) (or (B, A)), on flat (D,) vectors; only
+the resolvent step takes a :class:`FieldOnGrid`.  The operator norm comes
 from Golub-Kahan-Lanczos bidiagonalization of K_z from one seeded start
-vector, with full reorthogonalization, and is returned as a
-:class:`NormEstimate`.  It stops on a residual bound: the top Ritz value
-theta is a lower bound on ||K_z||, and some singular value of K_z lies
-within the residual r of theta.  No gap term is used, because the top
-singular value of the Dirac K_z is doubly degenerate.
-Scans evaluate the norm on a lattice of z values over a rectangle, record
-each point's r / theta and bs_apply count, and record the empirical region
-where the norm reaches 1.
+vector, with full reorthogonalization, as a :class:`NormEstimate`.  It stops
+on a residual bound: the top Ritz value theta is a lower bound on ||K_z||,
+and some singular value of K_z lies within the residual r of theta.  No gap
+term is used, because the top singular value of the Dirac K_z is doubly
+degenerate.  Scans evaluate the norm on a lattice of z values over a
+rectangle, record each point's r / theta and bs_apply count, and record the
+bounding box of the points where the norm reaches 1.
 """
 
 from dataclasses import dataclass
@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gridops import (EXCLUSION_MARGIN, GridSpec, FieldOnGrid, apply_free_resolvent,
-                      free_operator, potential_on_grid)
+from .gridops import (EXCLUSION_MARGIN, GridSpec, apply_free_resolvent, free_operator,
+                      potential_on_grid)
 from .potential import PotentialSpec, polar_factors
 
 
@@ -31,19 +31,20 @@ def factor_on_grid(V: PotentialSpec, grid: GridSpec):
     return polar_factors(potential_on_grid(V, grid))
 
 
-def bs_apply(kind, m, z, factors, f: FieldOnGrid, adjoint=False) -> FieldOnGrid:
-    """K_z f = A R_0(z) B* f, or with ``adjoint`` K_z* f = B R_0(z)* A* f.
+def bs_apply(kind, m, z, factors, grid: GridSpec, v, adjoint=False):
+    """K_z v = A R_0(z) B* v, or with ``adjoint`` K_z* v = B R_0(z)* A* v, on flat (D,) vectors.
 
     ``factors`` is the (A_pts, B_pts) pair from :func:`factor_on_grid`.  Both
     are left R right* with (left, right) = (A, B), or (B, A) and R_0(z)*.
     """
     left, right = factors[::-1] if adjoint else factors
-    g = f.grid.field(np.einsum("pab,pb->pa", np.conj(np.swapaxes(right, -1, -2)), f.values))
+    g = grid.field(np.einsum("pba,pb->pa", np.conj(right), v.reshape(-1, grid.N)))
     g = apply_free_resolvent(kind, m, z, g, adjoint=adjoint)
-    return f.grid.field(np.einsum("pab,pb->pa", left, g.values))
+    return np.einsum("pab,pb->pa", left, g.values).ravel()
 
 
-SCAN_TOL = 1e-4  # relative residual bound r / theta at which a scan stops each point
+SCAN_TOL = 1e-4  # relative residual bound r / theta at which bs_norm stops
+MAX_STEPS = 64  # Lanczos steps (two bs_apply calls each) before bs_norm gives up
 _BREAKDOWN = 1e-13  # alpha or beta at most this times theta: the Krylov space is invariant
 
 
@@ -62,23 +63,22 @@ def _reorthogonalize(basis, w):
     return w
 
 
-def bs_norm(kind, m, z, factors, grid: GridSpec, tol=SCAN_TOL, seed=0,
-            max_iter=64) -> NormEstimate:
+def bs_norm(kind, m, z, factors, grid: GridSpec, seed=0) -> NormEstimate:
     """Largest singular value of K_z by Golub-Kahan-Lanczos bidiagonalization.
 
     Step k extends K V_k = U_k B_k and K* U_k = V_k B_k* + beta_k v_{k+1} e_k^T
     from one seeded start vector, B_k upper bidiagonal with diagonal alpha and
     superdiagonal beta, fully reorthogonalized.  With B_k = P diag(s) Q*, the
     top Ritz triplet (theta = s_1, U_k p_1, V_k q_1) has residual
-    r = beta_k |e_k^T p_1|.  Stops when r is at most ``tol`` times theta, or
+    r = beta_k |e_k^T p_1|.  Stops when r is at most SCAN_TOL times theta, or
     when the Krylov space becomes invariant (then theta is exact; ``K_z = 0``
     gives 0.0).  theta never exceeds ||K_z||, and some singular value of K_z
-    lies in [theta - r, theta + r].  ``max_iter`` counts Lanczos steps (two
-    bs_apply calls each) and is capped at ``grid.size``.  Raises RuntimeError
+    lies in [theta - r, theta + r].  Takes at most MAX_STEPS steps, capped at
+    ``grid.size``; both constants are read at call time.  Raises RuntimeError
     on non-convergence with the last Ritz values and relative residuals attached.
     """
     D = grid.size
-    steps = min(max_iter, D)
+    steps = min(MAX_STEPS, D)
     rng = np.random.default_rng(seed)
     v = rng.normal(size=D) + 1j * rng.normal(size=D)
     v /= np.linalg.norm(v)
@@ -88,7 +88,7 @@ def bs_norm(kind, m, z, factors, grid: GridSpec, tol=SCAN_TOL, seed=0,
     theta, history = 0.0, []
     for k in range(steps):
         V[k] = v
-        u = bs_apply(kind, m, z, factors, grid.field(v)).values.ravel()
+        u = bs_apply(kind, m, z, factors, grid, v)
         if k:
             u = u - B[k - 1, k] * U[k - 1]
         u = _reorthogonalize(U[:k], u)
@@ -99,19 +99,19 @@ def bs_norm(kind, m, z, factors, grid: GridSpec, tol=SCAN_TOL, seed=0,
             return NormEstimate(float(s[0]), 0.0, 2 * k + 1)
         B[k, k] = alpha
         U[k] = u / alpha
-        w = bs_apply(kind, m, z, factors, grid.field(U[k]), adjoint=True).values.ravel()
+        w = bs_apply(kind, m, z, factors, grid, U[k], adjoint=True)
         w = _reorthogonalize(V[:k + 1], w - alpha * v)
         beta = float(np.linalg.norm(w))
         P, s, _ = np.linalg.svd(B[:k + 1, :k + 1])
         theta = float(s[0])
         residual = beta * float(abs(P[k, 0]))
         history.append((theta, residual / theta))
-        if residual <= tol * theta or beta <= _BREAKDOWN * theta:
+        if residual <= SCAN_TOL * theta or beta <= _BREAKDOWN * theta:
             return NormEstimate(theta, residual / theta, 2 * k + 2)
         if k + 1 < steps:
             B[k, k + 1] = beta
             v = w / beta
-    raise RuntimeError(f"Golub-Kahan-Lanczos did not reach residual {tol} * theta in {steps} "
+    raise RuntimeError(f"Golub-Kahan-Lanczos did not reach residual {SCAN_TOL} * theta in {steps} "
                        f"steps; last (theta, r/theta) {history[-5:]}")
 
 
@@ -142,16 +142,12 @@ class BSScan:
         R, I = np.meshgrid(self.re, self.im)
         return R + 1j * I
 
-    def region_mask(self, threshold=1.0):
-        """Sample points with norm estimate >= threshold (excluded points are False)."""
+    def region_bounding_box(self):
+        """(re_min, re_max, im_min, im_max) of the evaluated points with norm estimate >= 1."""
         with np.errstate(invalid="ignore"):
-            return np.where(self.excluded, False, self.values >= threshold)
-
-    def region_bounding_box(self, threshold=1.0):
-        mask = self.region_mask(threshold)
-        if not mask.any():
+            z = self.z_lattice()[~self.excluded & (self.values >= 1.0)]
+        if not z.size:
             return None
-        z = self.z_lattice()[mask]
         return (float(z.real.min()), float(z.real.max()),
                 float(z.imag.min()), float(z.imag.max()))
 
@@ -171,10 +167,9 @@ def bs_scan(kind, m, V: PotentialSpec, grid: GridSpec, rectangle, resolution,
     instead of evaluated.  Each evaluated point also records its relative
     residual bound and its bs_apply count.
     """
-    re_min, re_max, im_min, im_max = rectangle
     n_re, n_im = resolution
-    re = np.linspace(re_min, re_max, n_re)
-    im = np.linspace(im_min, im_max, n_im)
+    re = np.linspace(*rectangle[:2], n_re)
+    im = np.linspace(*rectangle[2:], n_im)
     factors = factor_on_grid(V, grid)
     op = free_operator(kind, m, grid)
     values = np.full((n_im, n_re), np.nan)
@@ -188,6 +183,5 @@ def bs_scan(kind, m, V: PotentialSpec, grid: GridSpec, rectangle, resolution,
                 excluded[i, k] = True
             else:
                 values[i, k], residuals[i, k], applies[i, k] = bs_norm(
-                    kind, m, z, factors, grid, tol=SCAN_TOL, seed=seed)
-    return BSScan(re=re, im=im, values=values, excluded=excluded, residuals=residuals,
-                  applies=applies)
+                    kind, m, z, factors, grid, seed=seed)
+    return BSScan(re, im, values, excluded, residuals, applies)

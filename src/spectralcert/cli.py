@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 validation error, 2 computational error,
 """
 
 import argparse
+import contextlib
 from dataclasses import asdict
+import json
 import sys
 import time
 
@@ -144,14 +146,15 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 
+    if args.seed is not None:  # checked with the document; a non-object keeps its own error
+        with contextlib.suppress(json.JSONDecodeError):
+            doc = json.loads(text)
+            text = {**doc, "seed": args.seed} if isinstance(doc, dict) else text
     try:
         cfg = parse_config(text, args.command)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.raw["seed"] = args.seed
 
     out = args.out or (args.config.rsplit(".json", 1)[0] + "_report.json")
     t0 = time.monotonic()

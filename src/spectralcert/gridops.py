@@ -121,9 +121,6 @@ class FieldOnGrid:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field has non-finite entries")
 
-    def l2_norm(self):
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume))
-
     def boxed(self):
         """Values reshaped to (M,)*n + (N,)."""
         g = self.grid

@@ -21,7 +21,8 @@ def test_estimate_catalogue():
 def test_band_limited_field_properties():
     rng = np.random.default_rng(0)
     f = random_band_limited_field(FAST_GRID, rng)
-    assert f.l2_norm() == pytest.approx(1.0, rel=1e-12)
+    l2 = np.sqrt(np.sum(np.abs(f.values) ** 2) * FAST_GRID.cell_volume)
+    assert l2 == pytest.approx(1.0, rel=1e-12)
     # supported strictly inside |x| < L/2
     outside = FAST_GRID.radii >= FAST_GRID.L / 2.0
     assert np.abs(f.values[outside]).max() == 0.0

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from spectralcert import birman_schwinger
 from spectralcert.birman_schwinger import (factor_on_grid, bs_apply, bs_norm,
                                            bs_dense, bs_scan, BSScan, SCAN_CSV_HEADER)
 from spectralcert.gridops import GridSpec, assemble_perturbed, eigenvalues, free_spectrum
@@ -63,41 +66,45 @@ def test_dense_matches_matrix_free_apply():
         factors = factor_on_grid(V, g)
         z = 0.4 + 0.9j
         K = bs_dense(kind, m, z, factors, g)
-        f = g.field(rng.normal(size=(g.size,)) + 1j * rng.normal(size=(g.size,)))
-        out = bs_apply(kind, m, z, factors, f)
-        assert np.abs(K @ f.values.ravel() - out.values.ravel()).max() < 1e-12
+        v = rng.normal(size=(g.size,)) + 1j * rng.normal(size=(g.size,))
+        out = bs_apply(kind, m, z, factors, g, v)
+        assert out.shape == (g.size,)
+        assert np.abs(K @ v - out).max() < 1e-12
         # adjoint application matches K^H
-        outs = bs_apply(kind, m, z, factors, f, adjoint=True)
-        assert np.abs(K.conj().T @ f.values.ravel() - outs.values.ravel()).max() < 1e-12
+        outs = bs_apply(kind, m, z, factors, g, v, adjoint=True)
+        assert np.abs(K.conj().T @ v - outs).max() < 1e-12
 
 
-def test_norm_against_jacobi_oracle():
+def test_norm_against_jacobi_oracle(monkeypatch):
+    monkeypatch.setattr(birman_schwinger, "SCAN_TOL", 1e-8)
     factors = factor_on_grid(V_SCALAR, GRID)
     for z in (0.4 + 0.9j, -1.0 + 0.25j, 2.0 - 0.5j):
         K = bs_dense("schrodinger", 0.0, z, factors, GRID)
         oracle = jacobi_svd_top(K)
-        est = bs_norm("schrodinger", 0.0, z, factors, GRID, tol=1e-8).value
+        est = bs_norm("schrodinger", 0.0, z, factors, GRID).value
         assert est == pytest.approx(oracle, rel=1e-4)
 
 
-def test_norm_against_jacobi_oracle_dirac():
+def test_norm_against_jacobi_oracle_dirac(monkeypatch):
+    monkeypatch.setattr(birman_schwinger, "SCAN_TOL", 1e-8)
     g = GridSpec(n=3, L=2.0, M=2, N=4)
     V = PotentialSpec.preset("matrix-mix", 3, 4, c=0.5 + 0.3j)
     factors = factor_on_grid(V, g)
     z = 0.3 + 0.6j
     K = bs_dense("dirac", 1.0, z, factors, g)
-    assert bs_norm("dirac", 1.0, z, factors, g, tol=1e-8).value == \
+    assert bs_norm("dirac", 1.0, z, factors, g).value == \
         pytest.approx(jacobi_svd_top(K), rel=1e-4)
 
 
-def test_norm_scales_linearly_in_coupling():
+def test_norm_scales_linearly_in_coupling(monkeypatch):
+    monkeypatch.setattr(birman_schwinger, "SCAN_TOL", 1e-9)
     z = 0.5 + 0.5j
     a = bs_norm("schrodinger", 0.0, z,
                 factor_on_grid(PotentialSpec.preset("bump", 2, 1, c=1.0), GRID),
-                GRID, tol=1e-9).value
+                GRID).value
     b = bs_norm("schrodinger", 0.0, z,
                 factor_on_grid(PotentialSpec.preset("bump", 2, 1, c=3.0), GRID),
-                GRID, tol=1e-9).value
+                GRID).value
     assert b == pytest.approx(3.0 * a, rel=1e-6)
 
 
@@ -144,11 +151,14 @@ def test_scan_basics(tmp_path):
     factors = factor_on_grid(V_SCALAR, GRID)
     direct = bs_norm("schrodinger", 0.0, complex(z[2, 3]), factors, GRID, seed=1).value
     assert scan.values[2, 3] == pytest.approx(direct, rel=1e-6)
-    mask = scan.region_mask(threshold=scan.values.min() - 1.0)
+    mask = ~scan.excluded & (scan.values >= scan.values.min() - 1.0)
     assert mask.all()
-    box = scan.region_bounding_box(threshold=scan.values.min() - 1.0)
+    # the box covers the points at norm >= 1: shift every value to >= 1, then below 1
+    box = dataclasses.replace(scan, values=scan.values - scan.values.min() + 1.0)\
+        .region_bounding_box()
     assert box == (-1.0, 1.0, pytest.approx(0.2), 1.0)
-    assert scan.region_bounding_box(threshold=scan.values.max() + 1.0) is None
+    assert dataclasses.replace(scan, values=scan.values - scan.values.max())\
+        .region_bounding_box() is None
     path = tmp_path / "scan.csv"
     write_csv(path, SCAN_CSV_HEADER, scan.csv_rows())
     lines = path.read_text().strip().split("\n")
@@ -216,9 +226,10 @@ def test_norm_of_zero_operator_is_zero():
     assert est == (0.0, 0.0, 1)
 
 
-def test_rank_deficient_operator_stops_at_breakdown():
-    # V vanishes at all but 3 of 16 points, so K_z has rank 3; with tol = 0 only
+def test_rank_deficient_operator_stops_at_breakdown(monkeypatch):
+    # V vanishes at all but 3 of 16 points, so K_z has rank 3; with SCAN_TOL = 0 only
     # an invariant Krylov space can stop the iteration
+    monkeypatch.setattr(birman_schwinger, "SCAN_TOL", 0.0)
     A, B = factor_on_grid(V_SCALAR, GRID)
     keep = np.zeros((GRID.M ** GRID.n, 1, 1))
     keep[[2, 7, 11]] = 1.0
@@ -226,21 +237,21 @@ def test_rank_deficient_operator_stops_at_breakdown():
     z = 0.4 + 0.9j
     K = bs_dense("schrodinger", 0.0, z, factors, GRID)
     assert np.linalg.matrix_rank(K) == 3
-    est = bs_norm("schrodinger", 0.0, z, factors, GRID, tol=0.0)
+    est = bs_norm("schrodinger", 0.0, z, factors, GRID)
     assert est.value == pytest.approx(scipy.linalg.svdvals(K)[0], rel=1e-12)
     assert est.applies <= 2 * 4
 
 
-def test_too_few_steps_raise():
+def test_too_few_steps_raise(monkeypatch):
+    monkeypatch.setattr(birman_schwinger, "MAX_STEPS", 2)
     factors = factor_on_grid(PotentialSpec.preset("matrix-mix", 3, 4, c=0.45 + 0.25j), DIRAC_GRID)
     with pytest.raises(RuntimeError, match="did not reach residual"):
-        bs_norm("dirac", 1.0, 1.8 + 0.01j, factors, DIRAC_GRID, max_iter=2)
+        bs_norm("dirac", 1.0, 1.8 + 0.01j, factors, DIRAC_GRID)
 
 
 def test_norm_needs_few_applies(monkeypatch):
     # every application of K_z or K_z* goes through bs_apply; the three-restart
     # power iteration made 60 here
-    from spectralcert import birman_schwinger
     calls = []
     original = birman_schwinger.bs_apply
 

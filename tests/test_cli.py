@@ -274,6 +274,23 @@ def test_cli_seed_override_echoed(tmp_path):
     assert rep["config"]["seed"] == 9
 
 
+SCAN_CFG = {"kind": "schrodinger", "n": 3, "m": 0.0,
+            "potential": {"preset": "bump", "c": 2.0, "R": 2.5, "N": 1},
+            "grid": {"L": 3.0, "M": 4},
+            "rectangle": {"re_min": -1.0, "re_max": 1.0, "im_min": 0.3, "im_max": 0.9},
+            "resolution": {"n_re": 2, "n_im": 1}}
+
+
+@pytest.mark.parametrize("command,doc,seed", [("certify", CERT_CFG, "-5"),
+                                              ("scan", SCAN_CFG, "-1")])
+def test_cli_seed_override_is_validated_with_the_config(tmp_path, capsys, command, doc, seed):
+    cfg = _write(tmp_path, "c.json", doc)
+    out = tmp_path / "c_rep.json"
+    assert main([command, "--config", cfg, "--out", str(out), "--seed", seed]) == EXIT_VALIDATION
+    assert f"$.seed: value {seed} below minimum 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_reports_byte_identical(tmp_path):
     cfg = _write(tmp_path, "c.json", CERT_CFG)
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
