@@ -21,7 +21,7 @@ print(f"free Dirac spectrum: {len(free)} eigenvalues, "
 print(f"{'coupling':>10} {'max |Im|':>12} {'closest to gap':>16}")
 for c in (0.0, 0.5, 2.0, 2.0 + 4.0j):
     V = PotentialSpec.preset("matrix-mix", 3, 4, c=c) if c else None
-    vals = dense_spectrum("dirac", m, V, grid)
+    vals, _ = dense_spectrum("dirac", m, V, grid)
     nearest = vals[np.argmin(np.abs(vals))]
     print(f"{str(c):>10} {np.abs(vals.imag).max():12.4e} "
           f"{nearest.real:8.4f}{nearest.imag:+.4f}j")

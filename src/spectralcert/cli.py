@@ -85,8 +85,9 @@ def _do_scan(cfg):
 def _do_eig(cfg):
     V = build_potential(cfg)
     grid = build_grid(cfg)
-    vals = dense_spectrum(cfg.kind, cfg.m, V, grid)
+    vals, block_sizes = dense_spectrum(cfg.kind, cfg.m, V, grid)
     results = {
+        "block_sizes": block_sizes,
         "count": len(vals),
         "max_abs_imag": float(np.max(np.abs(vals.imag))),
         "real_range": [float(vals.real.min()), float(vals.real.max())],

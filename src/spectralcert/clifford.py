@@ -28,6 +28,7 @@ class CliffordRep:
     n: int
     N: int
     alphas: tuple  # n+1 arrays of shape (N, N)
+    spare: np.ndarray = None  # odd n: one more matrix anticommuting with all alphas
 
 
 def _tensor_chain(mats):
@@ -64,10 +65,10 @@ def build_clifford(n) -> CliffordRep:
         kinetic.append(_tensor_chain(head + [_PAULI_Y] + tail))
     mass = _tensor_chain([_PAULI_Z] * k)
 
-    alphas = (mass,) + tuple(kinetic[:n])
-    for a in alphas:
+    for a in [mass] + kinetic:
         a.setflags(write=False)
-    return CliffordRep(n=n, N=N, alphas=alphas)
+    return CliffordRep(n=n, N=N, alphas=(mass,) + tuple(kinetic[:n]),
+                       spare=kinetic[n] if n % 2 else None)
 
 
 def anticommutator_defect(rep: CliffordRep) -> float:

@@ -15,8 +15,8 @@ spectrum, and applies forward and resolvent multipliers with one FFT -
 multiply - inverse FFT.  Dense matrices of those multipliers are gathered
 from their translation-invariant kernels.
 
-Dense spectra (:func:`dense_spectrum`) split H_V by the lattice reflections
-i -> M-1-i that commute with it exactly, and solve each block on its own.
+Dense spectra (:func:`dense_spectrum`) split H_V by a symmetry that commutes with
+it: the Dirac swap of lattice axes 1 and 2 in n = 3, else the axis reflections.
 """
 
 from dataclasses import dataclass
@@ -150,7 +150,7 @@ class FreeOperator:
 
     def __init__(self, kind, m, grid: GridSpec):
         self.grid = grid
-        self.matrix = None
+        self.matrix = self.swap = None  # swap: (W, U, signs) of _swap_spinor_basis, or None
         if kind == "schrodinger":
             self.symbol = grid.freq_sq
         elif kind == "klein_gordon":
@@ -162,6 +162,7 @@ class FreeOperator:
             self.matrix = dirac_symbol(rep, grid.freqs, m)
             self.matrix.setflags(write=False)
             self.symbol = grid.freq_sq + m ** 2
+            self.swap = _swap_spinor_basis() if grid.n == 3 else None
         else:
             raise ValueError(f"unknown kind {kind!r}")
         self.symbol.setflags(write=False)
@@ -237,6 +238,18 @@ class FreeOperator:
             offsets = offsets * g.M + step.reshape(shape)
         blocks = kernel.reshape(g.M ** g.n, g.N, g.N)[offsets.reshape(g.M ** g.n, -1)]
         return np.ascontiguousarray(blocks.transpose(0, 2, 1, 3)).reshape(g.size, g.size)
+
+
+@lru_cache(maxsize=None)
+def _swap_spinor_basis():
+    """W = i(alpha_2 - alpha_3) alpha_e / sqrt(2) of n = 3, an involution that swaps alpha_2
+    and alpha_3 and fixes alpha_0 and alpha_1; and U, signs with W = U diag(signs) U*."""
+    rep = build_clifford(3)
+    W = 1j * (rep.alphas[2] - rep.alphas[3]) @ rep.spare / np.sqrt(2)
+    w, U = np.linalg.eigh(W)
+    for a in (W, U, np.rint(w, out=w)):  # shared by every caller
+        a.setflags(write=False)
+    return W, U, w
 
 
 @lru_cache(maxsize=_FREE_OPERATOR_CACHE_SIZE)
@@ -325,30 +338,60 @@ def _split(H, grid, axis):
     return [near + far, near - far]
 
 
-def dense_spectrum(kind, m, V, grid: GridSpec):
-    """All eigenvalues of H_V = H_0 + V, sorted by (real, imaginary) part, with multiplicity.
+def _swap_blocks(H, V, grid, W, U, signs):
+    """The +1 and -1 blocks of H = H_0 + V under T = P_12 (x) W (P_12 swaps lattice axes
+    1 and 2), or None if V(P_12 x) = W V(x) W* fails within 1e-12 max(|V|, 1) at a site.
 
-    V identically zero (absent, or coupling c = 0) gives the free spectrum, with
-    no eigensolve.  A V that merely vanishes at every sample (a bump whose
-    support holds no site) is solved like any other, so a job's time and memory
-    do not jump with where the support falls on the lattice.
-    Otherwise H_V is assembled, and every lattice axis whose reflection
-    i -> M-1-i commutes with it exactly (bitwise) splits it into an even and an
-    odd block.  Up to 2^n blocks are then solved by :func:`eigenvalues`, each with
-    its own residual check.  The split is read from the matrix: for the scalar
-    kinds with a radial potential every axis splits; the Dirac matrix and a
-    potential without the symmetry stay whole.
+    H is overwritten: rotated to the spinor basis U, where T e_(x,a) = signs[a] e_(Px,a).
+    The block of eigenvalue t is H on that eigenspace in the basis e_b + t signs[a] e_Pb,
+    b = (x, a) over the sites x = (i, j, k) with j < k, and e_b for j = k, signs[a] = t.
     """
+    boxed = potential_on_grid(V, grid).reshape((grid.M,) * 3 + (grid.N, grid.N))
+    if np.abs(boxed.swapaxes(1, 2) - W @ boxed @ W).max() > 1e-12 * max(np.abs(boxed).max(), 1):
+        return None
+    sites, N = grid.M ** 3, grid.N
+    for chunk in np.array_split(H.reshape(sites, N, -1), 8):  # temporaries of D^2 / 8 entries
+        chunk[...] = U.conj().T @ (chunk.reshape(-1, N) @ U).reshape(chunk.shape)
+    _, j, k = np.indices((grid.M,) * 3).reshape(3, sites, 1)
+    partner = np.arange(sites).reshape((grid.M,) * 3).swapaxes(1, 2).reshape(sites, 1)
+    blocks = []
+    for t in (1.0, -1.0):
+        keep = (j < k) | ((j == k) & (signs == t))
+        b = np.flatnonzero(keep)
+        block = H[np.ix_(b, (partner * N + np.arange(N))[keep])]
+        block *= np.where(j < k, t * signs, 0.0)[keep]
+        block += H[np.ix_(b, b)]
+        blocks.append(block)
+    return blocks
+
+
+def dense_spectrum(kind, m, V, grid: GridSpec):
+    """All eigenvalues of H_V = H_0 + V, sorted by (real, imaginary) part, with
+    multiplicity, and the sizes of the eigensolves in the order they ran.
+
+    V identically zero (absent, or coupling c = 0) gives the free spectrum, with no
+    eigensolve.  Any other V, even one that vanishes at every sample, is solved, so
+    a job's cost does not hinge on where its support falls.  H_V is assembled and
+    split into blocks, each solved by :func:`eigenvalues` with its own residual
+    check: the Dirac H_V of n = 3 in two by :func:`_swap_blocks` when V has the swap
+    symmetry (H_0 has it to rounding), else in halves on each lattice axis whose
+    reflection i -> M-1-i commutes with H_V bitwise (every axis for the scalar kinds
+    with a radial potential).  A V with neither symmetry stays in one block.
+    """
+    op = free_operator(kind, m, grid)
     if V is None or V.c == 0:
-        return free_operator(kind, m, grid).spectrum().astype(complex)
+        return op.spectrum().astype(complex), []
     H = assemble_perturbed(kind, m, V, grid)
-    axes = reflection_axes(H, grid)
-    blocks = [H.reshape(_boxed(grid) * 2)]
-    for axis in axes:
-        blocks = [part for b in blocks for part in _split(b, grid, axis)]
-    side = grid.size >> len(axes)
-    vals = np.concatenate([eigenvalues(b.reshape(side, side)) for b in blocks])
-    return vals[np.lexsort((vals.imag, vals.real))]
+    blocks = None if op.swap is None else _swap_blocks(H, V, grid, *op.swap)
+    if blocks is None:
+        axes = reflection_axes(H, grid)
+        blocks = [H.reshape(_boxed(grid) * 2)]
+        for axis in axes:
+            blocks = [part for b in blocks for part in _split(b, grid, axis)]
+        blocks = [b.reshape(grid.size >> len(axes), -1) for b in blocks]
+    del H  # the swap blocks are copies: H is freed before the first eigensolve
+    vals = np.concatenate([eigenvalues(b) for b in blocks])
+    return vals[np.lexsort((vals.imag, vals.real))], [len(b) for b in blocks]
 
 
 def eigenvalues(H):

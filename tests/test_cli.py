@@ -204,6 +204,24 @@ def test_cli_eig(tmp_path):
     assert len(csv) == 65
 
 
+def test_cli_eig_reports_block_sizes(tmp_path):
+    # the eigensolve sizes in the order they ran: two swap halves, eight reflection parities,
+    # one block for a file without either symmetry, none for V = 0
+    path = tmp_path / "asym.bin"
+    rng = np.random.default_rng(5)
+    save_potential_binary(PotentialSpec.from_samples(3, 4, 4.0, 4, rng.normal(size=(64, 4, 4))),
+                          path)
+    cases = [("dirac", 4, {"preset": "matrix-mix", "c": [1.0, 0.5]}, [128, 128]),
+             ("schrodinger", 8, {"preset": "inverse-square", "c": [2.0, 1.0], "N": 1}, [64] * 8),
+             ("dirac", 4, {"file": str(path)}, [256]),
+             ("dirac", 4, {"preset": "bump", "c": 0.0}, [])]
+    for kind, M, pot, sizes in cases:
+        doc = {"kind": kind, "n": 3, "m": 1.0, "potential": pot, "grid": {"L": 4.0, "M": M}}
+        out = str(tmp_path / "e_rep.json")
+        assert main(["eig", "--config", _write(tmp_path, "e.json", doc), "--out", out]) == EXIT_OK
+        assert json.loads(open(out).read())["results"]["block_sizes"] == sizes, pot
+
+
 def test_cli_bench(tmp_path):
     doc = {"estimate": "KY", "n": 3, "m": 1.0, "trials": 5,
            "grid": {"L": 8.0, "M": 16}, "seed": 0}

@@ -33,6 +33,21 @@ def test_n5_exhaustive_pairs():
         assert np.abs(a @ a - np.eye(8)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_spare_generator_for_odd_n(n):
+    rep = build_clifford(n)
+    if n % 2 == 0:
+        assert rep.spare is None  # every matrix of the construction is in use
+        return
+    e, eye = rep.spare, np.eye(rep.N)
+    assert np.array_equal(e, e.conj().T)
+    assert np.abs(e @ e - eye).max() <= 1e-12
+    for a in rep.alphas:
+        assert np.abs(a @ e + e @ a).max() <= 1e-12
+    with pytest.raises(ValueError):
+        e[0, 0] = 2.0  # shared, so read-only
+
+
 def test_defect_of_broken_rep():
     rep = build_clifford(3)
     broken = CliffordRep(n=3, N=4, alphas=(rep.alphas[0], np.eye(4, dtype=complex),

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,7 +299,7 @@ def test_dense_spectrum_matches_one_block(monkeypatch, kind, M, L, preset, extra
     H = assemble_perturbed(kind, 0.5, V, g)
     whole = eigenvalues(H)
     calls = _count_eigensolves(monkeypatch)
-    split = dense_spectrum(kind, 0.5, V, g)
+    split, _ = dense_spectrum(kind, 0.5, V, g)
     assert calls == [g.size // 8] * 8
     assert np.array_equal(split, split[np.lexsort((split.imag, split.real))])
     assert _multiset_distance(split, whole) <= 1e-10 * max(1.0, np.linalg.norm(H, 2))
@@ -312,8 +313,76 @@ def test_asymmetric_file_takes_one_block(monkeypatch):
     H = assemble_perturbed("schrodinger", 0.0, V, g)
     assert reflection_axes(H, g) == []
     calls = _count_eigensolves(monkeypatch)
-    assert np.array_equal(dense_spectrum("schrodinger", 0.0, V, g), eigenvalues(H))
+    assert np.array_equal(dense_spectrum("schrodinger", 0.0, V, g)[0], eigenvalues(H))
     assert calls == [g.size]
+
+
+def _axis_swap(grid):
+    """T = P_12 (x) W as a dense matrix: P_12 swaps lattice axes 1 and 2, and
+    W = i(alpha_2 - alpha_3) alpha_e / sqrt(2) swaps alpha_2 and alpha_3."""
+    rep = build_clifford(3)
+    W = 1j * (rep.alphas[2] - rep.alphas[3]) @ rep.spare / np.sqrt(2)
+    sites = np.arange(grid.M ** 3).reshape((grid.M,) * 3)
+    return np.kron(np.eye(grid.M ** 3)[sites.swapaxes(1, 2).ravel()], W)
+
+
+@pytest.mark.parametrize("m", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("M", [4, 6])
+@pytest.mark.parametrize("L", [3.0, 6.0])
+def test_dirac_H0_commutes_with_axis_swap(m, M, L):
+    # a swap negates no frequency, so the unpartnered Nyquist term is no obstacle
+    g = GridSpec(n=3, L=L, M=M, N=4)
+    H = assemble_perturbed("dirac", m, None, g)
+    T = _axis_swap(g)
+    assert np.abs(T @ H @ T.conj().T - H).max() <= 1e-14 * np.abs(H).max()
+
+
+@pytest.mark.parametrize("M,preset,extra", [(4, p, e) for p, e in _DIRAC_PRESETS]
+                         + [(6, "matrix-mix", {})])
+def test_dirac_spectrum_splits_by_axis_swap(monkeypatch, M, preset, extra):
+    g = GridSpec(n=3, L=4.0, M=M, N=4)
+    V = PotentialSpec.preset(preset, 3, 4, c=1.5 + 1.1j, **extra)
+    H = assemble_perturbed("dirac", 1.0, V, g)
+    whole = eigenvalues(H)
+    calls = _count_eigensolves(monkeypatch)
+    split, sizes = dense_spectrum("dirac", 1.0, V, g)
+    assert calls == sizes == [g.size // 2] * 2
+    assert np.array_equal(split, split[np.lexsort((split.imag, split.real))])
+    assert _multiset_distance(split, whole) <= 1e-10 * max(1.0, np.linalg.norm(H, 2))
+    assert np.abs(whole.imag).max() > 1e-3  # a genuinely non-Hermitian case
+
+
+def test_asymmetric_dirac_file_takes_one_block(monkeypatch):
+    g = GridSpec(n=3, L=3.0, M=4, N=4)
+    rng = np.random.default_rng(4)
+    V = PotentialSpec.from_samples(3, 4, 3.0, 4, rng.normal(size=(64, 4, 4)) + 0.5j)
+    H = assemble_perturbed("dirac", 1.0, V, g)
+    calls = _count_eigensolves(monkeypatch)
+    assert np.array_equal(dense_spectrum("dirac", 1.0, V, g)[0], eigenvalues(H))
+    assert calls == [g.size]
+
+
+def test_dirac_file_of_preset_samples_splits(monkeypatch):
+    g = GridSpec(n=3, L=3.0, M=4, N=4)
+    preset = PotentialSpec.preset("matrix-mix", 3, 4, c=0.7 - 0.4j)
+    V = PotentialSpec.from_samples(3, 4, 3.0, 4, potential_on_grid(preset, g))
+    calls = _count_eigensolves(monkeypatch)
+    vals, _ = dense_spectrum("dirac", 1.0, V, g)
+    assert calls == [g.size // 2] * 2
+    assert np.array_equal(vals, dense_spectrum("dirac", 1.0, preset, g)[0])
+
+
+def test_dirac_dense_spectrum_memory():
+    # H, then its two halves; H is gone before LAPACK copies a block and adds its vectors
+    g = GridSpec(n=3, L=3.0, M=6, N=4)
+    V = PotentialSpec.preset("bump", 3, 4, c=1.0, R=1.3)
+    tracemalloc.start()
+    try:
+        dense_spectrum("dirac", 1.0, V, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * 16 * g.size ** 2
 
 
 @pytest.mark.parametrize("kind,N", [("schrodinger", 1), ("klein_gordon", 1), ("dirac", 4)])
@@ -325,7 +394,7 @@ def test_zero_potential_gives_free_spectrum_without_eigensolve(monkeypatch, kind
     g = GridSpec(n=3, L=3.0, M=4, N=N)
     free = free_spectrum(g, kind, 0.5)
     for V in (None, PotentialSpec.preset("inverse-square", 3, N, c=0.0)):
-        assert np.array_equal(dense_spectrum(kind, 0.5, V, g), free)
+        assert np.array_equal(dense_spectrum(kind, 0.5, V, g)[0], free)
 
 
 @pytest.mark.parametrize("kind,N", [("schrodinger", 1), ("dirac", 4)])
@@ -336,7 +405,7 @@ def test_potential_zero_at_every_sample_is_solved(monkeypatch, kind, N):
     V = PotentialSpec.preset("bump", 3, N, c=2.0, R=0.5)
     assert not potential_on_grid(V, g).any()
     calls = _count_eigensolves(monkeypatch)
-    vals = dense_spectrum(kind, 0.5, V, g)
+    vals, _ = dense_spectrum(kind, 0.5, V, g)
     assert sum(calls) == g.size
     free = free_spectrum(g, kind, 0.5)
     assert np.abs(vals - free).max() <= 1e-10 * max(1.0, np.abs(free).max())
