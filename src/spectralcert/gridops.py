@@ -15,8 +15,8 @@ spectrum, and applies forward and resolvent multipliers with one FFT -
 multiply - inverse FFT.  Dense matrices of those multipliers are gathered
 from their translation-invariant kernels.
 
-Dense spectra (:func:`dense_spectrum`) split H_V by a symmetry that commutes with
-it: the Dirac swap of lattice axes 1 and 2 in n = 3, else the axis reflections.
+Dense spectra (:func:`dense_spectrum`) split H_V by symmetries that commute with it: in
+n = 3 Dirac permutations of the axes paired with spinor rotations, else axis reflections.
 """
 
 from dataclasses import dataclass
@@ -150,7 +150,7 @@ class FreeOperator:
 
     def __init__(self, kind, m, grid: GridSpec):
         self.grid = grid
-        self.matrix = self.swap = None  # swap: (W, U, signs) of _swap_spinor_basis, or None
+        self.matrix = self.axis_spinors = None  # axis_spinors: (W, R) of _axis_spinors, or None
         if kind == "schrodinger":
             self.symbol = grid.freq_sq
         elif kind == "klein_gordon":
@@ -162,7 +162,7 @@ class FreeOperator:
             self.matrix = dirac_symbol(rep, grid.freqs, m)
             self.matrix.setflags(write=False)
             self.symbol = grid.freq_sq + m ** 2
-            self.swap = _swap_spinor_basis() if grid.n == 3 else None
+            self.axis_spinors = _axis_spinors() if grid.n == 3 else None
         else:
             raise ValueError(f"unknown kind {kind!r}")
         self.symbol.setflags(write=False)
@@ -241,15 +241,17 @@ class FreeOperator:
 
 
 @lru_cache(maxsize=None)
-def _swap_spinor_basis():
-    """W = i(alpha_2 - alpha_3) alpha_e / sqrt(2) of n = 3, an involution that swaps alpha_2
-    and alpha_3 and fixes alpha_0 and alpha_1; and U, signs with W = U diag(signs) U*."""
+def _axis_spinors():
+    """The spinor parts W of the axis swap T = P_12 (x) W and R of the axis cycle C = P_cyc (x) R
+    of n = 3: W swaps alpha_2 and alpha_3, R* alpha_k R = alpha_(k+1) cycles alpha_1..alpha_3.
+    Both fix alpha_0; W^2 = R^3 = I and W R W = R^-1, so T and C generate S_3."""
     rep = build_clifford(3)
-    W = 1j * (rep.alphas[2] - rep.alphas[3]) @ rep.spare / np.sqrt(2)
-    w, U = np.linalg.eigh(W)
-    for a in (W, U, np.rint(w, out=w)):  # shared by every caller
-        a.setflags(write=False)
-    return W, U, w
+    a = rep.alphas
+    W = 1j * (a[2] - a[3]) @ rep.spare / np.sqrt(2)
+    R = -(np.eye(rep.N) + a[1] @ a[2] + a[2] @ a[3] + a[3] @ a[1]) / 2
+    for S in (W, R):  # shared by every caller
+        S.setflags(write=False)
+    return W, R
 
 
 @lru_cache(maxsize=_FREE_OPERATOR_CACHE_SIZE)
@@ -298,8 +300,8 @@ def assemble_perturbed(kind, m, V, grid: GridSpec):
     """Dense matrix of H_V = H_0 + V on the grid basis (point-major, spinor-minor).
 
     H_0 is gathered from its translation-invariant kernel (:meth:`FreeOperator.dense`).
-    V is a PotentialSpec, or None for H_0; its samples from :func:`potential_on_grid`
-    are added to the diagonal blocks.  Grids above DENSE_SIZE_LIMIT are rejected.
+    V is a PotentialSpec, its samples from :func:`potential_on_grid`, or None for H_0;
+    the samples are added to the diagonal blocks.  Grids above DENSE_SIZE_LIMIT are rejected.
     """
     D = grid.size
     if D > DENSE_SIZE_LIMIT:
@@ -308,7 +310,7 @@ def assemble_perturbed(kind, m, V, grid: GridSpec):
     op = free_operator(kind, m, grid)
     H = op.dense(op.forward_block())
     if V is not None:
-        samples = potential_on_grid(V, grid)
+        samples = V if isinstance(V, np.ndarray) else potential_on_grid(V, grid)
         sites = np.arange(grid.M ** grid.n)
         H.reshape(len(sites), grid.N, len(sites), grid.N)[sites, :, sites, :] += samples
     return H
@@ -338,31 +340,77 @@ def _split(H, grid, axis):
     return [near + far, near - far]
 
 
-def _swap_blocks(H, V, grid, W, U, signs):
-    """The +1 and -1 blocks of H = H_0 + V under T = P_12 (x) W (P_12 swaps lattice axes
-    1 and 2), or None if V(P_12 x) = W V(x) W* fails within 1e-12 max(|V|, 1) at a site.
+def _axis_symmetry(samples, grid, W, R):
+    """None if V lacks the swap symmetry V(x) = W V(x_T) W*, else whether it has the cycle's
+    V(x) = R V(x_C) R* too (x_T = (i, k, j), x_C = (k, i, j)); within 1e-12 max(|V|, 1)."""
+    boxed = samples.reshape((grid.M,) * 3 + (grid.N, grid.N))
+    tol = 1e-12 * max(np.abs(boxed).max(), 1)
+    swap, cycle = (np.abs(boxed - S @ boxed.transpose(axes + (3, 4)) @ S.conj().T).max() <= tol
+                   for axes, S in (((0, 2, 1), W), ((1, 2, 0), R)))
+    return cycle if swap else None
 
-    H is overwritten: rotated to the spinor basis U, where T e_(x,a) = signs[a] e_(Px,a).
-    The block of eigenvalue t is H on that eigenspace in the basis e_b + t signs[a] e_Pb,
-    b = (x, a) over the sites x = (i, j, k) with j < k, and e_b for j = k, signs[a] = t.
-    """
-    boxed = potential_on_grid(V, grid).reshape((grid.M,) * 3 + (grid.N, grid.N))
-    if np.abs(boxed.swapaxes(1, 2) - W @ boxed @ W).max() > 1e-12 * max(np.abs(boxed).max(), 1):
-        return None
-    sites, N = grid.M ** 3, grid.N
-    for chunk in np.array_split(H.reshape(sites, N, -1), 8):  # temporaries of D^2 / 8 entries
-        chunk[...] = U.conj().T @ (chunk.reshape(-1, N) @ U).reshape(chunk.shape)
-    _, j, k = np.indices((grid.M,) * 3).reshape(3, sites, 1)
-    partner = np.arange(sites).reshape((grid.M,) * 3).swapaxes(1, 2).reshape(sites, 1)
+
+@lru_cache(maxsize=None)
+def _symmetry_bases(M, cyclic):
+    """Per block of a Dirac H_V of n = 3 on M samples per axis that commutes with T, and if
+    ``cyclic`` with C: the times its eigenvalues count, and its orthonormal basis as parts
+    (rows, B, J, B[J]^-1), one per action of the group on site orbits; cached, read-only.
+    (g f)(x) = S_g f(x_g) for g = T^t C^c.  The blocks are the +-1 halves of T, or C's omega
+    eigenspace (counted twice: T maps it onto the omega^2 one) and the +-1 halves of T on its
+    invariant subspace.  One local basis B serves all orbits of an action, at ``rows``."""
+    W, R = _axis_spinors()
+    sites = np.arange(M ** 3).reshape((M,) * 3)
+    powers = [(t, c) for t in (0, 1) for c in range(3 if cyclic else 1)]
+    elements = [(sites.transpose(np.roll((0, 1, 2), -c)).transpose((0, 1 + t, 2 - t)).ravel(),
+                 np.linalg.matrix_power(W, t) @ np.linalg.matrix_power(R, c)) for t, c in powers]
+    # projector weights per element: (I +- T)/2 times C's mean, (I + C/omega + C^2/omega^2)/3
+    halves = [([s ** t / len(powers) for t, _ in powers], 1) for s in (1, -1)]
+    omega = [([(t == 0) * np.exp(-2j * np.pi * c / 3) / 3 for t, c in powers], 2)]
+    images = np.stack([src for src, _ in elements])
+    actions = {}  # the group's action on an orbit's sorted sites -> the orbits with it
+    for r in np.unique(images.min(axis=0)):
+        orbit = np.unique(images[:, r])
+        act = np.searchsorted(orbit, images[:, orbit])
+        actions.setdefault(act.tobytes(), (act, []))[1].append(orbit)
     blocks = []
-    for t in (1.0, -1.0):
-        keep = (j < k) | ((j == k) & (signs == t))
-        b = np.flatnonzero(keep)
-        block = H[np.ix_(b, (partner * N + np.arange(N))[keep])]
-        block *= np.where(j < k, t * signs, 0.0)[keep]
-        block += H[np.ix_(b, b)]
-        blocks.append(block)
-    return blocks
+    for weights, count in (omega if cyclic else []) + halves:
+        parts = []
+        for act, orbits in actions.values():
+            P = sum(w * np.kron(np.eye(act.shape[1])[a], S)
+                    for w, a, (_, S) in zip(weights, act, elements))
+            B, J, inv = _range_basis(P)
+            if len(J):  # some orbits have no share in a block
+                rows = (np.array(orbits)[..., None] * 4 + np.arange(4)).reshape(len(orbits), -1)
+                parts.append((rows, B, J, inv))
+                for a in parts[-1]:
+                    a.setflags(write=False)
+        blocks.append((count, tuple(parts)))
+    return tuple(blocks)
+
+
+def _range_basis(P):
+    """An orthonormal basis B = P[:, J] T of the range of the Hermitian projector P, by
+    Gram-Schmidt (twice) on its columns in order; the columns J it keeps, and B[J]^-1 = T*."""
+    n, BT, J = len(P), np.zeros((2 * len(P), 0), complex), []  # B on T: columns (P t, t)
+    for j, w in enumerate(np.vstack([P, np.eye(n)]).T):
+        for _ in range(2):
+            w = w - BT @ (BT[:n].conj().T @ w[:n])
+        if np.linalg.norm(w[:n]) > 1e-6:  # else P e_j lies in the span kept so far
+            BT, J = np.c_[BT, w / np.linalg.norm(w[:n])], J + [j]
+    return BT[:n], np.array(J, dtype=int), BT[n:][J].conj().T
+
+
+def _compress(H, parts):
+    """A = Q* H Q for a basis Q of :func:`_symmetry_bases` whose span H maps into itself: as
+    H Q = Q A, A = Q[J]^-1 H[J] Q with Q[J] block-diagonal, filled 64 rows at a time."""
+    A, start = np.empty((sum(len(rows) * len(j) for rows, _, j, _ in parts),) * 2, complex), 0
+    for rows, _, j, inv in parts:
+        for Jc in np.array_split(rows[:, j], -(-len(rows) * len(j) // 64)):  # (orbits, k)
+            HQ = np.hstack([(H[np.ix_(Jc.ravel(), r.ravel())].reshape(-1, len(B)) @ B)
+                            .reshape(Jc.size, -1) for r, B, _, _ in parts])
+            A[start:start + Jc.size] = (inv @ HQ.reshape(*Jc.shape, -1)).reshape(HQ.shape)
+            start += Jc.size
+    return A
 
 
 def dense_spectrum(kind, m, V, grid: GridSpec):
@@ -371,27 +419,29 @@ def dense_spectrum(kind, m, V, grid: GridSpec):
 
     V identically zero (absent, or coupling c = 0) gives the free spectrum, with no
     eigensolve.  Any other V, even one that vanishes at every sample, is solved, so
-    a job's cost does not hinge on where its support falls.  H_V is assembled and
-    split into blocks, each solved by :func:`eigenvalues` with its own residual
-    check: the Dirac H_V of n = 3 in two by :func:`_swap_blocks` when V has the swap
-    symmetry (H_0 has it to rounding), else in halves on each lattice axis whose
-    reflection i -> M-1-i commutes with H_V bitwise (every axis for the scalar kinds
-    with a radial potential).  A V with neither symmetry stays in one block.
-    """
+    a job's cost does not hinge on where its support falls.  H_V is assembled from V's
+    samples and split into blocks, each solved by :func:`eigenvalues` with its own residual
+    check: a Dirac H_V of n = 3 by the axis permutations its samples respect (into S_3
+    blocks of about D/3, counted twice, D/6 and D/6, or into halves by the swap alone), else
+    in halves on each axis whose reflection i -> M-1-i commutes with H_V bitwise (every axis
+    for the scalar kinds with a radial V), else in one block."""
     op = free_operator(kind, m, grid)
     if V is None or V.c == 0:
         return op.spectrum().astype(complex), []
-    H = assemble_perturbed(kind, m, V, grid)
-    blocks = None if op.swap is None else _swap_blocks(H, V, grid, *op.swap)
-    if blocks is None:
+    samples = potential_on_grid(V, grid)
+    H = assemble_perturbed(kind, m, samples, grid)
+    cyclic = None if op.axis_spinors is None else _axis_symmetry(samples, grid, *op.axis_spinors)
+    if cyclic is not None:
+        blocks = [(_compress(H, parts), count) for count, parts in _symmetry_bases(grid.M, cyclic)]
+    else:
         axes = reflection_axes(H, grid)
-        blocks = [H.reshape(_boxed(grid) * 2)]
+        split = [H.reshape(_boxed(grid) * 2)]
         for axis in axes:
-            blocks = [part for b in blocks for part in _split(b, grid, axis)]
-        blocks = [b.reshape(grid.size >> len(axes), -1) for b in blocks]
-    del H  # the swap blocks are copies: H is freed before the first eigensolve
-    vals = np.concatenate([eigenvalues(b) for b in blocks])
-    return vals[np.lexsort((vals.imag, vals.real))], [len(b) for b in blocks]
+            split = [part for b in split for part in _split(b, grid, axis)]
+        blocks = [(b.reshape(grid.size >> len(axes), -1), 1) for b in split]
+    del H  # the symmetry blocks are copies: H is freed before the first eigensolve
+    vals = np.concatenate([np.tile(eigenvalues(b), count) for b, count in blocks])
+    return vals[np.lexsort((vals.imag, vals.real))], [len(b) for b, _ in blocks]
 
 
 def eigenvalues(H):

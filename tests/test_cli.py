@@ -205,13 +205,14 @@ def test_cli_eig(tmp_path):
 
 
 def test_cli_eig_reports_block_sizes(tmp_path):
-    # the eigensolve sizes in the order they ran: two swap halves, eight reflection parities,
-    # one block for a file without either symmetry, none for V = 0
+    # the eigensolve sizes in the order they ran: S_3 blocks (the first counts twice), two swap
+    # halves, eight reflection parities, one block for a file with no symmetry, none for V = 0
     path = tmp_path / "asym.bin"
     rng = np.random.default_rng(5)
     save_potential_binary(PotentialSpec.from_samples(3, 4, 4.0, 4, rng.normal(size=(64, 4, 4))),
                           path)
-    cases = [("dirac", 4, {"preset": "matrix-mix", "c": [1.0, 0.5]}, [128, 128]),
+    cases = [("dirac", 4, {"preset": "inverse-square", "c": [1.0, 0.5]}, [88, 40, 40]),
+             ("dirac", 4, {"preset": "matrix-mix", "c": [1.0, 0.5]}, [128, 128]),
              ("schrodinger", 8, {"preset": "inverse-square", "c": [2.0, 1.0], "N": 1}, [64] * 8),
              ("dirac", 4, {"file": str(path)}, [256]),
              ("dirac", 4, {"preset": "bump", "c": 0.0}, [])]

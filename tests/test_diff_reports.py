@@ -54,3 +54,36 @@ def test_structural_differences_exit_2(tmp_path, change):
     b = _tree(tmp_path / "b", REPORT, CSV)
     change(b)
     assert diff_reports.main([str(a), str(b), "--rtol", "1.0"]) == 2
+
+
+def _spectrum_tree(root, rows):
+    root.mkdir()
+    (root / "e_spectrum.csv").write_text("re_lambda,im_lambda\n" + "".join(f"{r}\n" for r in rows))
+    return root
+
+
+def test_spectra_compare_as_multisets(tmp_path, capsys):
+    # rounding moves a degenerate pair's real parts, and the (real, imaginary) sort swaps its rows
+    a = _spectrum_tree(tmp_path / "a", ["-2.0,0.0", "1.0,-0.5", "1.0000000000001,0.5"])
+    b = _spectrum_tree(tmp_path / "b", ["-2.0,0.0", "1.0,0.5", "1.0000000000001,-0.5"])
+    assert diff_reports.main([str(a), str(b), "--rtol", "1e-12"]) == 0
+    assert diff_reports.main([str(a), str(b), "--rtol", "1e-14"]) == 1
+    out = capsys.readouterr().out
+    assert "e_spectrum.csv: spectrum as a multiset: largest |dlambda| 9.992e-14 rel 4.996e-14" in out
+    assert "spectra: 1 differ, as multisets largest |dlambda| 9.992e-14" in out
+    assert "row 2" not in out  # no row-by-row differences
+
+
+def test_spectrum_that_moved_is_reported(tmp_path, capsys):
+    a = _spectrum_tree(tmp_path / "a", ["0.5,0.0", "3.0,1.0"])
+    b = _spectrum_tree(tmp_path / "b", ["0.5,0.0", "3.0,1.3"])
+    assert diff_reports.main([str(a), str(b), "--rtol", "1e-3"]) == 1
+    out = capsys.readouterr().out
+    assert "largest |dlambda| 3.000e-01 rel 9.176e-02" in out  # 0.3 / |3 + 1.3i|
+
+
+@pytest.mark.parametrize("rows", [["0.5,0.0"], ["0.5,0.0", "3.0,nan"]])
+def test_spectrum_count_or_value_that_differs_is_structural(tmp_path, rows):
+    a = _spectrum_tree(tmp_path / "a", ["0.5,0.0", "3.0,1.0"])
+    b = _spectrum_tree(tmp_path / "b", rows)
+    assert diff_reports.main([str(a), str(b), "--rtol", "1.0"]) == 2

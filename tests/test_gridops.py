@@ -283,6 +283,7 @@ def _count_eigensolves(monkeypatch):
 
 
 def _multiset_distance(a, b):
+    assert a.shape == b.shape  # an assignment between unequal sizes would leave values out
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     return cost[rows, cols].max()
@@ -326,6 +327,18 @@ def _axis_swap(grid):
     return np.kron(np.eye(grid.M ** 3)[sites.swapaxes(1, 2).ravel()], W)
 
 
+def _cycle_spinor():
+    """R = -(I + alpha_1 alpha_2 + alpha_2 alpha_3 + alpha_3 alpha_1) / 2 of n = 3."""
+    a = build_clifford(3).alphas
+    return -(np.eye(4) + a[1] @ a[2] + a[2] @ a[3] + a[3] @ a[1]) / 2
+
+
+def _axis_cycle(grid):
+    """C = P_cyc (x) R as a dense matrix: (C f)(i, j, k) = R f(k, i, j)."""
+    sites = np.arange(grid.M ** 3).reshape((grid.M,) * 3)
+    return np.kron(np.eye(grid.M ** 3)[sites.transpose(1, 2, 0).ravel()], _cycle_spinor())
+
+
 @pytest.mark.parametrize("m", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("M", [4, 6])
 @pytest.mark.parametrize("L", [3.0, 6.0])
@@ -337,16 +350,74 @@ def test_dirac_H0_commutes_with_axis_swap(m, M, L):
     assert np.abs(T @ H @ T.conj().T - H).max() <= 1e-14 * np.abs(H).max()
 
 
+@pytest.mark.parametrize("m", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("M", [4, 6])
+@pytest.mark.parametrize("L", [3.0, 6.0])
+def test_dirac_H0_commutes_with_axis_cycle(m, M, L):
+    # a cycle of the axes negates no frequency either
+    g = GridSpec(n=3, L=L, M=M, N=4)
+    H = assemble_perturbed("dirac", m, None, g)
+    C = _axis_cycle(g)
+    assert np.abs(C @ H - H @ C).max() <= 1e-14 * np.abs(H).max()
+
+
+def test_axis_spinors_generate_s3():
+    a = build_clifford(3).alphas
+    W, R = gridops._axis_spinors()
+    assert np.array_equal(R, _cycle_spinor())
+    assert np.abs(np.linalg.matrix_power(R, 3) - np.eye(4)).max() <= 1e-15  # C^3 = I
+    assert np.abs(W @ R @ W - R.conj().T).max() <= 1e-15                    # T C T = C^-1
+    for k in range(4):  # R* alpha_k R = alpha_(k+1) cycles alpha_1 -> alpha_2 -> alpha_3
+        assert np.abs(R.conj().T @ a[k] @ R - a[(k % 3) + 1 if k else 0]).max() <= 1e-15
+    g = GridSpec(n=3, L=3.0, M=4, N=4)
+    T, C = _axis_swap(g), _axis_cycle(g)
+    assert np.abs(C @ C @ C - np.eye(g.size)).max() <= 1e-14
+    assert np.abs(T @ C @ T - C.conj().T).max() <= 1e-14
+
+
+@pytest.mark.parametrize("M,cyclic", [(4, True), (4, False), (6, True)])
+def test_symmetry_bases_span_the_eigenspaces(M, cyclic):
+    # each block's basis is orthonormal and lies in its eigenspace of C and T; together
+    # with T times the omega block (C's omega^2 eigenspace) the blocks fill the space
+    g = GridSpec(n=3, L=3.0, M=M, N=4)
+    T, C = _axis_swap(g), _axis_cycle(g)
+    Qs = []
+    for count, parts in gridops._symmetry_bases(M, cyclic):
+        for _, B, J, inv in parts:  # the rows J where each orbit's basis is invertible
+            assert np.abs(inv @ B[J] - np.eye(len(J))).max() <= 1e-14
+        cols = [np.zeros((g.size, len(rows) * B.shape[1]), complex) for rows, B, _, _ in parts]
+        for Q, (rows, B, _, _) in zip(cols, parts):
+            for o, r in enumerate(rows):
+                Q[r, o * B.shape[1]:(o + 1) * B.shape[1]] = B
+        Qs.append((np.hstack(cols), count))
+    omega = np.exp(2j * np.pi / 3)
+    if cyclic:
+        (Qw, two), (Qp, _), (Qm, _) = Qs
+        assert two == 2 and np.abs(C @ Qw - omega * Qw).max() <= 1e-14
+        assert np.abs(C @ Qp - Qp).max() <= 1e-14 and np.abs(C @ Qm - Qm).max() <= 1e-14
+        Qs.append((T @ Qw, 0))
+    else:
+        (Qp, _), (Qm, _) = Qs
+    assert np.abs(T @ Qp - Qp).max() <= 1e-14 and np.abs(T @ Qm + Qm).max() <= 1e-14
+    Q = np.hstack([Q for Q, _ in Qs])
+    assert Q.shape == (g.size, g.size)
+    assert np.abs(Q.conj().T @ Q - np.eye(g.size)).max() <= 1e-14
+
+
+_S3_SIZES = {4: [88, 40, 40], 6: [292, 140, 140]}
+
+
 @pytest.mark.parametrize("M,preset,extra", [(4, p, e) for p, e in _DIRAC_PRESETS]
-                         + [(6, "matrix-mix", {})])
+                         + [(6, "matrix-mix", {}), (6, "dyadic-decay", {"sigma": 2.0})])
 def test_dirac_spectrum_splits_by_axis_swap(monkeypatch, M, preset, extra):
+    # the scalar presets also have the cycle symmetry, so they split further into S_3 blocks
     g = GridSpec(n=3, L=4.0, M=M, N=4)
     V = PotentialSpec.preset(preset, 3, 4, c=1.5 + 1.1j, **extra)
     H = assemble_perturbed("dirac", 1.0, V, g)
     whole = eigenvalues(H)
     calls = _count_eigensolves(monkeypatch)
     split, sizes = dense_spectrum("dirac", 1.0, V, g)
-    assert calls == sizes == [g.size // 2] * 2
+    assert calls == sizes == ([g.size // 2] * 2 if preset == "matrix-mix" else _S3_SIZES[M])
     assert np.array_equal(split, split[np.lexsort((split.imag, split.real))])
     assert _multiset_distance(split, whole) <= 1e-10 * max(1.0, np.linalg.norm(H, 2))
     assert np.abs(whole.imag).max() > 1e-3  # a genuinely non-Hermitian case
@@ -362,18 +433,38 @@ def test_asymmetric_dirac_file_takes_one_block(monkeypatch):
     assert calls == [g.size]
 
 
-def test_dirac_file_of_preset_samples_splits(monkeypatch):
+@pytest.mark.parametrize("name,sizes", [("matrix-mix", [128, 128]),
+                                        ("inverse-square", _S3_SIZES[4])])
+def test_dirac_file_of_preset_samples_splits(monkeypatch, name, sizes):
     g = GridSpec(n=3, L=3.0, M=4, N=4)
-    preset = PotentialSpec.preset("matrix-mix", 3, 4, c=0.7 - 0.4j)
+    preset = PotentialSpec.preset(name, 3, 4, c=0.7 - 0.4j)
     V = PotentialSpec.from_samples(3, 4, 3.0, 4, potential_on_grid(preset, g))
     calls = _count_eigensolves(monkeypatch)
     vals, _ = dense_spectrum("dirac", 1.0, V, g)
-    assert calls == [g.size // 2] * 2
+    assert calls == sizes
     assert np.array_equal(vals, dense_spectrum("dirac", 1.0, preset, g)[0])
 
 
+def test_dirac_hedgehog_file_takes_s3_blocks(monkeypatch):
+    # V = c (alpha . x) / (1 + |x|)^3 is not a multiple of I, yet S_3-symmetric: R* alpha_k R =
+    # alpha_(k+1) turns with the cycle of the axes, and W alpha_2 W = alpha_3 with their swap
+    g = GridSpec(n=3, L=3.0, M=4, N=4)
+    a = build_clifford(3).alphas
+    x = g.points
+    samples = (0.9 + 0.6j) * np.einsum("pk,kab->pab", x, np.stack(a[1:])) \
+        / (1.0 + g.radii[:, None, None]) ** 3
+    V = PotentialSpec.from_samples(3, 4, 3.0, 4, samples)
+    H = assemble_perturbed("dirac", 1.0, V, g)
+    whole = eigenvalues(H)
+    calls = _count_eigensolves(monkeypatch)
+    vals, _ = dense_spectrum("dirac", 1.0, V, g)
+    assert calls == _S3_SIZES[4]
+    assert _multiset_distance(vals, whole) <= 1e-10 * max(1.0, np.linalg.norm(H, 2))
+    assert np.abs(whole.imag).max() > 1e-3
+
+
 def test_dirac_dense_spectrum_memory():
-    # H, then its two halves; H is gone before LAPACK copies a block and adds its vectors
+    # H, then its blocks; H is gone before LAPACK copies a block and adds its vectors
     g = GridSpec(n=3, L=3.0, M=6, N=4)
     V = PotentialSpec.preset("bump", 3, 4, c=1.0, R=1.3)
     tracemalloc.start()
@@ -406,7 +497,7 @@ def test_potential_zero_at_every_sample_is_solved(monkeypatch, kind, N):
     assert not potential_on_grid(V, g).any()
     calls = _count_eigensolves(monkeypatch)
     vals, _ = dense_spectrum(kind, 0.5, V, g)
-    assert sum(calls) == g.size
+    assert calls and len(vals) == g.size  # a Dirac block of S_3 counts twice
     free = free_spectrum(g, kind, 0.5)
     assert np.abs(vals - free).max() <= 1e-10 * max(1.0, np.abs(free).max())
 

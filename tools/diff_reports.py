@@ -9,6 +9,16 @@ JSON key path with list indices dropped, or a CSV column name): how many
 values differ and the largest relative difference.  CSV columns are matched
 by name.
 
+A spectrum (``*_spectrum.csv``, columns ``re_lambda,im_lambda``) is compared
+as a multiset, not row by row: each eigenvalue is matched to a partner on the
+other side so that the summed distance is least
+(``scipy.optimize.linear_sum_assignment``), and the largest ``|dlambda|`` of
+that matching is printed, with its relative difference
+``|dlambda| / max(1, |lambda|)`` over the largest eigenvalue of either side,
+which counts against ``--rtol`` like any number.  A rounding-level change
+can reorder near-degenerate eigenvalues under the (real, imaginary) sort;
+matched this way, it reads as the rounding it is.
+
 A structural difference is a file present on one side only, a JSON key or
 list length that differs, a CSV column present on one side only, a row
 count that differs, or any differing value that is not a finite number on
@@ -28,6 +38,9 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
+from scipy.optimize import linear_sum_assignment
+
 
 class Diff:
     """Collects the differences found between two dumps."""
@@ -35,6 +48,7 @@ class Diff:
     def __init__(self):
         self.structural = []
         self.numeric = defaultdict(list)   # field -> [relative difference, ...]
+        self.spectra = []                  # (largest |dlambda|, relative) per differing spectrum
         self.max_rel = 0.0
 
     def structure(self, where, msg):
@@ -112,6 +126,9 @@ def compare_csv(diff, where, a_path, b_path):
         diff.structure(where, f"{len(a_rows)} rows -> {len(b_rows)}")
         return
     common = [c for c in a_cols if c in b_cols]
+    if where.endswith("_spectrum.csv") and a_cols == b_cols == ["re_lambda", "im_lambda"]:
+        compare_spectrum(diff, where, a_rows, b_rows)
+        return
     for i, (ra, rb) in enumerate(zip(a_rows, b_rows)):
         for col in common:
             at = f"{where}:row {i + 1}:{col}"
@@ -120,6 +137,22 @@ def compare_csv(diff, where, a_path, b_path):
                     diff.structure(at, f"{ra[col]!r} -> {rb[col]!r}")
             else:
                 diff.value(at, col, ra[col], rb[col])
+
+
+def compare_spectrum(diff, where, a_rows, b_rows):
+    """Two spectra with the same count, as multisets (see the module docstring)."""
+    parts = [[_number(r["re_lambda"]), _number(r["im_lambda"])] for r in a_rows + b_rows]
+    if any(x is None or not math.isfinite(x) for row in parts for x in row):
+        diff.structure(where, "spectrum with a value that is not a finite number")
+        return
+    values = np.array(parts, dtype=float).reshape(-1, 2) @ np.array([1.0, 1j])
+    a, b = values[:len(a_rows)], values[len(a_rows):]
+    cost = np.abs(a[:, None] - b[None, :])
+    dist = float(cost[linear_sum_assignment(cost)].max(initial=0.0))
+    rel = dist / max(1.0, np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+    diff.spectra.append((dist, rel))
+    diff.max_rel = max(diff.max_rel, rel)
+    print(f"{where}: spectrum as a multiset: largest |dlambda| {dist:.3e} rel {rel:.3e}")
 
 
 def compare_trees(a_root, b_root):
@@ -156,6 +189,10 @@ def main(argv=None):
     print(f"summary: {common} files on both sides, {len(diff.structural)} structural differences")
     for field, rels in sorted(diff.numeric.items()):
         print(f"  {field}: {len(rels)} numbers differ, largest relative difference {max(rels):.3e}")
+    if diff.spectra:
+        dist, rel = np.max(diff.spectra, axis=0)
+        print(f"  spectra: {len(diff.spectra)} differ, as multisets largest |dlambda| {dist:.3e}, "
+              f"largest relative difference {rel:.3e}")
     if diff.structural:
         return 2
     return 1 if diff.max_rel > args.rtol else 0
