@@ -15,13 +15,15 @@ spectrum, and applies forward and resolvent multipliers with one FFT -
 multiply - inverse FFT.  Dense matrices of those multipliers are gathered
 from their translation-invariant kernels.
 
-Dense spectra (:func:`dense_spectrum`) split H_V by symmetries that commute with it: in
-n = 3 Dirac permutations of the axes paired with spinor rotations, else axis reflections.
+Dense spectra (:func:`dense_spectrum`) split H_V by the symmetries of H_0 that V's samples
+respect: the axis reflections for the scalar kinds, and for Dirac in n = 3 the permutations of
+the axes paired with spinor rotations.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from math import ceil
+from functools import cached_property, lru_cache, reduce
+from itertools import product
+from math import ceil, prod
 
 import numpy as np
 import scipy.linalg
@@ -135,22 +137,22 @@ def _ifft(grid, boxed):
     return np.fft.ifftn(boxed, axes=tuple(range(grid.n)))
 
 
-def _reflect(a, axis):
-    """``a`` at the reflected difference index d -> -d mod M along ``axis``."""
-    return np.roll(np.flip(a, axis), 1, axis)
-
-
 class FreeOperator:
     """H_0 of one kind and mass on one grid; its arrays are read-only because it is shared.
 
     ``symbol`` is |xi|^2, sqrt(m^2+|xi|^2), or for Dirac |xi|^2+m^2, the square
     of the matrix symbol ``matrix`` (None for the scalar kinds).  The Dirac
     resolvent is (D_m + z)(-Delta + m^2 - z^2)^{-1}, with denominator symbol - z^2.
+
+    ``generators`` are symmetries g = (site map, spinor matrix S) that commute with H_0, acting as
+    (g f)(x) = S f(x_g) with x_g the site the map holds at x: the axis reflections for the scalar
+    kinds, the axis swap and cycle of :func:`_axis_permutations` for Dirac in n = 3, else none.
     """
 
     def __init__(self, kind, m, grid: GridSpec):
         self.grid = grid
-        self.matrix = self.axis_spinors = None  # axis_spinors: (W, R) of _axis_spinors, or None
+        self.matrix = None
+        self.generators = _axis_reflections(grid.M, grid.n)
         if kind == "schrodinger":
             self.symbol = grid.freq_sq
         elif kind == "klein_gordon":
@@ -162,7 +164,7 @@ class FreeOperator:
             self.matrix = dirac_symbol(rep, grid.freqs, m)
             self.matrix.setflags(write=False)
             self.symbol = grid.freq_sq + m ** 2
-            self.axis_spinors = _axis_spinors() if grid.n == 3 else None
+            self.generators = _axis_permutations(rep, grid.M) if grid.n == 3 else ()
         else:
             raise ValueError(f"unknown kind {kind!r}")
         self.symbol.setflags(write=False)
@@ -218,10 +220,7 @@ class FreeOperator:
         """Dense matrix of the multiplier ``block`` on the grid basis (point-major, spinor-minor).
 
         The multiplier is a circular convolution, so entry ((i, a), (j, b)) is its
-        kernel (one inverse FFT of ``block``) at (i - j) mod M per axis.  On each
-        axis where ``block`` equals its reflection exactly, the kernel is averaged
-        with its reflection, so that the matrix commutes exactly with the
-        reflection i -> M-1-i of that axis.
+        kernel (one inverse FFT of ``block``) at (i - j) mod M per axis.
         """
         g = self.grid
         if self.matrix is None:
@@ -231,8 +230,6 @@ class FreeOperator:
         step = (np.arange(g.M)[:, None] - np.arange(g.M)) % g.M
         offsets = 0  # C-order index of the per-axis differences, sites i x sites j
         for ax in axes:
-            if np.array_equal(_reflect(block, ax), block):
-                kernel = 0.5 * (kernel + _reflect(kernel, ax))
             shape = [1] * (2 * g.n)
             shape[ax] = shape[g.n + ax] = g.M
             offsets = offsets * g.M + step.reshape(shape)
@@ -240,18 +237,30 @@ class FreeOperator:
         return np.ascontiguousarray(blocks.transpose(0, 2, 1, 3)).reshape(g.size, g.size)
 
 
-@lru_cache(maxsize=None)
-def _axis_spinors():
-    """The spinor parts W of the axis swap T = P_12 (x) W and R of the axis cycle C = P_cyc (x) R
-    of n = 3: W swaps alpha_2 and alpha_3, R* alpha_k R = alpha_(k+1) cycles alpha_1..alpha_3.
-    Both fix alpha_0; W^2 = R^3 = I and W R W = R^-1, so T and C generate S_3."""
-    rep = build_clifford(3)
+def _generator(sites, S):
+    """A symmetry (site map, spinor part S), both read-only: ``sites`` holds x_g at each x."""
+    g = (sites.flatten(), S)
+    for a in g:
+        a.setflags(write=False)
+    return g
+
+
+def _axis_reflections(M, n):
+    """The reflection i -> M-1-i of each lattice axis, with spinor part [[1]]."""
+    sites = np.arange(M ** n).reshape((M,) * n)
+    return tuple(_generator(np.flip(sites, a), np.ones((1, 1), complex)) for a in range(n))
+
+
+def _axis_permutations(rep, M):
+    """The axis swap T = P_12 (x) W and the axis cycle C = P_cyc (x) R of n = 3 (``rep``):
+    (T f)(i, j, k) = W f(i, k, j) and (C f)(i, j, k) = R f(k, i, j).  W swaps alpha_2 and
+    alpha_3, R* alpha_k R = alpha_(k+1) cycles alpha_1..alpha_3, both fix alpha_0;
+    W^2 = R^3 = I and W R W = R^-1, so T and C generate S_3."""
     a = rep.alphas
     W = 1j * (a[2] - a[3]) @ rep.spare / np.sqrt(2)
     R = -(np.eye(rep.N) + a[1] @ a[2] + a[2] @ a[3] + a[3] @ a[1]) / 2
-    for S in (W, R):  # shared by every caller
-        S.setflags(write=False)
-    return W, R
+    sites = np.arange(M ** 3).reshape((M,) * 3)
+    return _generator(sites.transpose(0, 2, 1), W), _generator(sites.transpose(1, 2, 0), R)
 
 
 @lru_cache(maxsize=_FREE_OPERATOR_CACHE_SIZE)
@@ -316,56 +325,42 @@ def assemble_perturbed(kind, m, V, grid: GridSpec):
     return H
 
 
-def _boxed(grid):
-    return (grid.M,) * grid.n + (grid.N,)
-
-
-def reflection_axes(H, grid: GridSpec):
-    """The lattice axes whose reflection i -> M-1-i commutes with the dense H exactly (bitwise)."""
-    boxed = H.reshape(_boxed(grid) * 2)
-    return [a for a in range(grid.n) if np.array_equal(boxed, np.flip(boxed, (a, grid.n + 1 + a)))]
-
-
-def _split(H, grid, axis):
-    """Even and odd blocks of H, which commutes with the reflection of lattice ``axis``.
-
-    In the orthonormal basis (e_i +- e_{M-1-i}) / sqrt(2), i < M/2, the two blocks
-    are H[i, j] +- H[i, M-1-j] over the first half of the axis in both indices.
-    H is boxed as (sites..., N) x (sites..., N) with some axes already halved.
-    """
-    half, col = grid.M // 2, grid.n + 1 + axis
-    top = H[(slice(None),) * axis + (slice(None, half),)]
-    near = top[(slice(None),) * col + (slice(None, half),)]
-    far = top[(slice(None),) * col + (slice(grid.M - 1, half - 1, -1),)]
-    return [near + far, near - far]
-
-
-def _axis_symmetry(samples, grid, W, R):
-    """None if V lacks the swap symmetry V(x) = W V(x_T) W*, else whether it has the cycle's
-    V(x) = R V(x_C) R* too (x_T = (i, k, j), x_C = (k, i, j)); within 1e-12 max(|V|, 1)."""
-    boxed = samples.reshape((grid.M,) * 3 + (grid.N, grid.N))
-    tol = 1e-12 * max(np.abs(boxed).max(), 1)
-    swap, cycle = (np.abs(boxed - S @ boxed.transpose(axes + (3, 4)) @ S.conj().T).max() <= tol
-                   for axes, S in (((0, 2, 1), W), ((1, 2, 0), R)))
-    return cycle if swap else None
+def _order(sites):
+    """The least k > 0 such that applying the site map ``sites`` k times is the identity."""
+    p, k = sites, 1
+    while not np.array_equal(p, np.arange(len(p))):
+        p, k = sites[p], k + 1
+    return k
 
 
 @lru_cache(maxsize=None)
-def _symmetry_bases(M, cyclic):
-    """Per block of a Dirac H_V of n = 3 on M samples per axis that commutes with T, and if
-    ``cyclic`` with C: the times its eigenvalues count, and its orthonormal basis as parts
-    (rows, B, J, B[J]^-1), one per action of the group on site orbits; cached, read-only.
-    (g f)(x) = S_g f(x_g) for g = T^t C^c.  The blocks are the +-1 halves of T, or C's omega
-    eigenspace (counted twice: T maps it onto the omega^2 one) and the +-1 halves of T on its
-    invariant subspace.  One local basis B serves all orbits of an action, at ``rows``."""
-    W, R = _axis_spinors()
-    sites = np.arange(M ** 3).reshape((M,) * 3)
-    powers = [(t, c) for t in (0, 1) for c in range(3 if cyclic else 1)]
-    elements = [(sites.transpose(np.roll((0, 1, 2), -c)).transpose((0, 1 + t, 2 - t)).ravel(),
-                 np.linalg.matrix_power(W, t) @ np.linalg.matrix_power(R, c)) for t, c in powers]
-    # projector weights per element: (I +- T)/2 times C's mean, (I + C/omega + C^2/omega^2)/3
-    halves = [([s ** t / len(powers) for t, _ in powers], 1) for s in (1, -1)]
-    omega = [([(t == 0) * np.exp(-2j * np.pi * c / 3) / 3 for t, c in powers], 2)]
+def _symmetry_bases(N, kept):
+    """Per block of an H_V that commutes with the group G of the ``kept`` symmetries (pairs
+    (site map, spinor part) as bytes, of spinor size N): the times its eigenvalues count, and its
+    orthonormal basis as parts (rows, B, J, B[J]^-1), one per action of G on site orbits; cached,
+    read-only.  The kept symmetries are involutions and at most one cycle C of order 3, which an
+    involution inverts.  G's elements are g = G_1^e_1 ... G_k^e_k, (g f)(x) = S_g f(x_g).  The
+    blocks are C's omega eigenspace (counted twice: the involution maps it onto the omega^2 one),
+    then one per sign pattern of the involutions, times C's mean.  One local basis B serves all
+    orbits of an action, at ``rows``."""
+    gens = [(np.frombuffer(p, np.intp), np.frombuffer(S, complex).reshape(N, N)) for p, S in kept]
+    orders = [_order(p) for p, _ in gens]
+    powers = list(product(*map(range, orders)))
+    elements = []
+    for exps in powers:
+        sites = np.arange(len(gens[0][0]))
+        for (p, _), e in zip(gens, exps):
+            for _ in range(e):
+                sites = p[sites]
+        elements.append((sites, reduce(np.matmul, [np.linalg.matrix_power(S, e)
+                                                   for (_, S), e in zip(gens, exps)])))
+    flips = [i for i, k in enumerate(orders) if k == 2]
+    # projector weights per element: a character of the involutions times C's mean, and
+    # C's omega projector (I + C/omega + C^2/omega^2)/3
+    signs = [([prod(s ** e[i] for s, i in zip(pattern, flips)) / len(powers) for e in powers], 1)
+             for pattern in product((1, -1), repeat=len(flips))]
+    omega = [([(not any(e[i] for i in flips)) * np.exp(-2j * np.pi * e[c] / 3) / 3
+               for e in powers], 2) for c, k in enumerate(orders) if k == 3]
     images = np.stack([src for src, _ in elements])
     actions = {}  # the group's action on an orbit's sorted sites -> the orbits with it
     for r in np.unique(images.min(axis=0)):
@@ -373,14 +368,14 @@ def _symmetry_bases(M, cyclic):
         act = np.searchsorted(orbit, images[:, orbit])
         actions.setdefault(act.tobytes(), (act, []))[1].append(orbit)
     blocks = []
-    for weights, count in (omega if cyclic else []) + halves:
+    for weights, count in omega + signs:
         parts = []
         for act, orbits in actions.values():
             P = sum(w * np.kron(np.eye(act.shape[1])[a], S)
                     for w, a, (_, S) in zip(weights, act, elements))
             B, J, inv = _range_basis(P)
             if len(J):  # some orbits have no share in a block
-                rows = (np.array(orbits)[..., None] * 4 + np.arange(4)).reshape(len(orbits), -1)
+                rows = (np.array(orbits)[..., None] * N + np.arange(N)).reshape(len(orbits), -1)
                 parts.append((rows, B, J, inv))
                 for a in parts[-1]:
                     a.setflags(write=False)
@@ -421,24 +416,24 @@ def dense_spectrum(kind, m, V, grid: GridSpec):
     eigensolve.  Any other V, even one that vanishes at every sample, is solved, so
     a job's cost does not hinge on where its support falls.  H_V is assembled from V's
     samples and split into blocks, each solved by :func:`eigenvalues` with its own residual
-    check: a Dirac H_V of n = 3 by the axis permutations its samples respect (into S_3
-    blocks of about D/3, counted twice, D/6 and D/6, or into halves by the swap alone), else
-    in halves on each axis whose reflection i -> M-1-i commutes with H_V bitwise (every axis
-    for the scalar kinds with a radial V), else in one block."""
+    check, by the generators of H_0 (:class:`FreeOperator`) whose symmetry
+    V(x) = S V(x_g) S* V's samples respect within 1e-12 max(|V|, 1) (:func:`_symmetry_bases`):
+    2^n parity blocks for the scalar kinds with a radial V, S_3 blocks of about D/3 (counted
+    twice), D/6 and D/6 or halves by the swap alone for a Dirac H_V of n = 3.  If V respects no
+    involution (none at all, or the cycle alone), H_V is solved in one block."""
     op = free_operator(kind, m, grid)
     if V is None or V.c == 0:
         return op.spectrum().astype(complex), []
     samples = potential_on_grid(V, grid)
     H = assemble_perturbed(kind, m, samples, grid)
-    cyclic = None if op.axis_spinors is None else _axis_symmetry(samples, grid, *op.axis_spinors)
-    if cyclic is not None:
-        blocks = [(_compress(H, parts), count) for count, parts in _symmetry_bases(grid.M, cyclic)]
+    tol = 1e-12 * max(np.abs(samples).max(), 1)
+    kept = [(p, S) for p, S in op.generators
+            if np.abs(samples - S @ samples[p] @ S.conj().T).max() <= tol]
+    if any(_order(p) == 2 for p, _ in kept):  # C's omega block counts twice only beside T
+        key = tuple((p.tobytes(), S.tobytes()) for p, S in kept)
+        blocks = [(_compress(H, parts), count) for count, parts in _symmetry_bases(grid.N, key)]
     else:
-        axes = reflection_axes(H, grid)
-        split = [H.reshape(_boxed(grid) * 2)]
-        for axis in axes:
-            split = [part for b in split for part in _split(b, grid, axis)]
-        blocks = [(b.reshape(grid.size >> len(axes), -1), 1) for b in split]
+        blocks = [(H, 1)]
     del H  # the symmetry blocks are copies: H is freed before the first eigensolve
     vals = np.concatenate([np.tile(eigenvalues(b), count) for b, count in blocks])
     return vals[np.lexsort((vals.imag, vals.real))], [len(b) for b, _ in blocks]

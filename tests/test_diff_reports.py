@@ -87,3 +87,26 @@ def test_spectrum_count_or_value_that_differs_is_structural(tmp_path, rows):
     a = _spectrum_tree(tmp_path / "a", ["0.5,0.0", "3.0,1.0"])
     b = _spectrum_tree(tmp_path / "b", rows)
     assert diff_reports.main([str(a), str(b), "--rtol", "1.0"]) == 2
+
+
+def _eig_report(max_abs_imag, real_range):
+    return {"command": "eig", "results": {"block_sizes": [32, 32], "count": 64,
+                                          "max_abs_imag": max_abs_imag, "real_range": real_range}}
+
+
+def test_eig_rounding_below_the_floor_is_not_a_difference(tmp_path, capsys):
+    # a spectrum real in exact arithmetic: its imaginary parts and its eigenvalue at 0 are
+    # rounding, read against 64 eps max(1, 7.5) = 1.066e-13
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, report in ((a, _eig_report(2.95e-15, [5.2e-16, 7.5])),
+                         (b, _eig_report(2.0e-15, [1.5e-15, 7.5]))):
+        root.mkdir()
+        (root / "e.json").write_text(json.dumps(report))
+    assert diff_reports.main([str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert "results.max_abs_imag: 2.95e-15 -> 2e-15 below the rounding floor 1.066e-13" in out
+    assert "real_range: 1 numbers differ below the rounding floor (largest floor 1.066e-13)" in out
+    # above the floor the comparison is relative, as for any number
+    (b / "e.json").write_text(json.dumps(_eig_report(2.0e-13, [5.2e-16, 7.5])))
+    assert diff_reports.main([str(a), str(b), "--rtol", "0.5"]) == 1
+    assert "results.max_abs_imag: 2.95e-15 -> 2e-13 rel 9.852e-01" in capsys.readouterr().out

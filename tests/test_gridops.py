@@ -10,8 +10,7 @@ from spectralcert import gridops
 from spectralcert.clifford import build_clifford, dirac_symbol
 from spectralcert.gridops import (GridSpec, apply_free_operator, apply_free_resolvent,
                                   apply_gradient, assemble_perturbed, dense_spectrum,
-                                  eigenvalues, free_operator, free_spectrum, potential_on_grid,
-                                  reflection_axes)
+                                  eigenvalues, free_operator, free_spectrum, potential_on_grid)
 from spectralcert.potential import PotentialSpec
 
 
@@ -243,20 +242,62 @@ _SCALAR_PRESETS = [("inverse-square", {}), ("bump", {"R": 3.0}), ("dyadic-decay"
 _DIRAC_PRESETS = _SCALAR_PRESETS + [("matrix-mix", {})]
 
 
+def _dense(generator, grid):
+    """The symmetry (site map, spinor part S) as a dense matrix: (g f)(x) = S f(x_g)."""
+    sites, S = generator
+    return np.kron(np.eye(grid.M ** grid.n)[sites], S)
+
+
+def _axis_flip(grid, axis):
+    """The site map of the reflection i -> M-1-i of one lattice axis."""
+    return np.flip(np.arange(grid.M ** grid.n).reshape((grid.M,) * grid.n), axis).ravel()
+
+
+@pytest.mark.parametrize("kind", ["schrodinger", "klein_gordon", "dirac"])
+@pytest.mark.parametrize("m", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("M", [4, 6])
+@pytest.mark.parametrize("L", [3.0, 6.0])
+def test_H0_commutes_with_declared_generators(kind, m, M, L):
+    # reflections negate frequencies, which the scalar symbols do not see; a permutation of
+    # the axes negates none, so the unpartnered Nyquist term of Dirac is no obstacle to it
+    g = GridSpec(n=3, L=L, M=M, N=4 if kind == "dirac" else 1)
+    H = assemble_perturbed(kind, m, None, g)
+    generators = free_operator(kind, m, g).generators
+    assert len(generators) == (2 if kind == "dirac" else 3)
+    for generator in generators:
+        G = _dense(generator, g)
+        assert np.abs(G @ H @ G.conj().T - H).max() <= 1e-14 * np.abs(H).max()
+
+
 @pytest.mark.parametrize("kind", ["schrodinger", "klein_gordon"])
 @pytest.mark.parametrize("preset,extra", _SCALAR_PRESETS)
 def test_scalar_H_commutes_with_every_axis_reflection(kind, preset, extra):
+    # the scalar kinds declare the reflection of each axis; a radial V keeps every one
     g = GridSpec(n=3, L=4.0, M=6)
     V = PotentialSpec.preset(preset, 3, 1, c=0.8 - 0.6j, **extra)
-    assert reflection_axes(assemble_perturbed(kind, 0.5, V, g), g) == [0, 1, 2]
+    H = assemble_perturbed(kind, 0.5, V, g)
+    generators = free_operator(kind, 0.5, g).generators
+    assert len(generators) == g.n
+    for axis, (sites, S) in enumerate(generators):
+        assert np.array_equal(sites, _axis_flip(g, axis)) and np.array_equal(S, [[1.0]])
+        G = _dense((sites, S), g)
+        assert np.abs(G @ H - H @ G).max() <= 1e-14 * np.abs(H).max()
 
 
 @pytest.mark.parametrize("preset,extra", _DIRAC_PRESETS)
 def test_dirac_H_commutes_with_no_axis_reflection(preset, extra):
-    # the odd term alpha_k xi_k changes sign under a reflection of the lattice alone
+    # the odd term alpha_k xi_k changes sign under a reflection of the lattice alone, and at the
+    # Nyquist frequency it has no partner: R_k (x) alpha_k alpha_e misses H by pi/4
     g = GridSpec(n=3, L=4.0, M=4, N=4)
     V = PotentialSpec.preset(preset, 3, 4, c=0.8 - 0.6j, **extra)
-    assert reflection_axes(assemble_perturbed("dirac", 1.0, V, g), g) == []
+    H = assemble_perturbed("dirac", 1.0, V, g)
+    rep = build_clifford(3)
+    flips = [_axis_flip(g, axis) for axis in range(3)]
+    for sites, _ in free_operator("dirac", 1.0, g).generators:
+        assert not any(np.array_equal(sites, f) for f in flips)
+    for axis, sites in enumerate(flips):
+        G = _dense((sites, rep.alphas[axis + 1] @ rep.spare), g)
+        assert np.abs(G @ H - H @ G).max() == pytest.approx(np.pi / 4, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["schrodinger", "klein_gordon", "dirac"])
@@ -312,10 +353,33 @@ def test_asymmetric_file_takes_one_block(monkeypatch):
     rng = np.random.default_rng(3)
     V = PotentialSpec.from_samples(3, 1, 3.0, 4, rng.normal(size=(64, 1, 1)) + 0.5j)
     H = assemble_perturbed("schrodinger", 0.0, V, g)
-    assert reflection_axes(H, g) == []
     calls = _count_eigensolves(monkeypatch)
     assert np.array_equal(dense_spectrum("schrodinger", 0.0, V, g)[0], eigenvalues(H))
     assert calls == [g.size]
+
+
+def _even_in_axes_0_and_1(g):
+    """A file of inverse-square samples times 1 + x_2/4: even in axes 0 and 1, not in axis 2."""
+    samples = potential_on_grid(PotentialSpec.preset("inverse-square", 3, 1, c=1.5 + 1.1j), g)
+    samples *= 1 + g.points[:, 2, None, None] / 4
+    return PotentialSpec.from_samples(3, 1, g.L, g.M, samples)
+
+
+@pytest.mark.parametrize("kind,n,M,potential,blocks", [
+    ("schrodinger", 1, 16, lambda g: PotentialSpec.preset("bump", 1, 1, c=1.5 + 1.1j, R=2.0), 2),
+    ("klein_gordon", 2, 8, lambda g: PotentialSpec.preset("inverse-square", 2, 1, c=1.5 + 1.1j), 4),
+    ("schrodinger", 3, 4, _even_in_axes_0_and_1, 4)])
+def test_scalar_spectrum_splits_by_the_reflections_V_keeps(monkeypatch, kind, n, M, potential,
+                                                            blocks):
+    g = GridSpec(n=n, L=3.0, M=M)
+    V = potential(g)
+    H = assemble_perturbed(kind, 0.5, V, g)
+    whole = eigenvalues(H)
+    calls = _count_eigensolves(monkeypatch)
+    split, sizes = dense_spectrum(kind, 0.5, V, g)
+    assert calls == sizes == [g.size // blocks] * blocks
+    assert _multiset_distance(split, whole) <= 1e-10 * max(1.0, np.linalg.norm(H, 2))
+    assert np.abs(whole.imag).max() > 1e-3  # a genuinely non-Hermitian case
 
 
 def _axis_swap(grid):
@@ -363,7 +427,7 @@ def test_dirac_H0_commutes_with_axis_cycle(m, M, L):
 
 def test_axis_spinors_generate_s3():
     a = build_clifford(3).alphas
-    W, R = gridops._axis_spinors()
+    (_, W), (_, R) = gridops._axis_permutations(build_clifford(3), 4)
     assert np.array_equal(R, _cycle_spinor())
     assert np.abs(np.linalg.matrix_power(R, 3) - np.eye(4)).max() <= 1e-15  # C^3 = I
     assert np.abs(W @ R @ W - R.conj().T).max() <= 1e-15                    # T C T = C^-1
@@ -373,16 +437,32 @@ def test_axis_spinors_generate_s3():
     T, C = _axis_swap(g), _axis_cycle(g)
     assert np.abs(C @ C @ C - np.eye(g.size)).max() <= 1e-14
     assert np.abs(T @ C @ T - C.conj().T).max() <= 1e-14
+    swap, cycle = free_operator("dirac", 1.0, g).generators  # what dense_spectrum tests V against
+    assert np.array_equal(_dense(swap, g), T) and np.array_equal(_dense(cycle, g), C)
 
 
-@pytest.mark.parametrize("M,cyclic", [(4, True), (4, False), (6, True)])
-def test_symmetry_bases_span_the_eigenspaces(M, cyclic):
-    # each block's basis is orthonormal and lies in its eigenspace of C and T; together
-    # with T times the omega block (C's omega^2 eigenspace) the blocks fill the space
-    g = GridSpec(n=3, L=3.0, M=M, N=4)
-    T, C = _axis_swap(g), _axis_cycle(g)
+@pytest.mark.parametrize("kind,n,M,kept", [  # a Dirac id names M and whether C is kept
+    pytest.param("dirac", 3, 4, (0, 1), id="4-True"),
+    pytest.param("dirac", 3, 4, (0,), id="4-False"),
+    pytest.param("dirac", 3, 6, (0, 1), id="6-True"),
+    pytest.param("schrodinger", 1, 6, (0,), id="reflections-n1"),
+    pytest.param("klein_gordon", 2, 4, (0, 1), id="reflections-n2"),
+    pytest.param("schrodinger", 3, 4, (0, 1, 2), id="reflections-n3"),
+    pytest.param("schrodinger", 3, 4, (0, 1), id="reflections-axes-0-1")])
+def test_symmetry_bases_span_the_eigenspaces(kind, n, M, kept):
+    # each block's basis is orthonormal and lies in its eigenspace of every kept symmetry (a sign
+    # of each involution, times C's mean, or C's omega); together with T times the omega block
+    # (C's omega^2 eigenspace) the blocks fill the space.  The symmetries' matrices are built
+    # here, not read from gridops.
+    g = GridSpec(n=n, L=3.0, M=M, N=4 if kind == "dirac" else 1)
+    generators = free_operator(kind, 0.0, g).generators
+    key = tuple((generators[i][0].tobytes(), generators[i][1].tobytes()) for i in kept)
+    if kind == "dirac":
+        flips, C = [_axis_swap(g)], (_axis_cycle(g) if 1 in kept else None)
+    else:
+        flips, C = [_dense((_axis_flip(g, a), np.ones((1, 1))), g) for a in kept], None
     Qs = []
-    for count, parts in gridops._symmetry_bases(M, cyclic):
+    for count, parts in gridops._symmetry_bases(g.N, key):
         for _, B, J, inv in parts:  # the rows J where each orbit's basis is invertible
             assert np.abs(inv @ B[J] - np.eye(len(J))).max() <= 1e-14
         cols = [np.zeros((g.size, len(rows) * B.shape[1]), complex) for rows, B, _, _ in parts]
@@ -390,16 +470,18 @@ def test_symmetry_bases_span_the_eigenspaces(M, cyclic):
             for o, r in enumerate(rows):
                 Q[r, o * B.shape[1]:(o + 1) * B.shape[1]] = B
         Qs.append((np.hstack(cols), count))
-    omega = np.exp(2j * np.pi / 3)
-    if cyclic:
-        (Qw, two), (Qp, _), (Qm, _) = Qs
-        assert two == 2 and np.abs(C @ Qw - omega * Qw).max() <= 1e-14
-        assert np.abs(C @ Qp - Qp).max() <= 1e-14 and np.abs(C @ Qm - Qm).max() <= 1e-14
-        Qs.append((T @ Qw, 0))
-    else:
-        (Qp, _), (Qm, _) = Qs
-    assert np.abs(T @ Qp - Qp).max() <= 1e-14 and np.abs(T @ Qm + Qm).max() <= 1e-14
-    Q = np.hstack([Q for Q, _ in Qs])
+    blocks, spans = iter(Qs), []
+    if C is not None:
+        Qw, two = next(blocks)
+        assert two == 2 and np.abs(C @ Qw - np.exp(2j * np.pi / 3) * Qw).max() <= 1e-14
+        spans += [Qw, flips[0] @ Qw]
+    for signs in itertools.product((1, -1), repeat=len(flips)):
+        Q, one = next(blocks)
+        assert one == 1 and all(np.abs(G @ Q - s * Q).max() <= 1e-14 for s, G in zip(signs, flips))
+        assert C is None or np.abs(C @ Q - Q).max() <= 1e-14
+        spans.append(Q)
+    assert next(blocks, None) is None
+    Q = np.hstack(spans)
     assert Q.shape == (g.size, g.size)
     assert np.abs(Q.conj().T @ Q - np.eye(g.size)).max() <= 1e-14
 
@@ -427,6 +509,21 @@ def test_asymmetric_dirac_file_takes_one_block(monkeypatch):
     g = GridSpec(n=3, L=3.0, M=4, N=4)
     rng = np.random.default_rng(4)
     V = PotentialSpec.from_samples(3, 4, 3.0, 4, rng.normal(size=(64, 4, 4)) + 0.5j)
+    H = assemble_perturbed("dirac", 1.0, V, g)
+    calls = _count_eigensolves(monkeypatch)
+    assert np.array_equal(dense_spectrum("dirac", 1.0, V, g)[0], eigenvalues(H))
+    assert calls == [g.size]
+
+
+def test_dirac_file_with_the_cycle_alone_takes_one_block(monkeypatch):
+    # (x1 - x2)(x2 - x3)(x3 - x1) keeps its value under the cycle of the axes and changes sign
+    # under their swap; C's omega block counts twice only beside T, so no block is split off
+    g = GridSpec(n=3, L=3.0, M=4, N=4)
+    x = g.points
+    alternating = (x[:, 0] - x[:, 1]) * (x[:, 1] - x[:, 2]) * (x[:, 2] - x[:, 0])
+    samples = (0.9 + 0.6j) * (1 + 0.1 * alternating)[:, None, None] * np.eye(4) \
+        / (1.0 + g.radii[:, None, None])
+    V = PotentialSpec.from_samples(3, 4, 3.0, 4, samples)
     H = assemble_perturbed("dirac", 1.0, V, g)
     calls = _count_eigensolves(monkeypatch)
     assert np.array_equal(dense_spectrum("dirac", 1.0, V, g)[0], eigenvalues(H))
@@ -474,6 +571,19 @@ def test_dirac_dense_spectrum_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2.6 * 16 * g.size ** 2
+
+
+def test_scalar_dense_spectrum_memory():
+    # the parity blocks are gathered from H 64 rows at a time, beside H and its kernel's offsets
+    g = GridSpec(n=3, L=3.0, M=8)
+    V = PotentialSpec.preset("inverse-square", 3, 1, c=1.0)
+    tracemalloc.start()
+    try:
+        dense_spectrum("schrodinger", 0.5, V, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 16 * g.size ** 2
 
 
 @pytest.mark.parametrize("kind,N", [("schrodinger", 1), ("klein_gordon", 1), ("dirac", 4)])

@@ -19,6 +19,15 @@ which counts against ``--rtol`` like any number.  A rounding-level change
 can reorder near-degenerate eigenvalues under the (real, imaginary) sort;
 matched this way, it reads as the rounding it is.
 
+An ``eig`` report's ``results.max_abs_imag`` and ``results.real_range`` are
+eigenvalue parts, accurate only to the eigensolver's backward error, about
+``D·eps·|lambda|`` (``D`` the report's ``count``).  On a spectrum that is real,
+or has an eigenvalue at 0, in exact arithmetic, such a number is rounding, and
+its relative difference means nothing.  So where both values lie below the
+floor ``count·eps·max(1, |real_range|)`` (over both reports) the change is
+counted as rounding: it is printed with the floor, and does not count against
+``--rtol``.
+
 A structural difference is a file present on one side only, a JSON key or
 list length that differs, a CSV column present on one side only, a row
 count that differs, or any differing value that is not a finite number on
@@ -41,6 +50,8 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+FLOOR_FIELDS = ("results.max_abs_imag", "results.real_range")  # eig numbers read against a floor
+
 
 class Diff:
     """Collects the differences found between two dumps."""
@@ -49,17 +60,22 @@ class Diff:
         self.structural = []
         self.numeric = defaultdict(list)   # field -> [relative difference, ...]
         self.spectra = []                  # (largest |dlambda|, relative) per differing spectrum
+        self.rounding = defaultdict(list)  # field -> [floor, ...] of changes below it
         self.max_rel = 0.0
 
     def structure(self, where, msg):
         self.structural.append(f"{where}: {msg}")
         print(f"STRUCTURE {where}: {msg}")
 
-    def value(self, where, field, a, b):
-        """Compare two values (numbers, or strings read from a CSV cell)."""
+    def value(self, where, field, a, b, floor=0.0):
+        """Compare two values (numbers, or strings read from a CSV cell); a change of two
+        numbers that both lie below ``floor`` in magnitude is rounding."""
         x, y = _number(a), _number(b)
         if x is not None and y is not None and math.isfinite(x) and math.isfinite(y):
-            if x != y:
+            if x != y and max(abs(x), abs(y)) < floor:
+                self.rounding[field].append(floor)
+                print(f"{where}: {a!r} -> {b!r} below the rounding floor {floor:.3e}")
+            elif x != y:
                 rel = abs(x - y) / max(abs(x), abs(y))
                 self.numeric[field].append(rel)
                 self.max_rel = max(self.max_rel, rel)
@@ -84,8 +100,18 @@ def _number(v):
     return None
 
 
-def compare_json(diff, where, key, field, a, b):
-    """Compare two parsed JSON values at ``key`` (``field`` is ``key`` without list indices)."""
+def rounding_floor(a, b):
+    """``count·eps·max(1, |real_range|)`` over two ``eig`` reports, else 0 (module docstring)."""
+    if a.get("command") != "eig" or b.get("command") != "eig":
+        return 0.0
+    results = (a["results"], b["results"])
+    scale = max([1.0] + [abs(x) for r in results for x in r["real_range"]])
+    return max(r["count"] for r in results) * np.finfo(float).eps * scale
+
+
+def compare_json(diff, where, key, field, a, b, floor=0.0):
+    """Compare two parsed JSON values at ``key`` (``field`` is ``key`` without list indices);
+    the numbers of FLOOR_FIELDS are read against ``floor``."""
     at = f"{where}:{key}"
     if isinstance(a, dict) and isinstance(b, dict):
         for k in sorted(a.keys() | b.keys()):
@@ -93,18 +119,18 @@ def compare_json(diff, where, key, field, a, b):
             if k not in b or k not in a:
                 diff.structure(f"{where}:{sub}", "key only in " + ("A" if k in a else "B"))
             else:
-                compare_json(diff, where, sub, sub_field, a[k], b[k])
+                compare_json(diff, where, sub, sub_field, a[k], b[k], floor)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             diff.structure(at, f"list length {len(a)} -> {len(b)}")
             return
         for i, (x, y) in enumerate(zip(a, b)):
-            compare_json(diff, where, f"{key}[{i}]", field, x, y)
+            compare_json(diff, where, f"{key}[{i}]", field, x, y, floor)
     elif isinstance(a, str) or isinstance(b, str) or _number(a) is None or _number(b) is None:
         if a != b:
             diff.structure(at, f"{a!r} -> {b!r}")
     else:
-        diff.value(at, field, a, b)
+        diff.value(at, field, a, b, floor if field in FLOOR_FIELDS else 0.0)
 
 
 def _read_csv(path):
@@ -166,8 +192,8 @@ def compare_trees(a_root, b_root):
         if a_path.read_bytes() == b_path.read_bytes():
             continue
         if rel.suffix == ".json":
-            compare_json(diff, str(rel), "", "", json.loads(a_path.read_text()),
-                         json.loads(b_path.read_text()))
+            a_doc, b_doc = json.loads(a_path.read_text()), json.loads(b_path.read_text())
+            compare_json(diff, str(rel), "", "", a_doc, b_doc, rounding_floor(a_doc, b_doc))
         elif rel.suffix == ".csv":
             compare_csv(diff, str(rel), a_path, b_path)
         else:
@@ -189,6 +215,9 @@ def main(argv=None):
     print(f"summary: {common} files on both sides, {len(diff.structural)} structural differences")
     for field, rels in sorted(diff.numeric.items()):
         print(f"  {field}: {len(rels)} numbers differ, largest relative difference {max(rels):.3e}")
+    for field, floors in sorted(diff.rounding.items()):
+        print(f"  {field}: {len(floors)} numbers differ below the rounding floor "
+              f"(largest floor {max(floors):.3e})")
     if diff.spectra:
         dist, rel = np.max(diff.spectra, axis=0)
         print(f"  spectra: {len(diff.spectra)} differ, as multisets largest |dlambda| {dist:.3e}, "
