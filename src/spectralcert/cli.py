@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation error, 2 computational error,
 import argparse
 import contextlib
 from dataclasses import asdict
+from functools import lru_cache
 import json
 import sys
 import time
@@ -127,7 +128,9 @@ _RUNNERS = {
 }
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser():
+    """The argument parser, built on first use and shared by every later call of :func:`main`."""
     parser = argparse.ArgumentParser(
         prog="spectralcert",
         description="Spectral-stability certificates and Birman-Schwinger numerics "
@@ -138,7 +141,11 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="report path (default <config>_report.json)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         with open(args.config) as fh:

@@ -12,16 +12,17 @@ Every use of H_0 goes through one :class:`FreeOperator` per (kind, m, grid),
 cached by :func:`free_operator`.  It builds the symbol once, measures the
 distance of z from the discrete symbol set (``gap``), lists the free
 spectrum, and applies forward and resolvent multipliers with one FFT -
-multiply - inverse FFT.  Dense matrices of those multipliers are gathered
-from their translation-invariant kernels.
+multiply - inverse FFT.  Rows of the dense matrices of those multipliers are
+gathered from their translation-invariant kernels, any rows at a time.
 
 Dense spectra (:func:`dense_spectrum`) split H_V by the symmetries of H_0 that V's samples
 respect: the axis reflections for the scalar kinds, and for Dirac in n = 3 the permutations of
-the axes paired with spinor rotations.
+the axes paired with spinor rotations.  Each block is formed from the rows of H_V it reads
+(:func:`assemble_perturbed` with ``rows``), so a split job builds no D x D matrix.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import product
 from math import ceil, prod
 
@@ -34,6 +35,8 @@ from .potential import PotentialSpec
 KINDS = ("schrodinger", "klein_gordon", "dirac")
 
 DENSE_SIZE_LIMIT = 4096
+
+GATHER_ENTRIES = 1 << 16      # entries of a dense operator gathered per step of FreeOperator.gather
 
 EXCLUSION_MARGIN = 1e-8       # |denominator| below which z counts as on the discrete symbol set
 
@@ -216,25 +219,59 @@ class FreeOperator:
             out = np.einsum("...ab,...b->...a", block, spec)
         return _ifft(self.grid, out)
 
-    def dense(self, block):
-        """Dense matrix of the multiplier ``block`` on the grid basis (point-major, spinor-minor).
+    def windows(self, block):
+        """The rows of the dense matrix of the multiplier ``block`` on the grid basis
+        (point-major, spinor-minor), as a read-only view W of shape (starts,) + (M,)*n + (N,):
+        row r is ``W[_window_starts(M, n, N)[r]]``.
 
-        The multiplier is a circular convolution, so entry ((i, a), (j, b)) is its
-        kernel (one inverse FFT of ``block``) at (i - j) mod M per axis.
+        The multiplier is a circular convolution, so entry ((i, a), (j, b)) is its kernel (one
+        inverse FFT of ``block``) at (i - j) mod M per axis.  Over j that is a window of the
+        kernel tiled twice and flipped on each axis, starting at M - 1 - i; W[s] is the window
+        that starts at element s of that array.
         """
         g = self.grid
         if self.matrix is None:
             block = block[..., None, None]
-        axes = tuple(range(g.n))
-        kernel = np.fft.ifftn(block, axes=axes)
-        step = (np.arange(g.M)[:, None] - np.arange(g.M)) % g.M
-        offsets = 0  # C-order index of the per-axis differences, sites i x sites j
-        for ax in axes:
-            shape = [1] * (2 * g.n)
-            shape[ax] = shape[g.n + ax] = g.M
-            offsets = offsets * g.M + step.reshape(shape)
-        blocks = kernel.reshape(g.M ** g.n, g.N, g.N)[offsets.reshape(g.M ** g.n, -1)]
-        return np.ascontiguousarray(blocks.transpose(0, 2, 1, 3)).reshape(g.size, g.size)
+        kernel = np.fft.ifftn(block, axes=tuple(range(g.n)))
+        wrap = (g.M - 1 - np.arange(2 * g.M)) % g.M
+        flipped = kernel[np.ix_(*[wrap] * g.n)]  # a new C-ordered (2M,)*n + (N, N) array
+        st = flipped.strides
+        return np.lib.stride_tricks.as_strided(
+            flipped, (_window_starts(g.M, g.n, g.N).max() + 1,) + (g.M,) * g.n + (g.N,),
+            (flipped.itemsize,) + st[:g.n] + st[g.n + 1:], writeable=False)
+
+    @cached_property
+    def forward_windows(self):
+        """:meth:`windows` of H_0, built once."""
+        return self.windows(self.forward_block())
+
+    def gather(self, windows, rows=None):
+        """Rows ``rows`` (all if None) of the dense matrix with these :meth:`windows`, shape
+        (len(rows), D), gathered about GATHER_ENTRIES entries at a time."""
+        g = self.grid
+        starts = _window_starts(g.M, g.n, g.N)
+        starts = starts if rows is None else starts[rows]
+        step = max(1, GATHER_ENTRIES // g.size)
+        if len(starts) <= step:
+            return windows[starts].reshape(-1, g.size)
+        out = np.empty((len(starts), g.size), complex)
+        for s in range(0, len(out), step):
+            out[s:s + step] = windows[starts[s:s + step]].reshape(-1, g.size)
+        return out
+
+    def dense(self, block):
+        """Dense matrix of the multiplier ``block``: :meth:`gather` of all rows of its windows."""
+        return self.gather(self.windows(block))
+
+
+@lru_cache(maxsize=None)
+def _window_starts(M, n, N):
+    """Where the window of each row (i, a) starts in the flat array of
+    :meth:`FreeOperator.windows`: its element (M - 1 - i, a, 0), shape (M^n N,), read-only."""
+    i = np.indices((M,) * n + (N,)).reshape(n + 1, -1)
+    starts = N * np.ravel_multi_index((*(M - 1 - i[:n]), i[n]), (2 * M,) * n + (N,))
+    starts.setflags(write=False)
+    return starts
 
 
 def _generator(sites, S):
@@ -305,23 +342,27 @@ def potential_on_grid(V: PotentialSpec, grid: GridSpec):
     return V.evaluate(grid.points)
 
 
-def assemble_perturbed(kind, m, V, grid: GridSpec):
-    """Dense matrix of H_V = H_0 + V on the grid basis (point-major, spinor-minor).
+def assemble_perturbed(kind, m, V, grid: GridSpec, rows=None):
+    """Rows ``rows`` of the dense matrix of H_V = H_0 + V on the grid basis (point-major,
+    spinor-minor), shape (len(rows), D); all of H_V if ``rows`` is None.
 
-    H_0 is gathered from its translation-invariant kernel (:meth:`FreeOperator.dense`).
-    V is a PotentialSpec, its samples from :func:`potential_on_grid`, or None for H_0;
-    the samples are added to the diagonal blocks.  Grids above DENSE_SIZE_LIMIT are rejected.
+    H_0's rows are gathered from its translation-invariant kernel (:meth:`FreeOperator.gather`).
+    V is a PotentialSpec, its samples from :func:`potential_on_grid`, or None for H_0; the
+    samples are added to the diagonal entries of those rows, the entries of H_V's diagonal
+    blocks.  Grids above DENSE_SIZE_LIMIT are rejected.
     """
     D = grid.size
     if D > DENSE_SIZE_LIMIT:
         raise ValueError(f"dense size {D} exceeds limit {DENSE_SIZE_LIMIT}; "
                          "use the matrix-free bs_scan / resolvent path instead")
     op = free_operator(kind, m, grid)
-    H = op.dense(op.forward_block())
+    H = op.gather(op.forward_windows, rows)
     if V is not None:
         samples = V if isinstance(V, np.ndarray) else potential_on_grid(V, grid)
-        sites = np.arange(grid.M ** grid.n)
-        H.reshape(len(sites), grid.N, len(sites), grid.N)[sites, :, sites, :] += samples
+        rows = np.arange(D) if rows is None else np.asarray(rows, dtype=np.intp)
+        sites = rows // grid.N
+        entries = H.reshape(len(rows), grid.M ** grid.n, grid.N)  # (row, site, spinor)
+        entries[np.arange(len(rows)), sites] += samples[sites, rows % grid.N]
     return H
 
 
@@ -395,14 +436,20 @@ def _range_basis(P):
     return BT[:n], np.array(J, dtype=int), BT[n:][J].conj().T
 
 
-def _compress(H, parts):
-    """A = Q* H Q for a basis Q of :func:`_symmetry_bases` whose span H maps into itself: as
-    H Q = Q A, A = Q[J]^-1 H[J] Q with Q[J] block-diagonal, filled 64 rows at a time."""
+def _compress(rows_of, parts):
+    """A = Q* H Q for a basis Q of :func:`_symmetry_bases` whose span H maps into itself, from
+    ``rows_of(J)``, the rows J of H (such as a ``partial`` of :func:`assemble_perturbed`): as
+    H Q = Q A, A = Q[J]^-1 H[J] Q with Q[J] block-diagonal, formed from about GATHER_ENTRIES
+    entries of H's rows J at a time."""
+    width = sum(r.size for r, _, _, _ in parts)  # the columns of H that Q reads
     A, start = np.empty((sum(len(rows) * len(j) for rows, _, j, _ in parts),) * 2, complex), 0
     for rows, _, j, inv in parts:
-        for Jc in np.array_split(rows[:, j], -(-len(rows) * len(j) // 64)):  # (orbits, k)
-            HQ = np.hstack([(H[np.ix_(Jc.ravel(), r.ravel())].reshape(-1, len(B)) @ B)
-                            .reshape(Jc.size, -1) for r, B, _, _ in parts])
+        step = max(1, GATHER_ENTRIES // (len(j) * width))  # orbits per step
+        for s in range(0, len(rows), step):
+            Jc = rows[s:s + step, j]  # (orbits, k) of the rows J
+            H = rows_of(Jc.ravel())
+            HQ = np.hstack([(H[:, r.ravel()].reshape(-1, len(B)) @ B).reshape(Jc.size, -1)
+                            for r, B, _, _ in parts])
             A[start:start + Jc.size] = (inv @ HQ.reshape(*Jc.shape, -1)).reshape(HQ.shape)
             start += Jc.size
     return A
@@ -414,29 +461,31 @@ def dense_spectrum(kind, m, V, grid: GridSpec):
 
     V identically zero (absent, or coupling c = 0) gives the free spectrum, with no
     eigensolve.  Any other V, even one that vanishes at every sample, is solved, so
-    a job's cost does not hinge on where its support falls.  H_V is assembled from V's
-    samples and split into blocks, each solved by :func:`eigenvalues` with its own residual
-    check, by the generators of H_0 (:class:`FreeOperator`) whose symmetry
-    V(x) = S V(x_g) S* V's samples respect within 1e-12 max(|V|, 1) (:func:`_symmetry_bases`):
-    2^n parity blocks for the scalar kinds with a radial V, S_3 blocks of about D/3 (counted
-    twice), D/6 and D/6 or halves by the swap alone for a Dirac H_V of n = 3.  If V respects no
-    involution (none at all, or the cycle alone), H_V is solved in one block."""
+    a job's cost does not hinge on where its support falls.  H_V is split into blocks, each
+    solved by :func:`eigenvalues` with its own residual check, by the generators of H_0
+    (:class:`FreeOperator`) whose symmetry V(x) = S V(x_g) S* V's samples respect within
+    1e-12 max(|V|, 1) (:func:`_symmetry_bases`): 2^n parity blocks for the scalar kinds with a
+    radial V, S_3 blocks of about D/3 (counted twice), D/6 and D/6 or halves by the swap alone
+    for a Dirac H_V of n = 3.  Each block is formed from the rows of H_V it reads just before
+    its eigensolve and dropped after it, so no D x D matrix is built.  If V respects no
+    involution (none at all, or the cycle alone), all of H_V is assembled and solved in one
+    block."""
     op = free_operator(kind, m, grid)
     if V is None or V.c == 0:
         return op.spectrum().astype(complex), []
     samples = potential_on_grid(V, grid)
-    H = assemble_perturbed(kind, m, samples, grid)
     tol = 1e-12 * max(np.abs(samples).max(), 1)
     kept = [(p, S) for p, S in op.generators
             if np.abs(samples - S @ samples[p] @ S.conj().T).max() <= tol]
     if any(_order(p) == 2 for p, _ in kept):  # C's omega block counts twice only beside T
         key = tuple((p.tobytes(), S.tobytes()) for p, S in kept)
-        blocks = [(_compress(H, parts), count) for count, parts in _symmetry_bases(grid.N, key)]
+        rows_of = partial(assemble_perturbed, kind, m, samples, grid)
+        solved = [(eigenvalues(_compress(rows_of, parts)), count)
+                  for count, parts in _symmetry_bases(grid.N, key)]
     else:
-        blocks = [(H, 1)]
-    del H  # the symmetry blocks are copies: H is freed before the first eigensolve
-    vals = np.concatenate([np.tile(eigenvalues(b), count) for b, count in blocks])
-    return vals[np.lexsort((vals.imag, vals.real))], [len(b) for b, _ in blocks]
+        solved = [(eigenvalues(assemble_perturbed(kind, m, samples, grid)), 1)]
+    vals = np.concatenate([np.tile(v, count) for v, count in solved])
+    return vals[np.lexsort((vals.imag, vals.real))], [len(v) for v, _ in solved]
 
 
 def eigenvalues(H):

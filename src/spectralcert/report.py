@@ -5,6 +5,7 @@ digits, and no wall-clock data inside the file (timing goes to stderr), so
 identical configs and seeds produce byte-identical output.
 """
 
+from itertools import chain, groupby
 import json
 import numbers
 
@@ -80,17 +81,14 @@ def write_report(report, path, csv_siblings=None):
 
 
 def write_csv(path, header, rows):
-    """Header line, then one line per row; floats to 12 significant digits, nan as ``nan``."""
+    """Header line, then one line per row; floats to 12 significant digits, nan as ``nan``.
+
+    Each run of rows whose cells have the same types is formatted by one ``%``-string: ``%d``
+    for an integer, ``%s`` for a string and ``%.12g`` for anything else."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(c) for c in row) + "\n")
-
-
-def _fmt_cell(c):
-    if isinstance(c, str):
-        return c
-    if isinstance(c, numbers.Integral):
-        return str(int(c))
-    x = float(c)
-    return "nan" if np.isnan(x) else f"{x:.12g}"
+        for types, run in groupby(rows, lambda row: tuple(map(type, row))):
+            run = list(run)
+            line = ",".join("%d" if issubclass(t, numbers.Integral) else
+                            "%s" if issubclass(t, str) else "%.12g" for t in types) + "\n"
+            fh.write((line * len(run)) % tuple(chain.from_iterable(run)))

@@ -1,15 +1,17 @@
 import json
 import math
+import numbers
 import warnings
 
 import numpy as np
 import pytest
 
+from spectralcert.birman_schwinger import BSScan
 from spectralcert.cli import main, EXIT_OK, EXIT_VALIDATION, EXIT_COMPUTE, EXIT_INCONCLUSIVE
 from spectralcert.config import parse_config, ConfigError
 from spectralcert.enclosure import c2_constant, rho_norms
 from spectralcert.potential import PotentialSpec, save_potential_binary, save_potential_text
-from spectralcert.report import canonical_json, make_report, write_report
+from spectralcert.report import canonical_json, make_report, write_csv, write_report
 from spectralcert.weights import WeightSpec
 
 
@@ -97,6 +99,36 @@ def test_write_report_with_sibling(tmp_path):
     assert csv == ["a,b", "1,2.5", "3,nan"]
 
 
+def _fmt_cell(c):
+    """One CSV cell as write_csv formatted it cell by cell: the reference for its runs of rows."""
+    if isinstance(c, str):
+        return c
+    if isinstance(c, numbers.Integral):
+        return str(int(c))
+    x = float(c)
+    return "nan" if np.isnan(x) else f"{x:.12g}"
+
+
+def test_write_csv_matches_cell_by_cell_formatting(tmp_path):
+    rng = np.random.default_rng(0)
+    special = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 1e-300, 5e-324]
+    mags = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-20, 20, 4000)
+    shape = (3, 4)
+    scan = BSScan(re=np.linspace(-1, 1, 4), im=np.linspace(0.1, 0.4, 3),
+                  values=np.where(rng.random(shape) < 0.3, np.nan, rng.random(shape)),
+                  excluded=rng.random(shape) < 0.3, residuals=rng.random(shape) * 1e-5,
+                  applies=rng.integers(0, 40, shape))
+    cases = [[(x, y) for x in special for y in special],
+             [(a, b) for a, b in zip(mags[:2000], mags[2000:].tolist())],  # numpy, then Python floats
+             scan.csv_rows(),
+             [("x", 1, 2.5), ("y", np.int64(-3), np.float32(0.1)), (True, np.True_, "z"), ()]]
+    for rows in cases:
+        path = tmp_path / "t.csv"
+        write_csv(path, ("a", "b"), rows)
+        assert path.read_text() == "a,b\n" + "".join(",".join(map(_fmt_cell, row)) + "\n"
+                                                     for row in rows)
+
+
 # -- end-to-end subcommands ---------------------------------------------
 
 def test_cli_certify_stable(tmp_path, capsys):
@@ -125,6 +157,26 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     assert main(["certify", "--config", cfg]) == EXIT_VALIDATION
     assert "invalid configuration" in capsys.readouterr().err
     assert main(["certify", "--config", str(tmp_path / "missing.json")]) == EXIT_VALIDATION
+
+
+def test_cli_consecutive_calls_share_one_parser(tmp_path, capsys):
+    # the parser is built once; each call still gets its own arguments, exit code and message
+    cert = _write(tmp_path, "c.json", CERT_CFG)
+    eig = _write(tmp_path, "e.json", {"kind": "schrodinger", "n": 3, "m": 0.0,
+                                      "potential": {"preset": "bump", "c": 1.0, "N": 1},
+                                      "grid": {"L": 3.0, "M": 4}})
+    assert main(["certify", "--config", cert, "--out", str(tmp_path / "c_rep.json")]) == EXIT_OK
+    assert main(["eig", "--config", eig]) == EXIT_OK
+    assert json.loads((tmp_path / "e_report.json").read_text())["command"] == "eig"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["eig", "--config", eig, "--seed", "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: spectralcert eig [-h] --config CONFIG")
+    assert "argument --seed: invalid int value: 'x'" in err
+    assert main(["scan", "--config", str(tmp_path / "missing.json")]) == EXIT_VALIDATION
+    assert "error: cannot read config" in capsys.readouterr().err
 
 
 def test_cli_disks(tmp_path):

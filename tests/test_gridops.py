@@ -10,7 +10,8 @@ from spectralcert import gridops
 from spectralcert.clifford import build_clifford, dirac_symbol
 from spectralcert.gridops import (GridSpec, apply_free_operator, apply_free_resolvent,
                                   apply_gradient, assemble_perturbed, dense_spectrum,
-                                  eigenvalues, free_operator, free_spectrum, potential_on_grid)
+                                  eigenvalues, free_operator, free_spectrum, potential_on_grid,
+                                  spinor_size)
 from spectralcert.potential import PotentialSpec
 
 
@@ -312,6 +313,65 @@ def test_kernel_assembly_matches_matrix_free(kind):
     assert np.abs((H @ f.values.ravel()).reshape(-1, N) - direct).max() < 1e-10
 
 
+def _reference_dense(op, block):
+    """The dense matrix of a multiplier by a sites x sites table of kernel offsets, then a
+    transposed copy: the gather that FreeOperator.windows replaced."""
+    g = op.grid
+    if op.matrix is None:
+        block = block[..., None, None]
+    axes = tuple(range(g.n))
+    kernel = np.fft.ifftn(block, axes=axes)
+    step = (np.arange(g.M)[:, None] - np.arange(g.M)) % g.M
+    offsets = 0  # C-order index of the per-axis differences, sites i x sites j
+    for ax in axes:
+        shape = [1] * (2 * g.n)
+        shape[ax] = shape[g.n + ax] = g.M
+        offsets = offsets * g.M + step.reshape(shape)
+    blocks = kernel.reshape(g.M ** g.n, g.N, g.N)[offsets.reshape(g.M ** g.n, -1)]
+    return np.ascontiguousarray(blocks.transpose(0, 2, 1, 3)).reshape(g.size, g.size)
+
+
+_ROW_GRIDS = [(1, 8), (2, 4), (3, 4)]  # (n, M)
+
+
+def _row_potentials(n, M, N):
+    """None, a preset and a file of random complex samples (no symmetry, V(x) not Hermitian)."""
+    rng = np.random.default_rng(n * N)
+    samples = rng.normal(size=(M ** n, N, N)) + 1j * rng.normal(size=(M ** n, N, N))
+    return [None, PotentialSpec.preset("inverse-square", n, N, c=0.9 - 0.4j),
+            PotentialSpec.from_samples(n, N, 3.0, M, samples)]
+
+
+@pytest.mark.parametrize("kind", ["schrodinger", "klein_gordon", "dirac"])
+@pytest.mark.parametrize("n,M", _ROW_GRIDS)
+def test_assemble_rows_are_rows_of_the_whole_matrix(kind, n, M):
+    N = spinor_size(kind, n)
+    g = GridSpec(n=n, L=3.0, M=M, N=N)
+    op = free_operator(kind, 0.7, g)
+    H0 = _reference_dense(op, op.forward_block())
+    for V in _row_potentials(n, M, N):
+        H = assemble_perturbed(kind, 0.7, V, g)
+        ref = H0.copy()  # V's samples on the diagonal blocks, as the assembly added them before
+        if V is not None:
+            sites = np.arange(M ** n)
+            ref.reshape(len(sites), N, len(sites), N)[sites, :, sites, :] += potential_on_grid(V, g)
+        assert np.array_equal(H, ref)
+        rng = np.random.default_rng(1)
+        for J in ([], rng.permutation(g.size)[: g.size // 3], [g.size - 1], [5, 2, 5]):
+            rows = assemble_perturbed(kind, 0.7, V, g, rows=J)
+            assert rows.shape == (len(J), g.size)
+            assert np.array_equal(rows, H[J])
+
+
+@pytest.mark.parametrize("kind", ["schrodinger", "klein_gordon", "dirac"])
+@pytest.mark.parametrize("n,M", _ROW_GRIDS + [(3, 6)])
+def test_dense_multiplier_matches_reference_gather(kind, n, M):
+    g = GridSpec(n=n, L=3.0, M=M, N=spinor_size(kind, n))
+    op = free_operator(kind, 0.7, g)
+    for block in (op.forward_block(), op.resolvent_block(0.3 + 0.2j)):
+        assert np.array_equal(op.dense(block), _reference_dense(op, block))
+
+
 def _count_eigensolves(monkeypatch):
     calls = []
 
@@ -560,30 +620,45 @@ def test_dirac_hedgehog_file_takes_s3_blocks(monkeypatch):
     assert np.abs(whole.imag).max() > 1e-3
 
 
-def test_dirac_dense_spectrum_memory():
-    # H, then its blocks; H is gone before LAPACK copies a block and adds its vectors
-    g = GridSpec(n=3, L=3.0, M=6, N=4)
-    V = PotentialSpec.preset("bump", 3, 4, c=1.0, R=1.3)
+def _peak_of(fn):
+    """tracemalloc's peak of fn(), after one untraced call has filled the caches."""
+    fn()
     tracemalloc.start()
     try:
-        dense_spectrum("dirac", 1.0, V, g)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.6 * 16 * g.size ** 2
+
+
+def test_dirac_dense_spectrum_memory():
+    # each block is formed from rows of H_V just before its eigensolve and dropped after it: the
+    # peak is one block, LAPACK's copy of it and its vectors, far below one D x D matrix of H_V;
+    # S_3 blocks [292, 140, 140]: 0.40 * 16 D^2
+    g = GridSpec(n=3, L=3.0, M=6, N=4)
+    V = PotentialSpec.preset("bump", 3, 4, c=1.0, R=1.3)
+    assert _peak_of(lambda: dense_spectrum("dirac", 1.0, V, g)) <= 0.45 * 16 * g.size ** 2
+
+
+def test_dirac_halves_dense_spectrum_memory():
+    # matrix-mix keeps the swap alone: two halves [432, 432], 0.83 * 16 D^2
+    g = GridSpec(n=3, L=3.0, M=6, N=4)
+    V = PotentialSpec.preset("matrix-mix", 3, 4, c=1.0)
+    assert _peak_of(lambda: dense_spectrum("dirac", 1.0, V, g)) <= 0.9 * 16 * g.size ** 2
 
 
 def test_scalar_dense_spectrum_memory():
-    # the parity blocks are gathered from H 64 rows at a time, beside H and its kernel's offsets
+    # eight parity blocks of D/8, each from its D/8 rows of H_V: 0.40 * 16 D^2
     g = GridSpec(n=3, L=3.0, M=8)
     V = PotentialSpec.preset("inverse-square", 3, 1, c=1.0)
-    tracemalloc.start()
-    try:
-        dense_spectrum("schrodinger", 0.5, V, g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.6 * 16 * g.size ** 2
+    assert _peak_of(lambda: dense_spectrum("schrodinger", 0.5, V, g)) <= 0.45 * 16 * g.size ** 2
+
+
+def test_whole_assembly_memory():
+    # H_V's rows are gathered into H a few at a time, with no transposed copy: 1.09 * 16 D^2
+    g = GridSpec(n=3, L=3.0, M=6, N=4)
+    V = PotentialSpec.preset("matrix-mix", 3, 4, c=1.0)
+    assert _peak_of(lambda: assemble_perturbed("dirac", 1.0, V, g)) <= 1.15 * 16 * g.size ** 2
 
 
 @pytest.mark.parametrize("kind,N", [("schrodinger", 1), ("klein_gordon", 1), ("dirac", 4)])
