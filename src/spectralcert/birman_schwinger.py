@@ -1,11 +1,10 @@
 """The Birman-Schwinger operator K_z = A (H_0 - z)^{-1} B* on the grid.
 
 V = B* A with the pointwise polar factors of :func:`polar_factors`.  On the
-finite-dimensional discretization every factor is bounded, so K_z and K_z*
-are one composition, left R right*: pointwise multiplication by right*, the
-multiplier resolvent R = R_0(z) (or R_0(z)*), and pointwise multiplication
-by left, with (left, right) = (A, B) (or (B, A)), on flat (D,) vectors; only
-the resolvent step takes a :class:`FieldOnGrid`.  The operator norm comes
+finite-dimensional discretization every factor is bounded, so K_z is one
+composition on flat (D,) vectors; only the resolvent step takes a
+:class:`FieldOnGrid`.  H_0 is self-adjoint, so K_z* = B R_0(z.conjugate()) A*
+is the same composition with the factors swapped.  The operator norm comes
 from Golub-Kahan-Lanczos bidiagonalization of K_z from one seeded start
 vector, with full reorthogonalization, as a :class:`NormEstimate`.  It stops
 on a residual bound: the top Ritz value theta is a lower bound on ||K_z||,
@@ -31,16 +30,14 @@ def factor_on_grid(V: PotentialSpec, grid: GridSpec):
     return polar_factors(potential_on_grid(V, grid))
 
 
-def bs_apply(kind, m, z, factors, grid: GridSpec, v, adjoint=False):
-    """K_z v = A R_0(z) B* v, or with ``adjoint`` K_z* v = B R_0(z)* A* v, on flat (D,) vectors.
-
-    ``factors`` is the (A_pts, B_pts) pair from :func:`factor_on_grid`.  Both
-    are left R right* with (left, right) = (A, B), or (B, A) and R_0(z)*.
-    """
-    left, right = factors[::-1] if adjoint else factors
-    g = grid.field(np.einsum("pba,pb->pa", np.conj(right), v.reshape(-1, grid.N)))
-    g = apply_free_resolvent(kind, m, z, g, adjoint=adjoint)
-    return np.einsum("pab,pb->pa", left, g.values).ravel()
+def bs_apply(kind, m, z, factors, grid: GridSpec, v):
+    """K_z v = A R_0(z) B* v on flat (D,) vectors, with (A, B) = ``factors``, the pair from
+    :func:`factor_on_grid`.  ``bs_apply(kind, m, z.conjugate(), factors[::-1], grid, v)`` is
+    K_z* v = B R_0(z)* A* v."""
+    A, B = factors
+    g = grid.field(np.einsum("pba,pb->pa", np.conj(B), v.reshape(-1, grid.N)))
+    g = apply_free_resolvent(kind, m, z, g)
+    return np.einsum("pab,pb->pa", A, g.values).ravel()
 
 
 SCAN_TOL = 1e-4  # relative residual bound r / theta at which bs_norm stops
@@ -99,7 +96,7 @@ def bs_norm(kind, m, z, factors, grid: GridSpec, seed=0) -> NormEstimate:
             return NormEstimate(float(s[0]), 0.0, 2 * k + 1)
         B[k, k] = alpha
         U[k] = u / alpha
-        w = bs_apply(kind, m, z, factors, grid, U[k], adjoint=True)
+        w = bs_apply(kind, m, z.conjugate(), factors[::-1], grid, U[k])  # K_z* U[k]
         w = _reorthogonalize(V[:k + 1], w - alpha * v)
         beta = float(np.linalg.norm(w))
         P, s, _ = np.linalg.svd(B[:k + 1, :k + 1])
@@ -119,7 +116,7 @@ def bs_dense(kind, m, z, factors, grid: GridSpec):
     """Dense matrix of K_z: A, then the gathered resolvent kernel, then B* (pointwise)."""
     A, B = factors
     op = free_operator(kind, m, grid)
-    R = op.dense(op.resolvent_block(z)).reshape(len(A), grid.N, len(B), grid.N)
+    R = op.gather(op.windows(op.resolvent_block(z))).reshape(len(A), grid.N, len(B), grid.N)
     K = np.einsum("iac,icjd,jbd->iajb", A, R, np.conj(B), optimize=True)
     return K.reshape(grid.size, grid.size)
 

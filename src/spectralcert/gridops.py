@@ -12,13 +12,16 @@ Every use of H_0 goes through one :class:`FreeOperator` per (kind, m, grid),
 cached by :func:`free_operator`.  It builds the symbol once, measures the
 distance of z from the discrete symbol set (``gap``), lists the free
 spectrum, and applies forward and resolvent multipliers with one FFT -
-multiply - inverse FFT.  Rows of the dense matrices of those multipliers are
-gathered from their translation-invariant kernels, any rows at a time.
+multiply - inverse FFT.  H_0 is self-adjoint, so the adjoint of the resolvent
+at z is the resolvent at z.conjugate().  Rows of the dense matrices of those
+multipliers are gathered from their translation-invariant kernels, any rows
+at a time.
 
 Dense spectra (:func:`dense_spectrum`) split H_V by the symmetries of H_0 that V's samples
 respect: the axis reflections for the scalar kinds, and for Dirac in n = 3 the permutations of
-the axes paired with spinor rotations.  Each block is formed from the rows of H_V it reads
-(:func:`assemble_perturbed` with ``rows``), so a split job builds no D x D matrix.
+the axes paired with spinor rotations; a V that respects none is the trivial group's one block.
+Each block is formed from the rows of H_V it reads (:func:`assemble_perturbed` with ``rows``),
+so a split job builds no D x D matrix.
 """
 
 from dataclasses import dataclass
@@ -192,8 +195,9 @@ class FreeOperator:
         """Per-frequency multiplier of H_0: the scalar symbol or the matrix symbol."""
         return self.symbol if self.matrix is None else self.matrix
 
-    def resolvent_block(self, z, adjoint=False):
-        """Per-frequency multiplier of (H_0 - z)^{-1}, or of its Hermitian adjoint.
+    def resolvent_block(self, z):
+        """Per-frequency multiplier of (H_0 - z)^{-1}.  H_0 is self-adjoint, so the adjoint
+        (H_0 - z)^{-1}* is the multiplier at z.conjugate().
 
         Raises ValueError when z is within EXCLUSION_MARGIN of the discrete symbol set.
         """
@@ -203,11 +207,10 @@ class FreeOperator:
             raise ValueError(f"z = {z} is within {EXCLUSION_MARGIN} of the discrete symbol set "
                              f"(|denominator| = {gap:.3e})")
         if self.matrix is None:
-            block = 1.0 / denom
-            return np.conj(block) if adjoint else block
+            return 1.0 / denom
         block = self.matrix + z * np.eye(self.grid.N)
         block /= denom[..., None, None]  # in place: one (M^n, N, N) temporary, not two
-        return np.swapaxes(np.conj(block, out=block), -1, -2) if adjoint else block
+        return block
 
     def apply(self, block, values):
         """FFT over the lattice axes of ``values`` (shape (M,)*n + (N,)), multiply by
@@ -258,10 +261,6 @@ class FreeOperator:
         for s in range(0, len(out), step):
             out[s:s + step] = windows[starts[s:s + step]].reshape(-1, g.size)
         return out
-
-    def dense(self, block):
-        """Dense matrix of the multiplier ``block``: :meth:`gather` of all rows of its windows."""
-        return self.gather(self.windows(block))
 
 
 @lru_cache(maxsize=None)
@@ -317,14 +316,10 @@ def apply_free_operator(kind, m, f: FieldOnGrid) -> FieldOnGrid:
     return f.grid.field(op.apply(op.forward_block(), f.boxed()))
 
 
-def apply_free_resolvent(kind, m, z, f: FieldOnGrid, adjoint=False) -> FieldOnGrid:
-    """(H_0 - z)^{-1} f by per-frequency multiplication.
-
-    ``adjoint=True`` applies the Hermitian adjoint instead (the multiplier
-    conjugated per frequency).
-    """
+def apply_free_resolvent(kind, m, z, f: FieldOnGrid) -> FieldOnGrid:
+    """(H_0 - z)^{-1} f by per-frequency multiplication; at z.conjugate() it applies the adjoint."""
     op = free_operator(kind, m, f.grid)
-    return f.grid.field(op.apply(op.resolvent_block(z, adjoint), f.boxed()))
+    return f.grid.field(op.apply(op.resolvent_block(z), f.boxed()))
 
 
 def apply_gradient(f: FieldOnGrid):
@@ -375,21 +370,24 @@ def _order(sites):
 
 
 @lru_cache(maxsize=None)
-def _symmetry_bases(N, kept):
-    """Per block of an H_V that commutes with the group G of the ``kept`` symmetries (pairs
-    (site map, spinor part) as bytes, of spinor size N): the times its eigenvalues count, and its
-    orthonormal basis as parts (rows, B, J, B[J]^-1), one per action of G on site orbits; cached,
-    read-only.  The kept symmetries are involutions and at most one cycle C of order 3, which an
-    involution inverts.  G's elements are g = G_1^e_1 ... G_k^e_k, (g f)(x) = S_g f(x_g).  The
-    blocks are C's omega eigenspace (counted twice: the involution maps it onto the omega^2 one),
-    then one per sign pattern of the involutions, times C's mean.  One local basis B serves all
-    orbits of an action, at ``rows``."""
+def _symmetry_bases(n_sites, N, kept):
+    """Per block of an H_V on ``n_sites`` sites, of spinor size N, that commutes with the group G of
+    the ``kept`` symmetries (pairs (site map, spinor part) as bytes): the times its eigenvalues
+    count, and its orthonormal basis as parts (rows, B, J, B[J]^-1), one per action of G on site
+    orbits; cached, read-only.  The kept symmetries are involutions and at most one cycle C of
+    order 3, which an involution inverts.  G's elements are g = G_1^e_1 ... G_k^e_k,
+    (g f)(x) = S_g f(x_g).  The blocks are C's omega eigenspace (counted twice: the involution maps
+    it onto the omega^2 one), then one per sign pattern of the involutions, times C's mean.  With
+    no involution, C alone is dropped and G is the trivial group: one block, counted once, with
+    identity bases.  One local basis B serves all orbits of an action, at ``rows``."""
     gens = [(np.frombuffer(p, np.intp), np.frombuffer(S, complex).reshape(N, N)) for p, S in kept]
     orders = [_order(p) for p, _ in gens]
+    if 2 not in orders:  # C's omega block counts twice only beside an involution
+        gens, orders = [(np.arange(n_sites), np.eye(N, dtype=complex))], [1]
     powers = list(product(*map(range, orders)))
     elements = []
     for exps in powers:
-        sites = np.arange(len(gens[0][0]))
+        sites = np.arange(n_sites)
         for (p, _), e in zip(gens, exps):
             for _ in range(e):
                 sites = p[sites]
@@ -466,10 +464,9 @@ def dense_spectrum(kind, m, V, grid: GridSpec):
     (:class:`FreeOperator`) whose symmetry V(x) = S V(x_g) S* V's samples respect within
     1e-12 max(|V|, 1) (:func:`_symmetry_bases`): 2^n parity blocks for the scalar kinds with a
     radial V, S_3 blocks of about D/3 (counted twice), D/6 and D/6 or halves by the swap alone
-    for a Dirac H_V of n = 3.  Each block is formed from the rows of H_V it reads just before
-    its eigensolve and dropped after it, so no D x D matrix is built.  If V respects no
-    involution (none at all, or the cycle alone), all of H_V is assembled and solved in one
-    block."""
+    for a Dirac H_V of n = 3, and one block of D if V respects no involution (none at all, or the
+    cycle alone).  Each block is formed from the rows of H_V it reads just before its eigensolve
+    and dropped after it, so a split job builds no D x D matrix."""
     op = free_operator(kind, m, grid)
     if V is None or V.c == 0:
         return op.spectrum().astype(complex), []
@@ -477,13 +474,10 @@ def dense_spectrum(kind, m, V, grid: GridSpec):
     tol = 1e-12 * max(np.abs(samples).max(), 1)
     kept = [(p, S) for p, S in op.generators
             if np.abs(samples - S @ samples[p] @ S.conj().T).max() <= tol]
-    if any(_order(p) == 2 for p, _ in kept):  # C's omega block counts twice only beside T
-        key = tuple((p.tobytes(), S.tobytes()) for p, S in kept)
-        rows_of = partial(assemble_perturbed, kind, m, samples, grid)
-        solved = [(eigenvalues(_compress(rows_of, parts)), count)
-                  for count, parts in _symmetry_bases(grid.N, key)]
-    else:
-        solved = [(eigenvalues(assemble_perturbed(kind, m, samples, grid)), 1)]
+    key = tuple((p.tobytes(), S.tobytes()) for p, S in kept)
+    rows_of = partial(assemble_perturbed, kind, m, samples, grid)
+    solved = [(eigenvalues(_compress(rows_of, parts)), count)
+              for count, parts in _symmetry_bases(len(samples), grid.N, key)]
     vals = np.concatenate([np.tile(v, count) for v, count in solved])
     return vals[np.lexsort((vals.imag, vals.real))], [len(v) for v, _ in solved]
 
@@ -491,16 +485,17 @@ def dense_spectrum(kind, m, V, grid: GridSpec):
 def eigenvalues(H):
     """Eigenvalues of a dense operator, sorted by (real, imaginary) part.
 
-    Residuals |Hv - lambda v| <= 1e-8 |v| are verified on 10 sampled pairs.
+    Residuals |Hv - lambda v| <= 1e-8 max(|H|_inf, 1) |v| are verified on 10 sampled pairs, in
+    one product H X - X diag(lambda).
     """
     H = np.asarray(H)
     vals, vecs = scipy.linalg.eig(H)
     order = np.lexsort((vals.imag, vals.real))
     scale = max(np.linalg.norm(H, ord=np.inf), 1.0)
     idx = np.linspace(0, len(vals) - 1, min(10, len(vals))).astype(int)
-    for i in idx:
-        v, lam = vecs[:, order[i]], vals[order[i]]
-        res = np.linalg.norm(H @ v - lam * v) / np.linalg.norm(v)
-        if res > 1e-8 * scale:
-            raise RuntimeError(f"eigenpair {i} residual {res:.3e} exceeds 1e-8 * |H|")
+    X, lam = vecs[:, order[idx]], vals[order[idx]]
+    res = np.linalg.norm(H @ X - X * lam, axis=0) / np.linalg.norm(X, axis=0)
+    for i, r in zip(idx, res):
+        if r > 1e-8 * scale:
+            raise RuntimeError(f"eigenpair {i} residual {r:.3e} exceeds 1e-8 * |H|")
     return vals[order]

@@ -18,6 +18,7 @@ certificate built on the norm must be inconclusive.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gamma
 
 import numpy as np
 
@@ -113,7 +114,6 @@ _BLOCK_SAMPLES = 8192       # samples per profile call, about 64 KB per temporar
 
 
 def _sphere_area(n):
-    from scipy.special import gamma
     return 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
 
 

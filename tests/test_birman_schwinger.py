@@ -70,8 +70,8 @@ def test_dense_matches_matrix_free_apply():
         out = bs_apply(kind, m, z, factors, g, v)
         assert out.shape == (g.size,)
         assert np.abs(K @ v - out).max() < 1e-12
-        # adjoint application matches K^H
-        outs = bs_apply(kind, m, z, factors, g, v, adjoint=True)
+        # K_z* is K at z conj with the factors swapped
+        outs = bs_apply(kind, m, z.conjugate(), factors[::-1], g, v)
         assert np.abs(K.conj().T @ v - outs).max() < 1e-12
 
 
@@ -255,11 +255,12 @@ def test_norm_needs_few_applies(monkeypatch):
     calls = []
     original = birman_schwinger.bs_apply
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("adjoint", False))
-        return original(*args, **kwargs)
+    def counted(kind, m, z, factors, grid, v):
+        calls.append(z)
+        return original(kind, m, z, factors, grid, v)
 
     monkeypatch.setattr(birman_schwinger, "bs_apply", counted)
     factors = factor_on_grid(PotentialSpec.preset("matrix-mix", 3, 4, c=0.45 + 0.25j), DIRAC_GRID)
     est = bs_norm("dirac", 1.0, 0.3 + 0.3j, factors, DIRAC_GRID)
     assert len(calls) == est.applies <= 30
+    assert calls == [0.3 + 0.3j, 0.3 - 0.3j] * (len(calls) // 2)  # K_z, then K_z* (at z conj)

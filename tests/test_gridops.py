@@ -94,12 +94,12 @@ def test_resolvent_inverts_operator(kind, m, z):
 
 
 def test_resolvent_adjoint_identity():
-    # <R f, g> = <f, R* g> for random fields
+    # <h, R(z) f> = <R(z conj) h, f> for random fields: H_0 is self-adjoint, so R(z)* = R(z conj)
     g = GridSpec(n=3, L=2.0, M=4, N=4)
     z = 0.3 + 0.4j
     f, h = _rand_field(g, 2), _rand_field(g, 3)
     Rf = apply_free_resolvent("dirac", 1.0, z, f)
-    Rsh = apply_free_resolvent("dirac", 1.0, z, h, adjoint=True)
+    Rsh = apply_free_resolvent("dirac", 1.0, z.conjugate(), h)
     lhs = np.vdot(h.values, Rf.values)
     rhs = np.vdot(Rsh.values, f.values)
     assert abs(lhs - rhs) < 1e-10 * abs(lhs)
@@ -113,6 +113,15 @@ def test_resolvent_rejects_symbol_hit():
 
 
 KIND_CASES = [("schrodinger", 0.0, 1), ("klein_gordon", 0.8, 1), ("dirac", 1.0, 4)]
+
+
+@pytest.mark.parametrize("kind,m,N", KIND_CASES)
+def test_resolvent_block_at_conjugate_is_its_adjoint(kind, m, N):
+    # per frequency, the multiplier at z conj is the conjugate transpose of the one at z, exactly
+    op = free_operator(kind, m, GridSpec(n=3, L=2.0, M=4, N=N))
+    for z in (0.3 + 0.4j, -1.7 - 0.05j, 2.5 + 3.0j):
+        block, adjoint = op.resolvent_block(z), op.resolvent_block(z.conjugate())
+        assert np.array_equal(adjoint, np.conj(block if N == 1 else np.swapaxes(block, -1, -2)))
 
 
 @pytest.mark.parametrize("kind,m,N", KIND_CASES)
@@ -156,7 +165,8 @@ def test_free_operator_builds_clifford_once(monkeypatch):
     g = GridSpec(n=3, L=2.0, M=4, N=4)
     f = _rand_field(g, 6)
     for k in range(20):
-        f = apply_free_resolvent("dirac", 1.0, 0.3 + 0.1j * (k + 1), f, adjoint=k % 2 == 1)
+        z = 0.3 + 0.1j * (k + 1)
+        f = apply_free_resolvent("dirac", 1.0, z.conjugate() if k % 2 else z, f)
     assert len(calls) <= 1
 
 
@@ -369,7 +379,7 @@ def test_dense_multiplier_matches_reference_gather(kind, n, M):
     g = GridSpec(n=n, L=3.0, M=M, N=spinor_size(kind, n))
     op = free_operator(kind, 0.7, g)
     for block in (op.forward_block(), op.resolvent_block(0.3 + 0.2j)):
-        assert np.array_equal(op.dense(block), _reference_dense(op, block))
+        assert np.array_equal(op.gather(op.windows(block)), _reference_dense(op, block))
 
 
 def _count_eigensolves(monkeypatch):
@@ -522,7 +532,7 @@ def test_symmetry_bases_span_the_eigenspaces(kind, n, M, kept):
     else:
         flips, C = [_dense((_axis_flip(g, a), np.ones((1, 1))), g) for a in kept], None
     Qs = []
-    for count, parts in gridops._symmetry_bases(g.N, key):
+    for count, parts in gridops._symmetry_bases(g.M ** g.n, g.N, key):
         for _, B, J, inv in parts:  # the rows J where each orbit's basis is invertible
             assert np.abs(inv @ B[J] - np.eye(len(J))).max() <= 1e-14
         cols = [np.zeros((g.size, len(rows) * B.shape[1]), complex) for rows, B, _, _ in parts]
@@ -544,6 +554,21 @@ def test_symmetry_bases_span_the_eigenspaces(kind, n, M, kept):
     Q = np.hstack(spans)
     assert Q.shape == (g.size, g.size)
     assert np.abs(Q.conj().T @ Q - np.eye(g.size)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("kind,n,M,kept", [("dirac", 3, 4, ()), ("dirac", 3, 4, (1,)),
+                                            ("schrodinger", 2, 4, ())])
+def test_symmetry_bases_without_an_involution_are_the_trivial_group(kind, n, M, kept):
+    # no generator kept, or the cycle alone: one block, counted once, whose basis is the identity
+    # on every site
+    g = GridSpec(n=n, L=3.0, M=M, N=4 if kind == "dirac" else 1)
+    generators = free_operator(kind, 0.0, g).generators
+    key = tuple((generators[i][0].tobytes(), generators[i][1].tobytes()) for i in kept)
+    (count, ((rows, B, J, inv),)), = gridops._symmetry_bases(g.M ** g.n, g.N, key)
+    assert count == 1
+    assert np.array_equal(rows, np.arange(g.size).reshape(-1, g.N))
+    assert np.array_equal(B, np.eye(g.N)) and np.array_equal(inv, np.eye(g.N))
+    assert np.array_equal(J, np.arange(g.N))
 
 
 _S3_SIZES = {4: [88, 40, 40], 6: [292, 140, 140]}
@@ -694,4 +719,8 @@ def test_eigenvalues_residual_check_pairs_each_value_with_its_vector(monkeypatch
     real_eig = scipy.linalg.eig
     monkeypatch.setattr(scipy.linalg, "eig", lambda A: (real_eig(A)[0], np.eye(3)[:, [1, 0, 2]]))
     with pytest.raises(RuntimeError, match="residual"):
+        eigenvalues(H)
+    # only the vector of 1.0 is right: the error names the first failing pair in sorted order
+    monkeypatch.setattr(scipy.linalg, "eig", lambda A: (real_eig(A)[0], np.eye(3)[:, [2, 1, 0]]))
+    with pytest.raises(RuntimeError, match=r"eigenpair 1 residual 1\.000e\+00"):
         eigenvalues(H)

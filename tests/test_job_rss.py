@@ -25,3 +25,16 @@ def test_describe_names_the_job_and_its_dimension():
     assert job_rss.describe(eig).split() == ["config", "00042", "eig", "dirac", "M=6", "D=864"]
     cert = SimpleNamespace(command="certify", path="cfg/00007.json", doc={"theorem": "2.3"})
     assert job_rss.describe(cert).split() == ["config", "00007", "certify", "-", "M=-", "D=-"]
+
+
+def test_first_imports_names_the_roots_of_each_jobs_new_modules():
+    # sys.modules before the first job, then after each job: a lazy import of a package shows as
+    # the package alone, not its submodules; a submodule of a loaded package shows by itself
+    snapshots = [{"sys", "numpy", "scipy"},
+                 {"sys", "numpy", "scipy"},
+                 {"sys", "numpy", "scipy", "scipy.special", "scipy.special._ufuncs",
+                  "scipy.special._basic", "scipy._lib.deprecation"},
+                 {"sys", "numpy", "scipy", "scipy.special", "scipy.special._ufuncs",
+                  "scipy.special._basic", "scipy._lib.deprecation", "json", "json.decoder"}]
+    assert [job_rss.first_imports(a, b) for a, b in zip(snapshots, snapshots[1:])] == [
+        [], ["scipy._lib.deprecation", "scipy.special"], ["json"]]

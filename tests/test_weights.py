@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,8 +185,7 @@ def _ref_sup(values, lo, hi, n_samples, rounds):
 
 
 def _ref_annulus(j, n, q, profile, rounds=3):
-    from scipy.special import gamma
-    area = 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
+    area = 2.0 * np.pi ** (n / 2.0) / math.gamma(n / 2.0)  # the program's constant
     lo, hi = 2.0 ** (j - 1), 2.0 ** j
     if np.isinf(q):
         return _ref_sup(lambda r: np.abs(profile(r)), lo, hi * (1.0 - 1e-9), 256, rounds)
@@ -363,3 +366,22 @@ def test_invalid_pq():
         dyadic_norm(lambda r: r, 3, np.inf, 3)
     with pytest.raises(ValueError):
         dyadic_norm(lambda r: r, 1, 1, 3)
+
+
+def test_q2_norms_import_no_module():
+    # after the CLI's imports, a q = 2 norm loads no module: a lazy import would add its library
+    # pages to the resident memory of the first job that makes one
+    code = """
+import sys
+import numpy as np
+import spectralcert.cli
+from spectralcert.weights import cell_dyadic_norm, dyadic_norm
+before = set(sys.modules)
+dyadic_norm(lambda r: 1.0 / (1.0 + r) ** 4, 2, 2, 3)
+cell_dyadic_norm(np.ones(64), 3, 2.0, 4, 2, 2)
+print(sorted(set(sys.modules) - before))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"

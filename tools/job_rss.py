@@ -7,9 +7,10 @@ Loads ``T/perfbench/run.py`` (``tools/dump_reports.py``'s ``load_run_module``), 
 ``--passes`` times, in the list's order, through ``run_job``.  ``ru_maxrss`` is the peak resident
 set size so far, so it only rises.  It is printed after set-up and after each pass; then the
 jobs with the largest rises, with the pass, config number, command, kind, M and dimension D of
-each.  A job whose config has no grid shows ``-`` for M and D.  As with
-``tools/dump_reports.py``, the run works in ``T/.perfbench_work`` and removes its directory
-there afterwards; nothing under ``T/perfbench`` is written.
+each, and the modules the job imported first (from ``sys.modules`` before and after it), so
+that a lazy import shows as the cause of a rise.  A job whose config has no grid shows ``-`` for
+M and D.  As with ``tools/dump_reports.py``, the run works in ``T/.perfbench_work`` and removes
+its directory there afterwards; nothing under ``T/perfbench`` is written.
 
 Exits 1 if a job fails.
 """
@@ -37,6 +38,13 @@ def largest_rises(marks, k=TOP):
     return [(i, rises[i]) for i in order[:k]]
 
 
+def first_imports(before, after):
+    """The modules in ``after`` but not in ``before`` (collections of module names) whose parent
+    package is not new too: the roots of what was imported in between, sorted."""
+    new = set(after) - set(before)
+    return sorted(m for m in new if m.rpartition(".")[0] not in new)
+
+
 def describe(job):
     """Config number, command, kind, M and dimension D of a job (``-`` where it has none)."""
     from spectralcert.gridops import spinor_size  # the tree's, once its runner is loaded
@@ -49,7 +57,8 @@ def describe(job):
 
 
 def measure(run_mod, workload, seed, passes):
-    """ru_maxrss after set-up and after each job; the (pass, job) of each later mark; failures."""
+    """ru_maxrss after set-up and after each job; the (pass, job, first imports) of each later
+    mark; failures."""
     run = run_mod.Run(workload, seed)
     marks, runs, failed = [], [], 0
     try:
@@ -57,6 +66,7 @@ def measure(run_mod, workload, seed, passes):
         marks.append(maxrss_mb())
         print(f"{workload} seed {seed}: {len(run.jobs)} jobs; ru_maxrss after set-up "
               f"{marks[0]:.1f} MB")
+        loaded = set(sys.modules)
         for p in range(1, passes + 1):
             for job in run.jobs:
                 attempt = run_mod.run_job(run.cli, job, "out/job.json", run.sink)
@@ -64,7 +74,8 @@ def measure(run_mod, workload, seed, passes):
                     failed += 1
                     print(f"FAILED {job.command} {job.path}: {attempt.error.strip()[:500]}")
                 marks.append(maxrss_mb())
-                runs.append((p, job))
+                before, loaded = loaded, set(sys.modules)
+                runs.append((p, job, first_imports(before, loaded)))
             print(f"after pass {p}: {marks[-1]:.1f} MB")
     finally:
         run.cleanup()
@@ -83,8 +94,8 @@ def main(argv=None):
     marks, runs, failed = measure(load_run_module(args.tree), args.workload, args.seed, args.passes)
     print(f"largest rises of ru_maxrss over {args.passes} passes:")
     for i, rise in largest_rises(marks):
-        p, job = runs[i]
-        print(f"  {rise:+6.1f} MB  pass {p}  {describe(job)}")
+        p, job, imports = runs[i]
+        print(f"  {rise:+6.1f} MB  pass {p}  {describe(job)}  imports: {' '.join(imports) or '-'}")
     return 1 if failed else 0
 
 
