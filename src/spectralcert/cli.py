@@ -173,7 +173,7 @@ def main(argv=None) -> int:
         return EXIT_COMPUTE
     elapsed = time.monotonic() - t0
 
-    report = make_report(args.command, {"command": args.command, **cfg.echo()}, results, warnings)
+    report = make_report(args.command, {"command": args.command, **cfg.raw}, results, warnings)
     try:
         write_report(report, out, siblings)
     except OSError as e:

@@ -37,10 +37,6 @@ class RunConfig(SimpleNamespace):
     """A parsed config: its ``command``, the document as given (``raw``) and one
     attribute per key of ``_KEYS``, at its default where the document has none."""
 
-    def echo(self):
-        """The normalized config document, re-parseable to an equal RunConfig."""
-        return json.loads(json.dumps(self.raw, sort_keys=True))
-
 
 # -- checks: each takes a JSON value and returns it parsed, or raises ValueError
 

@@ -135,20 +135,17 @@ def potential_norm(V: PotentialSpec, w=None, p=np.inf, q=np.inf) -> NormResult:
     return dyadic_norm(prof, p, q, V.n)
 
 
-def _rho_weight(rho: WeightSpec):
-    """The weight |x| rho^-2 of the hypotheses of theorem 2.3 and N_2."""
-    return lambda r: r / rho.radial(r) ** 2
-
-
 def n1_norm(V: PotentialSpec) -> NormResult:
     """N_1(V) = || |x| V ||_{ell^1 L^inf}."""
     return potential_norm(V, lambda r: r, p=1)
 
 
 def n2_norm(V: PotentialSpec, rho: WeightSpec):
-    """N_2(V) = |rho|^2_{ell2 Linf} * || |x| rho^-2 V ||_Linf; returns (NormResult, rho_l2)."""
+    """N_2(V) = |rho|^2_{ell2 Linf} * || |x| rho^-2 V ||_Linf; returns (NormResult, rho_l2).
+
+    The NormResult is also the hypothesis norm of theorem 2.3."""
     l2, _ = rho_norms(rho)
-    return potential_norm(V, _rho_weight(rho)), l2
+    return potential_norm(V, lambda r: r / rho.radial(r) ** 2), l2
 
 
 def _decide(cert, res: NormResult, upper, constant, verdict):
@@ -206,7 +203,7 @@ def certify(theorem, V: PotentialSpec, m=0.0, eps=0.25, sigma=2.0,
         cert.reason = "massive case needs | |x|^(1/2) rho |_Linf finite"
         return cert
     C1 = c1_constant(n, m, rl2, rhalf if m > 0 else None)
-    res = potential_norm(V, _rho_weight(rho))
+    res, _ = n2_norm(V, rho)
     cert.params = {"rho": rho.kind, "rho_l2linf": rl2, "rho_halfpower_linf": rhalf}
     _decide(cert, res, res.rigorous_upper(), C1, "stable")
     return cert

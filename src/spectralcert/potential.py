@@ -20,7 +20,7 @@ each cell's |V| from the table and take |V| as 0 outside the box.
 from dataclasses import dataclass, field
 from functools import cached_property
 import hashlib
-from math import ceil, inf, log2
+from math import inf, log2
 import struct
 import warnings
 
@@ -55,8 +55,8 @@ class PotentialSpec:
             kind = "inverse-square"
         if kind not in PRESETS:
             raise ValueError(f"unknown preset {kind!r}, expected one of {PRESETS}")
-        if kind == "matrix-mix" and N != 2 ** ceil(n / 2):
-            raise ValueError(f"matrix-mix needs N = {2 ** ceil(n / 2)} in dimension {n}, "
+        if kind == "matrix-mix" and N != build_clifford(n).N:
+            raise ValueError(f"matrix-mix needs N = {build_clifford(n).N} in dimension {n}, "
                              f"got N = {N}")
         return cls(n=n, N=N, kind=kind, c=complex(c), R=float(R), sigma=float(sigma))
 

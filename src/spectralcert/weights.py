@@ -313,23 +313,17 @@ def _lattice_annuli(n, L, M):
     return by_annulus, starts, by_radius
 
 
-def grid_dyadic_norm(grid, mag, p, q, weight_exponent=0.0) -> float:
-    """Dyadic ell^p L^q norm of a field on ``grid`` with site magnitudes ``mag``,
-    optionally of |x|^a times it.
+def grid_dyadic_norm(grid, mag, p, weight_exponent) -> float:
+    """Dyadic ell^p L^2 norm of |x|^a times a field on ``grid`` with site magnitudes
+    ``mag``, a = ``weight_exponent``.
 
-    Annuli are the cells with 2^(j-1) <= |x| < 2^j; L^2 sums carry the cell
-    volume.  Only annuli intersecting the box contribute (the field is
-    supported there by construction).
+    Annuli are the cells with 2^(j-1) <= |x| < 2^j, and each L^2 sum carries
+    the cell volume.  Only annuli intersecting the box contribute (the field
+    is supported there by construction).
     """
-    if weight_exponent != 0.0:
-        mag = grid.radii ** weight_exponent * mag
     by_annulus, starts, _ = _lattice_annuli(grid.n, grid.L, grid.M)
-    groups = np.split(mag[by_annulus], starts)
-    if np.isinf(q):
-        terms = [g.max() for g in groups]
-    else:
-        terms = [np.sqrt(np.sum(g ** 2) * grid.cell_volume) for g in groups]
-    return _aggregate(terms, p)
+    groups = np.split((grid.radii ** weight_exponent * mag)[by_annulus], starts)
+    return _aggregate([np.sqrt(np.sum(g ** 2) * grid.cell_volume) for g in groups], p)
 
 
 def morrey_norms(grid, mag):

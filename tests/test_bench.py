@@ -2,11 +2,30 @@ import numpy as np
 import pytest
 
 from spectralcert import bench
-from spectralcert.bench import (ESTIMATE_IDS, REPORT_ONLY, run_bench, random_band_limited_field,
-                                default_z_arc, _bracket)
-from spectralcert.gridops import GridSpec
+from spectralcert.bench import ESTIMATE_IDS, REPORT_ONLY, Z_ARC, run_bench, _bracket, _Context
+from spectralcert.gridops import FreeOperator, GridSpec, spinor_size
 
 FAST_GRID = GridSpec(n=3, L=8.0, M=16, N=1)
+
+
+def _reference_field(grid, rng):
+    """The test field as each trial once built it, masks and cutoff included."""
+    g = grid
+    shape = (g.M,) * g.n + (g.N,)
+    spec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    k = np.fft.fftfreq(g.M, d=1.0 / g.M)
+    for d in range(g.n):
+        sl = [None] * (g.n + 1)
+        sl[d] = slice(None)
+        spec = np.where(np.abs(k)[tuple(sl)] > g.M / 3.0, 0.0, spec)
+    vals = np.fft.ifftn(spec, axes=tuple(range(g.n))).reshape(g.M ** g.n, g.N)
+    r = g.radii
+    cut = np.zeros_like(r)
+    inside = r < g.L / 2.0
+    s = (2.0 * r[inside] / g.L) ** 2
+    cut[inside] = np.exp(1.0 - 1.0 / (1.0 - s))
+    vals = vals * cut[:, None]
+    return vals / np.sqrt(np.sum(np.abs(vals) ** 2) * g.cell_volume)
 
 
 def test_estimate_catalogue():
@@ -20,7 +39,7 @@ def test_estimate_catalogue():
 
 def test_band_limited_field_properties():
     rng = np.random.default_rng(0)
-    f = random_band_limited_field(FAST_GRID, rng)
+    f = _Context(FAST_GRID, 1.0).test_field(rng)
     l2 = np.sqrt(np.sum(np.abs(f.values) ** 2) * FAST_GRID.cell_volume)
     assert l2 == pytest.approx(1.0, rel=1e-12)
     # supported strictly inside |x| < L/2
@@ -28,12 +47,33 @@ def test_band_limited_field_properties():
     assert np.abs(f.values[outside]).max() == 0.0
 
 
-def test_default_z_arc_avoids_symbol_set():
-    zs = default_z_arc(FAST_GRID, "schrodinger", 0.0, count=20)
-    assert len(zs) == 20
-    for z in zs:
-        gap = np.abs(FAST_GRID.freq_sq - z).min()
-        assert gap > 1e-3
+@pytest.mark.parametrize("grid", [FAST_GRID, GridSpec(n=3, L=3.0, M=6, N=4),
+                                  GridSpec(n=2, L=4.0, M=10, N=2)], ids=str)
+def test_field_matches_the_per_trial_construction(grid):
+    ctx = _Context(grid, 1.0)
+    for seed in (0, 3, 17):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            assert np.array_equal(ctx.test_field(new).values, _reference_field(grid, old))
+
+
+def test_z_arc_is_the_old_arc():
+    radii = np.geomspace(0.1, 10.0, 40)
+    args = np.linspace(0.15, 2.0 * np.pi - 0.15, 40)
+    old = np.array([r * np.exp(1j * a) for r, a in zip(radii, args)])
+    assert Z_ARC.shape == (40,)
+    assert np.array_equal(Z_ARC, old)
+
+
+def test_z_arc_avoids_symbol_set():
+    # the denominator is a real symbol minus z (z^2 for Dirac): at least
+    # |Im z| >= 0.0149 (|Im z^2| >= 0.00295) from 0 on every arc point
+    for kind in ("schrodinger", "klein_gordon", "dirac"):
+        for L in (3.0, 8.0):
+            for M in (4, 8, 16):
+                for m in (0.0, 0.5, 1.0, 2.0):
+                    op = FreeOperator(kind, m, GridSpec(n=3, L=L, M=M, N=spinor_size(kind, 3)))
+                    assert min(op.gap(z) for z in Z_ARC) >= 2.9e-3, (kind, L, M, m)
 
 
 def test_bracket_factor():

@@ -295,13 +295,12 @@ def _random_field(grid, seed):
     return grid.field(vals)
 
 
-def _masked_grid_norm(grid, mag, p, q):
-    # one boolean mask per annulus, summed in site order
+def _masked_grid_norm(grid, mag, p):
+    # ell^p L^2 with one boolean mask per annulus, summed in site order
     j_idx = np.floor(np.log2(grid.radii)).astype(int) + 1
     vol = grid.cell_volume
     groups = [mag[j_idx == j] for j in np.unique(j_idx)]
-    terms = [g.max() if np.isinf(q) else np.sqrt(np.sum(g ** 2) * vol) for g in groups]
-    return weights._aggregate(terms, p)
+    return weights._aggregate([np.sqrt(np.sum(g ** 2) * vol) for g in groups], p)
 
 
 def test_grid_dyadic_norm_against_direct_sum():
@@ -312,19 +311,20 @@ def test_grid_dyadic_norm_against_direct_sum():
     mags = [np.linalg.norm(_random_field(g, k).values, axis=-1) for k, g in enumerate(grids)]
     for _ in range(2):
         for grid, vals in zip(grids, mags):
-            for p, q in [(1, 2), (2, 2), (np.inf, 2), (1, np.inf), (np.inf, np.inf)]:
-                assert grid_dyadic_norm(grid, vals, p, q) == _masked_grid_norm(grid, vals, p, q)
-            assert grid_dyadic_norm(grid, vals, np.inf, np.inf) == vals.max()
+            for p in (1, 2, np.inf):
+                assert grid_dyadic_norm(grid, vals, p, 0.0) == _masked_grid_norm(grid, vals, p)
 
 
 def test_grid_norm_weight_exponent():
     grid = GridSpec(n=3, L=4.0, M=8, N=1)
     u = _random_field(grid, 1)
     vals = np.abs(u.values[:, 0])
-    plain = grid_dyadic_norm(grid, vals, np.inf, np.inf)
-    weighted = grid_dyadic_norm(grid, vals, np.inf, np.inf, weight_exponent=1.0)
-    assert weighted == pytest.approx((grid.radii * vals).max(), rel=1e-12)
-    assert weighted != plain
+    for p in (1, np.inf):
+        plain = grid_dyadic_norm(grid, vals, p, 0.0)
+        for a in (-0.5, 0.5):
+            weighted = grid_dyadic_norm(grid, vals, p, a)
+            assert weighted == _masked_grid_norm(grid, grid.radii ** a * vals, p)
+            assert weighted != plain
 
 
 def test_morrey_equivalence_chain():
@@ -334,7 +334,7 @@ def test_morrey_equivalence_chain():
         grid = GridSpec(n=3, L=4.0, M=8, N=1)
         mag = np.abs(_random_field(grid, seed).values[:, 0])
         _, Y = morrey_norms(grid, mag)
-        dy = grid_dyadic_norm(grid, mag, np.inf, 2, weight_exponent=-0.5)
+        dy = grid_dyadic_norm(grid, mag, np.inf, -0.5)
         assert Y <= 2.0 * dy * (1 + 1e-12)
 
 
@@ -344,8 +344,8 @@ def test_morrey_scaling_homogeneity():
     mag = np.linalg.norm(_random_field(grid, 4).values, axis=-1)
     for a, b in zip(morrey_norms(grid, mag), morrey_norms(grid, 2.0 * mag)):
         assert b == pytest.approx(2.0 * a, rel=1e-12)
-    assert grid_dyadic_norm(grid, 2.0 * mag, 1, 2) == \
-        pytest.approx(2 * grid_dyadic_norm(grid, mag, 1, 2))
+    assert grid_dyadic_norm(grid, 2.0 * mag, 1, 0.0) == \
+        pytest.approx(2 * grid_dyadic_norm(grid, mag, 1, 0.0))
 
 
 def test_morrey_y_definition():
