@@ -164,7 +164,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    out = args.out or (args.config.rsplit(".json", 1)[0] + "_report.json")
+    out = args.out or (args.config.removesuffix(".json") + "_report.json")
     t0 = time.monotonic()
     try:
         results, warnings, siblings, code = _RUNNERS[args.command](cfg)

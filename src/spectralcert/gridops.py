@@ -10,12 +10,12 @@ forward/inverse transform pair.
 
 Every use of H_0 goes through one :class:`FreeOperator` per (kind, m, grid),
 cached by :func:`free_operator`.  It builds the symbol once, measures the
-distance of z from the discrete symbol set (``gap``), lists the free
-spectrum, and applies forward and resolvent multipliers with one FFT -
-multiply - inverse FFT.  H_0 is self-adjoint, so the adjoint of the resolvent
-at z is the resolvent at z.conjugate().  Rows of the dense matrices of those
-multipliers are gathered from their translation-invariant kernels, any rows
-at a time.
+distance of z from the discrete symbol set (``gap``), and applies forward
+and resolvent multipliers with one FFT - multiply - inverse FFT;
+:func:`free_spectrum` lists its eigenvalues.  H_0 is self-adjoint, so the
+adjoint of the resolvent at z is the resolvent at z.conjugate().  Rows of the
+dense matrices of those multipliers are gathered from their
+translation-invariant kernels, any rows at a time.
 
 Dense spectra (:func:`dense_spectrum`) split H_V by the symmetries of H_0 that V's samples
 respect: the axis reflections for the scalar kinds, and for Dirac in n = 3 the permutations of
@@ -39,7 +39,7 @@ KINDS = ("schrodinger", "klein_gordon", "dirac")
 
 DENSE_SIZE_LIMIT = 4096
 
-GATHER_ENTRIES = 1 << 16      # entries of a dense operator gathered per step of FreeOperator.gather
+GATHER_ENTRIES = 1 << 16      # entries of H_V's rows read per step of _compress
 
 EXCLUSION_MARGIN = 1e-8       # |denominator| below which z counts as on the discrete symbol set
 
@@ -183,14 +183,6 @@ class FreeOperator:
         """Smallest |denominator| over the frequency lattice."""
         return float(np.min(np.abs(self._denominator(z))))
 
-    def spectrum(self):
-        """All eigenvalues of the discretized operator, sorted, with multiplicity."""
-        if self.matrix is None:
-            return np.sort(np.repeat(self.symbol.ravel(), self.grid.N))
-        s = np.sqrt(self.symbol.ravel())
-        half = self.grid.N // 2
-        return np.sort(np.concatenate([np.repeat(s, half), np.repeat(-s, half)]))
-
     def forward_block(self):
         """Per-frequency multiplier of H_0: the scalar symbol or the matrix symbol."""
         return self.symbol if self.matrix is None else self.matrix
@@ -250,17 +242,10 @@ class FreeOperator:
 
     def gather(self, windows, rows=None):
         """Rows ``rows`` (all if None) of the dense matrix with these :meth:`windows`, shape
-        (len(rows), D), gathered about GATHER_ENTRIES entries at a time."""
+        (len(rows), D), copied out with one index: the result is the only large array."""
         g = self.grid
         starts = _window_starts(g.M, g.n, g.N)
-        starts = starts if rows is None else starts[rows]
-        step = max(1, GATHER_ENTRIES // g.size)
-        if len(starts) <= step:
-            return windows[starts].reshape(-1, g.size)
-        out = np.empty((len(starts), g.size), complex)
-        for s in range(0, len(out), step):
-            out[s:s + step] = windows[starts[s:s + step]].reshape(-1, g.size)
-        return out
+        return windows[starts if rows is None else starts[rows]].reshape(-1, g.size)
 
 
 @lru_cache(maxsize=None)
@@ -307,7 +292,12 @@ def free_operator(kind, m, grid: GridSpec) -> FreeOperator:
 
 def free_spectrum(grid: GridSpec, kind, m):
     """All eigenvalues of the discretized free operator, sorted, with multiplicity."""
-    return free_operator(kind, m, grid).spectrum()
+    op = free_operator(kind, m, grid)
+    if op.matrix is None:
+        return np.sort(np.repeat(op.symbol.ravel(), grid.N))
+    s = np.sqrt(op.symbol.ravel())
+    half = grid.N // 2
+    return np.sort(np.concatenate([np.repeat(s, half), np.repeat(-s, half)]))
 
 
 def apply_free_operator(kind, m, f: FieldOnGrid) -> FieldOnGrid:
@@ -410,9 +400,11 @@ def _symmetry_bases(n_sites, N, kept):
     for weights, count in omega + signs:
         parts = []
         for act, orbits in actions.values():
-            P = sum(w * np.kron(np.eye(act.shape[1])[a], S)
-                    for w, a, (_, S) in zip(weights, act, elements))
-            B, J, inv = _range_basis(P)
+            k = act.shape[1]
+            P = np.zeros((k, N, k, N), complex)  # (site, spinor) x (site, spinor) of one orbit
+            for w, a, (_, S) in zip(weights, act, elements):
+                P[np.arange(k), :, a, :] += w * S
+            B, J, inv = _range_basis(P.reshape(k * N, k * N))
             if len(J):  # some orbits have no share in a block
                 rows = (np.array(orbits)[..., None] * N + np.arange(N)).reshape(len(orbits), -1)
                 parts.append((rows, B, J, inv))
@@ -424,9 +416,13 @@ def _symmetry_bases(n_sites, N, kept):
 
 def _range_basis(P):
     """An orthonormal basis B = P[:, J] T of the range of the Hermitian projector P, by
-    Gram-Schmidt (twice) on its columns in order; the columns J it keeps, and B[J]^-1 = T*."""
+    Gram-Schmidt (twice) on its columns in order until it holds rank P = tr P of them; the
+    columns J it keeps, and B[J]^-1 = T*."""
     n, BT, J = len(P), np.zeros((2 * len(P), 0), complex), []  # B on T: columns (P t, t)
+    rank = round(np.trace(P).real)
     for j, w in enumerate(np.vstack([P, np.eye(n)]).T):
+        if len(J) == rank:
+            break
         for _ in range(2):
             w = w - BT @ (BT[:n].conj().T @ w[:n])
         if np.linalg.norm(w[:n]) > 1e-6:  # else P e_j lies in the span kept so far
@@ -469,7 +465,7 @@ def dense_spectrum(kind, m, V, grid: GridSpec):
     and dropped after it, so a split job builds no D x D matrix."""
     op = free_operator(kind, m, grid)
     if V is None or V.c == 0:
-        return op.spectrum().astype(complex), []
+        return free_spectrum(grid, kind, m).astype(complex), []
     samples = potential_on_grid(V, grid)
     tol = 1e-12 * max(np.abs(samples).max(), 1)
     kept = [(p, S) for p, S in op.generators

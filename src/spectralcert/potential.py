@@ -76,7 +76,7 @@ class PotentialSpec:
     def scalar_profile(self, r):
         """Scalar radial factor of the preset at radius r (complex, includes c)."""
         r = np.asarray(r, dtype=float)
-        if self.kind == "inverse-square":
+        if self.kind in ("inverse-square", "matrix-mix"):
             return self.c / (1.0 + r) ** 2
         if self.kind == "bump":
             out = np.zeros(r.shape, dtype=complex)
@@ -88,8 +88,6 @@ class PotentialSpec:
             with np.errstate(divide="ignore"):
                 lg = np.abs(np.log(r))
             return self.c / (r * (1.0 + lg) ** self.sigma)
-        if self.kind == "matrix-mix":
-            return self.c / (1.0 + r) ** 2
         raise ValueError(f"no scalar profile for kind {self.kind!r}")
 
     def evaluate(self, x):

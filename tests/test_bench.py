@@ -116,6 +116,13 @@ def test_bench_unknown_estimate():
         run_bench("nope", grid=FAST_GRID)
 
 
+def test_bench_raises_on_a_trial_it_cannot_evaluate():
+    # every trial is evaluated: a NaN mass (which only the library API can pass) makes every
+    # resolvent non-finite, and the run fails instead of passing with no trial counted
+    with pytest.raises(ValueError, match="non-finite"), np.errstate(invalid="ignore"):
+        run_bench("L3.6-dyadic", GridSpec(3, 8.0, 8), m=float("nan"), trials=5)
+
+
 PINNED_GRID = GridSpec(n=3, L=8.0, M=8)
 
 # (estimate, max_ratio, discarded, passed, paper_constant, m, grid.N) of

@@ -159,6 +159,21 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     assert main(["certify", "--config", str(tmp_path / "missing.json")]) == EXIT_VALIDATION
 
 
+def test_cli_default_report_path_sits_beside_the_config(tmp_path):
+    # one trailing ".json" is dropped: a config in a *.json.d directory, or one named *.jsonl,
+    # gets its report in its own directory under its own name
+    doc = json.dumps({"kind": "schrodinger", "n": 3, "m": 0.0, "grid": {"L": 3.0, "M": 4},
+                      "potential": {"preset": "bump", "c": 1.0, "N": 1}})
+    (tmp_path / "runs.json.d").mkdir()
+    for name, report in (("runs.json.d/cfg", "runs.json.d/cfg_report.json"),
+                         ("x.jsonl", "x.jsonl_report.json"), ("x.json", "x_report.json")):
+        (tmp_path / name).write_text(doc)
+        assert main(["eig", "--config", str(tmp_path / name)]) == EXIT_OK
+        assert json.loads((tmp_path / report).read_text())["command"] == "eig"
+    assert sorted(p.name for p in tmp_path.glob("*_report.json")) == ["x.jsonl_report.json",
+                                                                      "x_report.json"]
+
+
 def test_cli_consecutive_calls_share_one_parser(tmp_path, capsys):
     # the parser is built once; each call still gets its own arguments, exit code and message
     cert = _write(tmp_path, "c.json", CERT_CFG)

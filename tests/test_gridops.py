@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -438,7 +440,10 @@ def _even_in_axes_0_and_1(g):
 @pytest.mark.parametrize("kind,n,M,potential,blocks", [
     ("schrodinger", 1, 16, lambda g: PotentialSpec.preset("bump", 1, 1, c=1.5 + 1.1j, R=2.0), 2),
     ("klein_gordon", 2, 8, lambda g: PotentialSpec.preset("inverse-square", 2, 1, c=1.5 + 1.1j), 4),
-    ("schrodinger", 3, 4, _even_in_axes_0_and_1, 4)])
+    ("schrodinger", 3, 4, _even_in_axes_0_and_1, 4),
+    # M = 2: all 2^n sites form one orbit, and every block is one of 2^n of size 1
+    ("schrodinger", 6, 2, lambda g: PotentialSpec.preset("inverse-square", 6, 1, c=1.5 + 1.1j), 64),
+    ("klein_gordon", 7, 2, lambda g: PotentialSpec.preset("bump", 7, 1, c=1.5 + 1.1j, R=9.0), 128)])
 def test_scalar_spectrum_splits_by_the_reflections_V_keeps(monkeypatch, kind, n, M, potential,
                                                             blocks):
     g = GridSpec(n=n, L=3.0, M=M)
@@ -571,6 +576,83 @@ def test_symmetry_bases_without_an_involution_are_the_trivial_group(kind, n, M, 
     assert np.array_equal(J, np.arange(g.N))
 
 
+def _reference_symmetry_bases(n_sites, N, kept):
+    """The blocks of gridops._symmetry_bases as they were first built: each orbit's projector a
+    sum of |G| Kronecker products, Gram-Schmidt over every one of its columns."""
+    gens = [(np.frombuffer(p, np.intp), np.frombuffer(S, complex).reshape(N, N)) for p, S in kept]
+    orders = [gridops._order(p) for p, _ in gens]
+    if 2 not in orders:
+        gens, orders = [(np.arange(n_sites), np.eye(N, dtype=complex))], [1]
+    powers = list(itertools.product(*map(range, orders)))
+    elements = []
+    for exps in powers:
+        sites = np.arange(n_sites)
+        for (p, _), e in zip(gens, exps):
+            for _ in range(e):
+                sites = p[sites]
+        elements.append((sites, functools.reduce(np.matmul, [np.linalg.matrix_power(S, e)
+                                                             for (_, S), e in zip(gens, exps)])))
+    flips = [i for i, k in enumerate(orders) if k == 2]
+    signs = [([math.prod(s ** e[i] for s, i in zip(pattern, flips)) / len(powers)
+               for e in powers], 1) for pattern in itertools.product((1, -1), repeat=len(flips))]
+    omega = [([(not any(e[i] for i in flips)) * np.exp(-2j * np.pi * e[c] / 3) / 3
+               for e in powers], 2) for c, k in enumerate(orders) if k == 3]
+    images = np.stack([src for src, _ in elements])
+    actions = {}
+    for r in np.unique(images.min(axis=0)):
+        orbit = np.unique(images[:, r])
+        act = np.searchsorted(orbit, images[:, orbit])
+        actions.setdefault(act.tobytes(), (act, []))[1].append(orbit)
+    blocks = []
+    for weights, count in omega + signs:
+        parts = []
+        for act, orbits in actions.values():
+            P = sum(w * np.kron(np.eye(act.shape[1])[a], S)
+                    for w, a, (_, S) in zip(weights, act, elements))
+            n, BT, J = len(P), np.zeros((2 * len(P), 0), complex), []
+            for j, w in enumerate(np.vstack([P, np.eye(n)]).T):
+                for _ in range(2):
+                    w = w - BT @ (BT[:n].conj().T @ w[:n])
+                if np.linalg.norm(w[:n]) > 1e-6:
+                    BT, J = np.c_[BT, w / np.linalg.norm(w[:n])], J + [j]
+            if len(J):
+                rows = (np.array(orbits)[..., None] * N + np.arange(N)).reshape(len(orbits), -1)
+                parts.append((rows, BT[:n], np.array(J, dtype=int), BT[n:][J].conj().T))
+        blocks.append((count, parts))
+    return blocks
+
+
+@pytest.mark.parametrize("kind,n,M,preset", [  # the benchmark's eig grids, and n = 5 at M = 2
+    ("schrodinger", 3, 4, "inverse-square"), ("klein_gordon", 3, 6, "bump"),
+    ("schrodinger", 3, 8, "dyadic-decay"), ("dirac", 3, 4, "inverse-square"),
+    ("dirac", 3, 6, "bump"), ("dirac", 3, 4, "matrix-mix"), ("dirac", 3, 6, "matrix-mix"),
+    ("schrodinger", 5, 2, "inverse-square")])
+def test_symmetry_bases_match_the_kronecker_construction(kind, n, M, preset):
+    # the projector scattered per element and Gram-Schmidt stopped at its rank change no entry
+    g = GridSpec(n=n, L=3.0, M=M, N=spinor_size(kind, n))
+    samples = potential_on_grid(PotentialSpec.preset(preset, n, g.N, c=1.0 + 0.5j), g)
+    key = tuple((p.tobytes(), S.tobytes()) for p, S in free_operator(kind, 0.5, g).generators
+                if np.abs(samples - S @ samples[p] @ S.conj().T).max() <= 1e-12)
+    assert len(key) == (1 if preset == "matrix-mix" else n if kind != "dirac" else 2)
+    new = gridops._symmetry_bases(g.M ** n, g.N, key)
+    old = _reference_symmetry_bases(g.M ** n, g.N, key)
+    assert [count for count, _ in new] == [count for count, _ in old]
+    for (_, parts), (_, ref) in zip(new, old):
+        assert len(parts) == len(ref)
+        for part, ref_part in zip(parts, ref):
+            assert all(np.array_equal(a, b) for a, b in zip(part, ref_part))
+
+
+def test_range_basis_stops_at_the_projectors_rank():
+    # tr P = 2: the columns after the second one kept are not read, though here (P is no
+    # projector) they would add e_3 and e_2 to the span
+    P = np.zeros((4, 4), complex)
+    P[0, 0] = P[1, 1] = P[3, 2] = P[2, 3] = 1.0
+    B, J, inv = gridops._range_basis(P)
+    assert np.array_equal(J, [0, 1]) and B.shape == (4, 2)
+    assert np.array_equal(B, np.eye(4)[:, :2]) and np.array_equal(inv, np.eye(2))
+
+
 _S3_SIZES = {4: [88, 40, 40], 6: [292, 140, 140]}
 
 
@@ -680,10 +762,20 @@ def test_scalar_dense_spectrum_memory():
 
 
 def test_whole_assembly_memory():
-    # H_V's rows are gathered into H a few at a time, with no transposed copy: 1.09 * 16 D^2
+    # H_V's rows are gathered into H with one index, with no transposed copy: 1.02 * 16 D^2
     g = GridSpec(n=3, L=3.0, M=6, N=4)
     V = PotentialSpec.preset("matrix-mix", 3, 4, c=1.0)
-    assert _peak_of(lambda: assemble_perturbed("dirac", 1.0, V, g)) <= 1.15 * 16 * g.size ** 2
+    assert _peak_of(lambda: assemble_perturbed("dirac", 1.0, V, g)) <= 1.05 * 16 * g.size ** 2
+
+
+def test_gather_memory():
+    # the gathered rows are the only large array: no chunk of them is copied twice
+    g = GridSpec(n=3, L=3.0, M=8, N=4)
+    op = free_operator("dirac", 1.0, g)
+    block = op.resolvent_block(0.3 + 0.2j)
+    windows = op.windows(block)
+    assert _peak_of(lambda: op.gather(windows)) <= 1.005 * 16 * g.size ** 2
+    assert np.array_equal(op.gather(windows), _reference_dense(op, block))
 
 
 @pytest.mark.parametrize("kind,N", [("schrodinger", 1), ("klein_gordon", 1), ("dirac", 4)])
