@@ -176,7 +176,7 @@ def bs_scan(kind, m, V: PotentialSpec, grid: GridSpec, rectangle, resolution,
     for i, y in enumerate(im):
         for k, x in enumerate(re):
             z = complex(x, y)
-            if op.gap(z) < EXCLUSION_MARGIN:
+            if not op.gap(z) >= EXCLUSION_MARGIN:  # a NaN gap is excluded too
                 excluded[i, k] = True
             else:
                 values[i, k], residuals[i, k], applies[i, k] = bs_norm(

@@ -18,10 +18,11 @@ dense matrices of those multipliers are gathered from their
 translation-invariant kernels, any rows at a time.
 
 Dense spectra (:func:`dense_spectrum`) split H_V by the symmetries of H_0 that V's samples
-respect: the axis reflections for the scalar kinds, and for Dirac in n = 3 the permutations of
-the axes paired with spinor rotations; a V that respects none is the trivial group's one block.
-Each block is formed from the rows of H_V it reads (:func:`assemble_perturbed` with ``rows``),
-so a split job builds no D x D matrix.
+respect: the axis reflections for the scalar kinds, and in n = 3 the permutations of the axes
+(paired with spinor rotations for Dirac).  One little-group rule (:func:`_symmetry_bases`) gives
+the cube's group B_3 for a scalar radial V, S_3 for Dirac, and the reflections' parities or the
+trivial group's one block as special cases.  Each block is formed from the rows of H_V it reads
+(:func:`assemble_perturbed` with ``rows``), so a split job builds no D x D matrix.
 """
 
 from dataclasses import dataclass
@@ -150,15 +151,17 @@ class FreeOperator:
     of the matrix symbol ``matrix`` (None for the scalar kinds).  The Dirac
     resolvent is (D_m + z)(-Delta + m^2 - z^2)^{-1}, with denominator symbol - z^2.
 
-    ``generators`` are symmetries g = (site map, spinor matrix S) that commute with H_0, acting as
-    (g f)(x) = S f(x_g) with x_g the site the map holds at x: the axis reflections for the scalar
-    kinds, the axis swap and cycle of :func:`_axis_permutations` for Dirac in n = 3, else none.
+    ``generators`` are the symmetries g = (site map, spinor matrix S) that commute with H_0, acting
+    as (g f)(x) = S f(x_g) with x_g the site the map holds at x, as a pair (reflections,
+    permutations): the axis reflections for the scalar kinds, and in n = 3 the axis swap T and
+    cycle C of :func:`_axis_permutations`, with spinor parts [[1]] for the scalar kinds and W, R
+    for Dirac.  They are built on first use.
     """
 
     def __init__(self, kind, m, grid: GridSpec):
         self.grid = grid
         self.matrix = None
-        self.generators = _axis_reflections(grid.M, grid.n)
+        reflect, spinors = True, lambda: (np.ones((1, 1), complex),) * 2
         if kind == "schrodinger":
             self.symbol = grid.freq_sq
         elif kind == "klein_gordon":
@@ -170,10 +173,18 @@ class FreeOperator:
             self.matrix = dirac_symbol(rep, grid.freqs, m)
             self.matrix.setflags(write=False)
             self.symbol = grid.freq_sq + m ** 2
-            self.generators = _axis_permutations(rep, grid.M) if grid.n == 3 else ()
+            reflect, spinors = False, partial(_permutation_spinors, rep)
         else:
             raise ValueError(f"unknown kind {kind!r}")
         self.symbol.setflags(write=False)
+        self._symmetries = reflect, spinors  # the permutations' spinor parts, built on first use
+
+    @cached_property
+    def generators(self):
+        reflect, spinors = self._symmetries
+        g = self.grid
+        return (_axis_reflections(g.M, g.n) if reflect else (),
+                _axis_permutations(g.M, *spinors()) if g.n == 3 else ())
 
     def _denominator(self, z):
         """The scalar denominator of (H_0 - z)^{-1} at every frequency."""
@@ -191,13 +202,14 @@ class FreeOperator:
         """Per-frequency multiplier of (H_0 - z)^{-1}.  H_0 is self-adjoint, so the adjoint
         (H_0 - z)^{-1}* is the multiplier at z.conjugate().
 
-        Raises ValueError when z is within EXCLUSION_MARGIN of the discrete symbol set.
+        Raises ValueError when z is within EXCLUSION_MARGIN of the discrete symbol set, or when
+        the distance is NaN (a NaN z or mass).
         """
         denom = self._denominator(z)
         gap = float(np.min(np.abs(denom)))
-        if gap < EXCLUSION_MARGIN:
-            raise ValueError(f"z = {z} is within {EXCLUSION_MARGIN} of the discrete symbol set "
-                             f"(|denominator| = {gap:.3e})")
+        if not gap >= EXCLUSION_MARGIN:  # False for a NaN gap too: a NaN z or mass is refused
+            raise ValueError(f"z = {z} is within {EXCLUSION_MARGIN} of the discrete symbol set, or "
+                             f"the symbol is non-finite (|denominator| = {gap:.3e})")
         if self.matrix is None:
             return 1.0 / denom
         block = self.matrix + z * np.eye(self.grid.N)
@@ -272,14 +284,20 @@ def _axis_reflections(M, n):
     return tuple(_generator(np.flip(sites, a), np.ones((1, 1), complex)) for a in range(n))
 
 
-def _axis_permutations(rep, M):
-    """The axis swap T = P_12 (x) W and the axis cycle C = P_cyc (x) R of n = 3 (``rep``):
-    (T f)(i, j, k) = W f(i, k, j) and (C f)(i, j, k) = R f(k, i, j).  W swaps alpha_2 and
-    alpha_3, R* alpha_k R = alpha_(k+1) cycles alpha_1..alpha_3, both fix alpha_0;
-    W^2 = R^3 = I and W R W = R^-1, so T and C generate S_3."""
+def _permutation_spinors(rep):
+    """The spinor parts W, R of Dirac's axis swap and cycle in n = 3 (``rep``): W swaps alpha_2
+    and alpha_3, R* alpha_k R = alpha_(k+1) cycles alpha_1..alpha_3, both fix alpha_0; W^2 = R^3 = I
+    and W R W = R^-1."""
     a = rep.alphas
     W = 1j * (a[2] - a[3]) @ rep.spare / np.sqrt(2)
     R = -(np.eye(rep.N) + a[1] @ a[2] + a[2] @ a[3] + a[3] @ a[1]) / 2
+    return W, R
+
+
+def _axis_permutations(M, W, R):
+    """The axis swap T = P_12 (x) W and the axis cycle C = P_cyc (x) R of n = 3:
+    (T f)(i, j, k) = W f(i, k, j) and (C f)(i, j, k) = R f(k, i, j).  With W^2 = R^3 = I and
+    W R W = R^-1, T and C generate S_3."""
     sites = np.arange(M ** 3).reshape((M,) * 3)
     return _generator(sites.transpose(0, 2, 1), W), _generator(sites.transpose(1, 2, 0), R)
 
@@ -360,57 +378,95 @@ def _order(sites):
 
 
 @lru_cache(maxsize=None)
-def _symmetry_bases(n_sites, N, kept):
-    """Per block of an H_V on ``n_sites`` sites, of spinor size N, that commutes with the group G of
-    the ``kept`` symmetries (pairs (site map, spinor part) as bytes): the times its eigenvalues
-    count, and its orthonormal basis as parts (rows, B, J, B[J]^-1), one per action of G on site
-    orbits; cached, read-only.  The kept symmetries are involutions and at most one cycle C of
-    order 3, which an involution inverts.  G's elements are g = G_1^e_1 ... G_k^e_k,
-    (g f)(x) = S_g f(x_g).  The blocks are C's omega eigenspace (counted twice: the involution maps
-    it onto the omega^2 one), then one per sign pattern of the involutions, times C's mean.  With
-    no involution, C alone is dropped and G is the trivial group: one block, counted once, with
-    identity bases.  One local basis B serves all orbits of an action, at ``rows``."""
-    gens = [(np.frombuffer(p, np.intp), np.frombuffer(S, complex).reshape(N, N)) for p, S in kept]
-    orders = [_order(p) for p, _ in gens]
-    if 2 not in orders:  # C's omega block counts twice only beside an involution
-        gens, orders = [(np.arange(n_sites), np.eye(N, dtype=complex))], [1]
-    powers = list(product(*map(range, orders)))
+def _symmetry_bases(n_sites, N, reflections, permutations):
+    """Per block of an H_V on ``n_sites`` sites, of spinor size N, that commutes with the group G
+    generated by the kept ``reflections`` and ``permutations`` (tuples of pairs (site map, spinor
+    part) as bytes): the times its eigenvalues count, and its orthonormal basis as parts
+    (rows, B, J, B[J]^-1), one per action of G on site orbits; cached, read-only.
+
+    The reflections are commuting involutions and generate R; the permutations H are the axis
+    swap T, kept with or without the axis cycle C that it inverts (C alone is dropped), and are
+    dropped too if they do not map the kept reflections onto kept reflections.  G = R H, and its
+    elements g = r h are G_1^e_1 ... G_k^e_k, (g f)(x) = S_g f(x_g).  H permutes the sign patterns
+    chi of the reflections (little groups): each orbit of patterns takes a representative that T
+    fixes, if one does, and its stabilizer H_chi.  Its blocks have element weights
+    chi(r)/|R| w_sigma(h) for h in H_chi (else 0), with sigma: C's omega block (counted twice:
+    T maps it onto the omega^2 one), then the trivial and the sign block for H_chi = S_3; the two
+    signs of T for H_chi = <T>; one block for the trivial group.  A block counts
+    |orbit| dim sigma times; one of rank 0 is skipped.  With no reflection kept (Dirac) there is
+    one empty pattern; with no permutation kept, one block per pattern; with neither, one block
+    with identity bases.  One local basis B serves all orbits of an action, at ``rows``."""
+    refl, perms = ([(np.frombuffer(p, np.intp), np.frombuffer(S, complex).reshape(N, N))
+                    for p, S in key] for key in (reflections, permutations))
+    orders = [_order(p) for p, _ in perms]
+    index = {r.tobytes(): i for i, (r, _) in enumerate(refl)}
+    # each permutation's action on the reflections: the index of p r p^-1 among them
+    moves = [[index.get(p[r[np.argsort(p)]].tobytes()) for r, _ in refl] for p, _ in perms]
+    if 2 not in orders or any(None in m for m in moves):
+        perms, orders, moves = [], [], []
+    gens, gen_orders = refl + perms, [2] * len(refl) + orders
+    if not gens:
+        gens, gen_orders = [(np.arange(n_sites), np.eye(N, dtype=complex))], [1]
     elements = []
-    for exps in powers:
+    for exps in product(*map(range, gen_orders)):
         sites = np.arange(n_sites)
         for (p, _), e in zip(gens, exps):
             for _ in range(e):
                 sites = p[sites]
         elements.append((sites, reduce(np.matmul, [np.linalg.matrix_power(S, e)
                                                    for (_, S), e in zip(gens, exps)])))
-    flips = [i for i, k in enumerate(orders) if k == 2]
-    # projector weights per element: a character of the involutions times C's mean, and
-    # C's omega projector (I + C/omega + C^2/omega^2)/3
-    signs = [([prod(s ** e[i] for s, i in zip(pattern, flips)) / len(powers) for e in powers], 1)
-             for pattern in product((1, -1), repeat=len(flips))]
-    omega = [([(not any(e[i] for i in flips)) * np.exp(-2j * np.pi * e[c] / 3) / 3
-               for e in powers], 2) for c, k in enumerate(orders) if k == 3]
+    # sign patterns (+ before -, the first reflection slowest) by elements r: chi(r) / |R|
+    bits = np.array(list(product((0, 1), repeat=len(refl))), int).reshape(2 ** len(refl), -1)
+    chi = (1 - 2 * (bits @ bits.T % 2)) / len(bits)
+    code = 1 << np.arange(len(refl))[::-1]
+    moved = [bits[:, np.argsort(m)] @ code for m in moves]  # the pattern each permutation maps to
+    hexps = np.array(list(product(*map(range, orders))), int).reshape(prod(orders), -1)
+    t, c = (hexps[:, orders.index(k)] if k in orders else np.zeros(len(hexps), int) for k in (2, 3))
+    little = {"S3": [(np.where(t == 0, np.exp(-2j * np.pi * c / 3) / 3, 0), 2),
+                     (np.full(len(t), 1 / 6), 1), ((1 - 2 * t) / 6, 1)],
+              "T": [((c == 0) / 2, 1), ((c == 0) * (1 - 2 * t) / 2, 1)],
+              "1": [((t + c == 0) * 1.0, 1)]}
     images = np.stack([src for src, _ in elements])
     actions = {}  # the group's action on an orbit's sorted sites -> the orbits with it
     for r in np.unique(images.min(axis=0)):
         orbit = np.unique(images[:, r])
         act = np.searchsorted(orbit, images[:, orbit])
         actions.setdefault(act.tobytes(), (act, []))[1].append(orbit)
-    blocks = []
-    for weights, count in omega + signs:
-        parts = []
-        for act, orbits in actions.values():
-            k = act.shape[1]
-            P = np.zeros((k, N, k, N), complex)  # (site, spinor) x (site, spinor) of one orbit
-            for w, a, (_, S) in zip(weights, act, elements):
-                P[np.arange(k), :, a, :] += w * S
-            B, J, inv = _range_basis(P.reshape(k * N, k * N))
-            if len(J):  # some orbits have no share in a block
-                rows = (np.array(orbits)[..., None] * N + np.arange(N)).reshape(len(orbits), -1)
-                parts.append((rows, B, J, inv))
-                for a in parts[-1]:
-                    a.setflags(write=False)
-        blocks.append((count, tuple(parts)))
+    spinors = np.stack([S for _, S in elements])
+    flat = []  # per action: P's flat index of each element's (site, spinor) x (image, spinor)
+    for act, _ in actions.values():
+        k = act.shape[1]
+        i = (np.arange(k)[:, None, None] * N + np.arange(N)[:, None]) * k * N
+        flat.append(i + act[:, :, None, None] * N + np.arange(N))
+    fixed = {k: (moved[orders.index(k)] if k in orders else -1) == np.arange(len(bits))
+             for k in (2, 3)}  # the patterns that T (order 2) and C (order 3) fix
+    blocks, seen = [], set()
+    for first in range(len(bits)):
+        if first in seen:
+            continue
+        orbit = {first}
+        for _ in hexps:
+            orbit |= {m[q] for m in moved for q in orbit}
+        seen |= orbit
+        rep = next((q for q in sorted(orbit) if fixed[2][q]), first)
+        stabilizer = ("S3" if fixed[3][rep] else "T") if fixed[2][rep] else "1"
+        for w, dim in little[stabilizer]:
+            weights = (chi[rep][:, None] * w).ravel()
+            nz = np.flatnonzero(weights)
+            parts = []
+            for f, (act, orbits) in zip(flat, actions.values()):
+                k = act.shape[1]
+                P = np.zeros(k * N * k * N, complex)
+                np.add.at(P, f[nz].ravel(), np.broadcast_to(
+                    (weights[nz, None, None] * spinors[nz])[:, None], f[nz].shape).ravel())
+                B, J, inv = _range_basis(P.reshape(k * N, k * N))
+                if len(J):  # some orbits have no share in a block
+                    rows = (np.array(orbits)[..., None] * N + np.arange(N)).reshape(len(orbits), -1)
+                    parts.append((rows, B, J, inv))
+                    for a in parts[-1]:
+                        a.setflags(write=False)
+            if parts:
+                blocks.append((len(orbit) * dim, tuple(parts)))
     return tuple(blocks)
 
 
@@ -420,9 +476,11 @@ def _range_basis(P):
     columns J it keeps, and B[J]^-1 = T*."""
     n, BT, J = len(P), np.zeros((2 * len(P), 0), complex), []  # B on T: columns (P t, t)
     rank = round(np.trace(P).real)
-    for j, w in enumerate(np.vstack([P, np.eye(n)]).T):
+    for j in range(n):
         if len(J) == rank:
             break
+        w = np.zeros(2 * n, complex)
+        w[:n], w[n + j] = P[:, j], 1.0
         for _ in range(2):
             w = w - BT @ (BT[:n].conj().T @ w[:n])
         if np.linalg.norm(w[:n]) > 1e-6:  # else P e_j lies in the span kept so far
@@ -430,22 +488,43 @@ def _range_basis(P):
     return BT[:n], np.array(J, dtype=int), BT[n:][J].conj().T
 
 
-def _compress(rows_of, parts):
+@lru_cache(maxsize=None)
+def _reads(n_sites, N, reflections, permutations):
+    """How :func:`_compress` reads each block of :func:`_symmetry_bases` (same arguments): a tuple of
+    calls of ``rows_of``, each (rows J, runs), a run (part, shape (orbits, k) of its rows J) holding
+    whole orbits of one part.  Each part's runs take about GATHER_ENTRIES entries of H's rows, and
+    consecutive runs share one call while their entries stay within that budget; cached."""
+    plans = []
+    for _, parts in _symmetry_bases(n_sites, N, reflections, permutations):
+        budget = max(1, GATHER_ENTRIES // sum(r.size for r, _, _, _ in parts))  # rows per call
+        calls = []
+        for p, (rows, _, j, _) in enumerate(parts):
+            step = max(1, budget // len(j))  # orbits per run
+            for s in range(0, len(rows), step):
+                Jc = rows[s:s + step, j]
+                if calls and len(calls[-1][0]) + Jc.size <= budget:
+                    calls[-1] = (np.r_[calls[-1][0], Jc.ravel()], calls[-1][1] + ((p, Jc.shape),))
+                else:
+                    calls.append((Jc.ravel(), ((p, Jc.shape),)))
+        for J, _ in calls:
+            J.setflags(write=False)
+        plans.append(tuple(calls))
+    return tuple(plans)
+
+
+def _compress(rows_of, parts, calls):
     """A = Q* H Q for a basis Q of :func:`_symmetry_bases` whose span H maps into itself, from
-    ``rows_of(J)``, the rows J of H (such as a ``partial`` of :func:`assemble_perturbed`): as
-    H Q = Q A, A = Q[J]^-1 H[J] Q with Q[J] block-diagonal, formed from about GATHER_ENTRIES
-    entries of H's rows J at a time."""
-    width = sum(r.size for r, _, _, _ in parts)  # the columns of H that Q reads
+    ``rows_of(J)``, the rows J of H (such as a ``partial`` of :func:`assemble_perturbed`), read as
+    ``calls`` (:func:`_reads`): as H Q = Q A, A = Q[J]^-1 H[J] Q with Q[J] block-diagonal."""
     A, start = np.empty((sum(len(rows) * len(j) for rows, _, j, _ in parts),) * 2, complex), 0
-    for rows, _, j, inv in parts:
-        step = max(1, GATHER_ENTRIES // (len(j) * width))  # orbits per step
-        for s in range(0, len(rows), step):
-            Jc = rows[s:s + step, j]  # (orbits, k) of the rows J
-            H = rows_of(Jc.ravel())
-            HQ = np.hstack([(H[:, r.ravel()].reshape(-1, len(B)) @ B).reshape(Jc.size, -1)
-                            for r, B, _, _ in parts])
-            A[start:start + Jc.size] = (inv @ HQ.reshape(*Jc.shape, -1)).reshape(HQ.shape)
-            start += Jc.size
+    for J, runs in calls:
+        H = rows_of(J)
+        HQ = np.hstack([(H[:, r.ravel()].reshape(-1, len(B)) @ B).reshape(len(J), -1)
+                        for r, B, _, _ in parts])
+        for p, shape in runs:
+            n = shape[0] * shape[1]
+            A[start:start + n] = (parts[p][3] @ HQ[:n].reshape(*shape, -1)).reshape(n, -1)
+            HQ, start = HQ[n:], start + n
     return A
 
 
@@ -458,22 +537,25 @@ def dense_spectrum(kind, m, V, grid: GridSpec):
     a job's cost does not hinge on where its support falls.  H_V is split into blocks, each
     solved by :func:`eigenvalues` with its own residual check, by the generators of H_0
     (:class:`FreeOperator`) whose symmetry V(x) = S V(x_g) S* V's samples respect within
-    1e-12 max(|V|, 1) (:func:`_symmetry_bases`): 2^n parity blocks for the scalar kinds with a
-    radial V, S_3 blocks of about D/3 (counted twice), D/6 and D/6 or halves by the swap alone
-    for a Dirac H_V of n = 3, and one block of D if V respects no involution (none at all, or the
-    cycle alone).  Each block is formed from the rows of H_V it reads just before its eigensolve
-    and dropped after it, so a split job builds no D x D matrix."""
+    1e-12 max(|V|, 1) (:func:`_symmetry_bases`).  For the scalar kinds in n = 3 a radial V keeps
+    the cube's group B_3 (the reflections with the axis swap and cycle): 10 blocks of about
+    D/48 to D/16, counted 1, 2 or 3 times; in other dimensions 2^n parity blocks.  A Dirac H_V
+    of n = 3 takes S_3 blocks of about D/3 (counted twice), D/6 and D/6, or halves by the swap
+    alone; one block of D if V respects no involution.  Each block is formed from the rows of
+    H_V it reads just before its eigensolve and dropped after it, so a split job builds no D x D
+    matrix."""
     op = free_operator(kind, m, grid)
     if V is None or V.c == 0:
         return free_spectrum(grid, kind, m).astype(complex), []
     samples = potential_on_grid(V, grid)
     tol = 1e-12 * max(np.abs(samples).max(), 1)
-    kept = [(p, S) for p, S in op.generators
-            if np.abs(samples - S @ samples[p] @ S.conj().T).max() <= tol]
-    key = tuple((p.tobytes(), S.tobytes()) for p, S in kept)
+    kept = [tuple((p.tobytes(), S.tobytes()) for p, S in gens
+                  if np.abs(samples - S @ samples[p] @ S.conj().T).max() <= tol)
+            for gens in op.generators]
     rows_of = partial(assemble_perturbed, kind, m, samples, grid)
-    solved = [(eigenvalues(_compress(rows_of, parts)), count)
-              for count, parts in _symmetry_bases(len(samples), grid.N, key)]
+    key = (len(samples), grid.N, *kept)
+    solved = [(eigenvalues(_compress(rows_of, parts, calls)), count)
+              for (count, parts), calls in zip(_symmetry_bases(*key), _reads(*key))]
     vals = np.concatenate([np.tile(v, count) for v, count in solved])
     return vals[np.lexsort((vals.imag, vals.real))], [len(v) for v, _ in solved]
 
@@ -487,11 +569,12 @@ def eigenvalues(H):
     H = np.asarray(H)
     vals, vecs = scipy.linalg.eig(H)
     order = np.lexsort((vals.imag, vals.real))
-    scale = max(np.linalg.norm(H, ord=np.inf), 1.0)
-    idx = np.linspace(0, len(vals) - 1, min(10, len(vals))).astype(int)
+    scale = max(np.abs(H).sum(axis=1).max(), 1.0)  # |H|_inf
+    k = min(10, len(vals))
+    idx = np.arange(k) * (len(vals) - 1) // max(k - 1, 1)  # evenly spaced, both ends
     X, lam = vecs[:, order[idx]], vals[order[idx]]
-    res = np.linalg.norm(H @ X - X * lam, axis=0) / np.linalg.norm(X, axis=0)
-    for i, r in zip(idx, res):
-        if r > 1e-8 * scale:
-            raise RuntimeError(f"eigenpair {i} residual {r:.3e} exceeds 1e-8 * |H|")
+    res = np.sqrt((np.abs(H @ X - X * lam) ** 2).sum(axis=0) / (np.abs(X) ** 2).sum(axis=0))
+    bad = np.flatnonzero(res > 1e-8 * scale)
+    if bad.size:
+        raise RuntimeError(f"eigenpair {idx[bad[0]]} residual {res[bad[0]]:.3e} exceeds 1e-8 * |H|")
     return vals[order]

@@ -176,6 +176,20 @@ def test_scan_marks_excluded_points():
     assert np.isnan(scan.values[0, 0])
 
 
+@pytest.mark.parametrize("kind,N", [("schrodinger", 1), ("klein_gordon", 1), ("dirac", 4)])
+def test_scan_excludes_points_with_a_nan_gap(kind, N):
+    # a NaN mass (Klein-Gordon, Dirac) or a NaN z (every kind) has no distance from the symbol set
+    g = GridSpec(n=3, L=3.0, M=4, N=N)
+    V = PotentialSpec.preset("inverse-square", 3, N, c=0.5)
+    for m, rect in ((float("nan"), (0.1, 0.2, 0.3, 0.3)), (0.5, (float("nan"), 0.2, 0.3, 0.3))):
+        if kind == "schrodinger" and np.isnan(m):
+            continue  # the Schrodinger symbol has no mass
+        scan = bs_scan(kind, m, V, g, rectangle=rect, resolution=(2, 1))
+        nan_z = np.isnan(scan.z_lattice())
+        assert np.array_equal(scan.excluded, nan_z | np.isnan(m))
+        assert np.isnan(scan.values[scan.excluded]).all() and (scan.applies[scan.excluded] == 0).all()
+
+
 def test_scan_records_residual_bound_and_applies(tmp_path):
     hit = float(GRID.freq_sq.ravel()[3])
     scan = bs_scan("schrodinger", 0.0, V_SCALAR, GRID,

@@ -273,14 +273,16 @@ def test_cli_eig(tmp_path):
 
 def test_cli_eig_reports_block_sizes(tmp_path):
     # the eigensolve sizes in the order they ran: S_3 blocks (the first counts twice), two swap
-    # halves, eight reflection parities, one block for a file with no symmetry, none for V = 0
+    # halves, ten B_3 blocks of a scalar radial V, one block for a file with no symmetry, none for
+    # V = 0
     path = tmp_path / "asym.bin"
     rng = np.random.default_rng(5)
     save_potential_binary(PotentialSpec.from_samples(3, 4, 4.0, 4, rng.normal(size=(64, 4, 4))),
                           path)
     cases = [("dirac", 4, {"preset": "inverse-square", "c": [1.0, 0.5]}, [88, 40, 40]),
              ("dirac", 4, {"preset": "matrix-mix", "c": [1.0, 0.5]}, [128, 128]),
-             ("schrodinger", 8, {"preset": "inverse-square", "c": [2.0, 1.0], "N": 1}, [64] * 8),
+             ("schrodinger", 8, {"preset": "inverse-square", "c": [2.0, 1.0], "N": 1},
+              [20, 20, 4, 40, 24, 40, 24, 20, 20, 4]),
              ("dirac", 4, {"file": str(path)}, [256]),
              ("dirac", 4, {"preset": "bump", "c": 0.0}, [])]
     for kind, M, pot, sizes in cases:

@@ -118,6 +118,18 @@ KIND_CASES = [("schrodinger", 0.0, 1), ("klein_gordon", 0.8, 1), ("dirac", 1.0, 
 
 
 @pytest.mark.parametrize("kind,m,N", KIND_CASES)
+def test_resolvent_block_rejects_a_nan_gap(kind, m, N):
+    # a NaN z, or a NaN mass where the symbol reads it, makes every |denominator| NaN: that is no
+    # distance from the symbol set, so it is refused like a hit, not returned as a NaN multiplier
+    g = GridSpec(n=3, L=3.0, M=4, N=N)
+    with pytest.raises(ValueError, match="discrete symbol set"):
+        free_operator(kind, m, g).resolvent_block(complex("nan"))
+    if kind != "schrodinger":  # the Schrodinger symbol has no mass
+        with pytest.raises(ValueError, match="discrete symbol set"):
+            free_operator(kind, float("nan"), g).resolvent_block(0.3 + 0.2j)
+
+
+@pytest.mark.parametrize("kind,m,N", KIND_CASES)
 def test_resolvent_block_at_conjugate_is_its_adjoint(kind, m, N):
     # per frequency, the multiplier at z conj is the conjugate transpose of the one at z, exactly
     op = free_operator(kind, m, GridSpec(n=3, L=2.0, M=4, N=N))
@@ -275,9 +287,9 @@ def test_H0_commutes_with_declared_generators(kind, m, M, L):
     # the axes negates none, so the unpartnered Nyquist term of Dirac is no obstacle to it
     g = GridSpec(n=3, L=L, M=M, N=4 if kind == "dirac" else 1)
     H = assemble_perturbed(kind, m, None, g)
-    generators = free_operator(kind, m, g).generators
-    assert len(generators) == (2 if kind == "dirac" else 3)
-    for generator in generators:
+    reflections, permutations = free_operator(kind, m, g).generators
+    assert (len(reflections), len(permutations)) == ((0 if kind == "dirac" else 3), 2)
+    for generator in reflections + permutations:
         G = _dense(generator, g)
         assert np.abs(G @ H @ G.conj().T - H).max() <= 1e-14 * np.abs(H).max()
 
@@ -289,7 +301,7 @@ def test_scalar_H_commutes_with_every_axis_reflection(kind, preset, extra):
     g = GridSpec(n=3, L=4.0, M=6)
     V = PotentialSpec.preset(preset, 3, 1, c=0.8 - 0.6j, **extra)
     H = assemble_perturbed(kind, 0.5, V, g)
-    generators = free_operator(kind, 0.5, g).generators
+    generators = free_operator(kind, 0.5, g).generators[0]
     assert len(generators) == g.n
     for axis, (sites, S) in enumerate(generators):
         assert np.array_equal(sites, _axis_flip(g, axis)) and np.array_equal(S, [[1.0]])
@@ -306,7 +318,9 @@ def test_dirac_H_commutes_with_no_axis_reflection(preset, extra):
     H = assemble_perturbed("dirac", 1.0, V, g)
     rep = build_clifford(3)
     flips = [_axis_flip(g, axis) for axis in range(3)]
-    for sites, _ in free_operator("dirac", 1.0, g).generators:
+    reflections, permutations = free_operator("dirac", 1.0, g).generators
+    assert reflections == ()
+    for sites, _ in permutations:
         assert not any(np.array_equal(sites, f) for f in flips)
     for axis, sites in enumerate(flips):
         G = _dense((sites, rep.alphas[axis + 1] @ rep.spare), g)
@@ -402,19 +416,36 @@ def _multiset_distance(a, b):
     return cost[rows, cols].max()
 
 
+# B_3 blocks of a scalar H_V with a radial V: per orbit of sign patterns (+++; the three with one
+# minus, at -++; the three with two, at +--; ---), S_3's omega (counted twice), trivial and sign
+# blocks, or <T>'s + and - blocks (counted three times); M = 4 has no sign block
+_B3_SIZES = {4: [2, 4, 6, 2, 6, 2, 2, 4], 6: [8, 10, 1, 18, 9, 18, 9, 8, 10, 1],
+             8: [20, 20, 4, 40, 24, 40, 24, 20, 20, 4]}
+_B3_COUNTS = {4: [2, 1, 3, 3, 3, 3, 2, 1], 6: [2, 1, 1, 3, 3, 3, 3, 2, 1, 1],
+              8: [2, 1, 1, 3, 3, 3, 3, 2, 1, 1]}
+
+
+def test_b3_block_counts_fill_the_space():
+    for M, sizes in _B3_SIZES.items():
+        assert sum(s * c for s, c in zip(sizes, _B3_COUNTS[M])) == M ** 3
+
+
 @pytest.mark.parametrize("kind", ["schrodinger", "klein_gordon"])
 @pytest.mark.parametrize("M,L,preset,extra", [
     (4, 3.0, "inverse-square", {}), (4, 3.0, "dyadic-decay", {"sigma": 2.5}),
     (6, 4.0, "bump", {"R": 3.0}), (6, 6.0, "inverse-square", {}),
-    (8, 6.0, "dyadic-decay", {"sigma": 1.5})])
+    (8, 6.0, "dyadic-decay", {"sigma": 1.5}), (4, 3.0, "bump", {"R": 3.0}),
+    (6, 4.0, "dyadic-decay", {"sigma": 2.0}), (8, 4.0, "inverse-square", {}),
+    (8, 6.0, "bump", {"R": 5.0})])
 def test_dense_spectrum_matches_one_block(monkeypatch, kind, M, L, preset, extra):
+    # a radial V keeps the three reflections, the axis swap and the cycle: B_3's blocks
     g = GridSpec(n=3, L=L, M=M)
     V = PotentialSpec.preset(preset, 3, 1, c=1.5 + 1.1j, **extra)
     H = assemble_perturbed(kind, 0.5, V, g)
     whole = eigenvalues(H)
     calls = _count_eigensolves(monkeypatch)
     split, _ = dense_spectrum(kind, 0.5, V, g)
-    assert calls == [g.size // 8] * 8
+    assert calls == _B3_SIZES[M]
     assert np.array_equal(split, split[np.lexsort((split.imag, split.real))])
     assert _multiset_distance(split, whole) <= 1e-10 * max(1.0, np.linalg.norm(H, 2))
     assert np.abs(whole.imag).max() > 1e-3  # a genuinely non-Hermitian case
@@ -455,6 +486,73 @@ def test_scalar_spectrum_splits_by_the_reflections_V_keeps(monkeypatch, kind, n,
     assert calls == sizes == [g.size // blocks] * blocks
     assert _multiset_distance(split, whole) <= 1e-10 * max(1.0, np.linalg.norm(H, 2))
     assert np.abs(whole.imag).max() > 1e-3  # a genuinely non-Hermitian case
+
+
+def _cube_file(g, twist):
+    """A file of inverse-square samples times 1 + twist(|x_0|, |x_1|, |x_2|) / 10: even in every
+    axis, and symmetric under the permutations of the axes that ``twist`` is."""
+    samples = potential_on_grid(PotentialSpec.preset("inverse-square", 3, 1, c=1.5 + 1.1j), g)
+    samples *= 1 + twist(*np.abs(g.points).T)[:, None, None] / 10
+    return PotentialSpec.from_samples(3, 1, g.L, g.M, samples)
+
+
+_SWAP_ALONE = {4: [6, 2, 8, 6, 2, 6, 2, 8, 6, 2], 6: [18, 9, 27, 18, 9, 18, 9, 27, 18, 9]}
+
+
+@pytest.mark.parametrize("M,twist,sizes,counts", [
+    # no permutation: the eight parity blocks
+    *[pytest.param(M, lambda a, b, c: a + 2 * b + 3 * c, [M ** 3 // 8] * 8, [1] * 8,
+                   id=f"reflections-{M}") for M in (4, 6)],
+    # the cycle without the swap is dropped: the eight parity blocks (at M = 4 two of |x_0|, |x_1|,
+    # |x_2| are always equal, and this twist vanishes)
+    pytest.param(6, lambda a, b, c: (a - b) * (b - c) * (c - a), [27] * 8, [1] * 8,
+                 id="cycle-alone-6"),
+    # the swap of axes 1, 2 without the cycle: the patterns it fixes split by its sign, the two
+    # pairs it swaps (++-, +-+ and -+-, --+) are one block each, counted twice
+    *[pytest.param(M, lambda a, b, c: b * c - 2 * a, _SWAP_ALONE[M], [1, 1, 2, 1, 1, 1, 1, 2, 1, 1],
+                   id=f"swap-alone-{M}") for M in (4, 6)]])
+def test_scalar_file_splits_by_the_permutations_it_keeps(monkeypatch, M, twist, sizes, counts):
+    g = GridSpec(n=3, L=3.0, M=M)
+    V = _cube_file(g, twist)
+    H = assemble_perturbed("schrodinger", 0.5, V, g)
+    whole = eigenvalues(H)
+    calls = _count_eigensolves(monkeypatch)
+    split, block_sizes = dense_spectrum("schrodinger", 0.5, V, g)
+    assert calls == block_sizes == sizes
+    samples = potential_on_grid(V, g)
+    key = [tuple((p.tobytes(), S.tobytes()) for p, S in gens
+                 if np.abs(samples - samples[p]).max() <= 1e-12 * np.abs(samples).max())
+           for gens in free_operator("schrodinger", 0.5, g).generators]
+    assert [c for c, _ in gridops._symmetry_bases(g.M ** 3, 1, *key)] == counts
+    assert _multiset_distance(split, whole) <= 1e-10 * max(1.0, np.linalg.norm(H, 2))
+    assert np.abs(whole.imag).max() > 1e-3  # a genuinely non-Hermitian case
+
+
+def _same_bases(new, old):
+    """Whether two lists of blocks (count, parts) of _symmetry_bases are equal, entry by entry."""
+    return [c for c, _ in new] == [c for c, _ in old] and all(
+        len(parts) == len(ref) and all(np.array_equal(a, b) for part, ref_part in zip(parts, ref)
+                                       for a, b in zip(part, ref_part))
+        for (_, parts), (_, ref) in zip(new, old))
+
+
+def test_permutations_that_move_a_reflection_out_of_the_kept_ones_are_dropped():
+    # the swap of axes 1 and 2 maps the reflection of axis 1 onto that of axis 2: with only the
+    # first kept, the swap is dropped and the two signs of that reflection are the blocks
+    g = GridSpec(n=3, L=3.0, M=4)
+    (r0, r1, r2), (T, C) = free_operator("schrodinger", 0.0, g).generators
+
+    def key(*gens):
+        return tuple((p.tobytes(), S.tobytes()) for p, S in gens)
+
+    blocks = gridops._symmetry_bases(64, 1, key(r1), key(T))
+    assert [(c, sum(len(rows) * len(J) for rows, _, J, _ in parts)) for c, parts in blocks] \
+        == [(1, 32), (1, 32)]
+    assert _same_bases(blocks, gridops._symmetry_bases(64, 1, key(r1), ()))
+    # beside the reflection of axis 0, which it fixes, the swap is kept: 3 + 1 per sign of r0
+    assert [(c, sum(len(rows) * len(J) for rows, _, J, _ in parts))
+            for c, parts in gridops._symmetry_bases(64, 1, key(r0), key(T))] \
+        == [(1, 20), (1, 12), (1, 20), (1, 12)]
 
 
 def _axis_swap(grid):
@@ -502,7 +600,7 @@ def test_dirac_H0_commutes_with_axis_cycle(m, M, L):
 
 def test_axis_spinors_generate_s3():
     a = build_clifford(3).alphas
-    (_, W), (_, R) = gridops._axis_permutations(build_clifford(3), 4)
+    W, R = gridops._permutation_spinors(build_clifford(3))
     assert np.array_equal(R, _cycle_spinor())
     assert np.abs(np.linalg.matrix_power(R, 3) - np.eye(4)).max() <= 1e-15  # C^3 = I
     assert np.abs(W @ R @ W - R.conj().T).max() <= 1e-15                    # T C T = C^-1
@@ -512,8 +610,16 @@ def test_axis_spinors_generate_s3():
     T, C = _axis_swap(g), _axis_cycle(g)
     assert np.abs(C @ C @ C - np.eye(g.size)).max() <= 1e-14
     assert np.abs(T @ C @ T - C.conj().T).max() <= 1e-14
-    swap, cycle = free_operator("dirac", 1.0, g).generators  # what dense_spectrum tests V against
+    swap, cycle = free_operator("dirac", 1.0, g).generators[1]  # what dense_spectrum tests V against
     assert np.array_equal(_dense(swap, g), T) and np.array_equal(_dense(cycle, g), C)
+
+
+def _kept_key(kind, grid, kept):
+    """The (reflections, permutations) key of _symmetry_bases for the generators numbered ``kept``:
+    Dirac's permutations T, C, or the scalar kinds' reflections."""
+    group = free_operator(kind, 0.0, grid).generators[kind == "dirac"]
+    key = tuple((group[i][0].tobytes(), group[i][1].tobytes()) for i in kept)
+    return ((), key) if kind == "dirac" else (key, ())
 
 
 @pytest.mark.parametrize("kind,n,M,kept", [  # a Dirac id names M and whether C is kept
@@ -530,14 +636,13 @@ def test_symmetry_bases_span_the_eigenspaces(kind, n, M, kept):
     # (C's omega^2 eigenspace) the blocks fill the space.  The symmetries' matrices are built
     # here, not read from gridops.
     g = GridSpec(n=n, L=3.0, M=M, N=4 if kind == "dirac" else 1)
-    generators = free_operator(kind, 0.0, g).generators
-    key = tuple((generators[i][0].tobytes(), generators[i][1].tobytes()) for i in kept)
+    key = _kept_key(kind, g, kept)
     if kind == "dirac":
         flips, C = [_axis_swap(g)], (_axis_cycle(g) if 1 in kept else None)
     else:
         flips, C = [_dense((_axis_flip(g, a), np.ones((1, 1))), g) for a in kept], None
     Qs = []
-    for count, parts in gridops._symmetry_bases(g.M ** g.n, g.N, key):
+    for count, parts in gridops._symmetry_bases(g.M ** g.n, g.N, *key):
         for _, B, J, inv in parts:  # the rows J where each orbit's basis is invertible
             assert np.abs(inv @ B[J] - np.eye(len(J))).max() <= 1e-14
         cols = [np.zeros((g.size, len(rows) * B.shape[1]), complex) for rows, B, _, _ in parts]
@@ -561,29 +666,84 @@ def test_symmetry_bases_span_the_eigenspaces(kind, n, M, kept):
     assert np.abs(Q.conj().T @ Q - np.eye(g.size)).max() <= 1e-14
 
 
+@pytest.mark.parametrize("kind", ["schrodinger", "klein_gordon"])
+def test_b3_bases_span_the_little_group_eigenspaces(kind):
+    # each block's basis is orthonormal, has its sign pattern under the reflections, and lies in
+    # its eigenspace of its little group (S_3: C's omega, the trivial and the sign blocks; <T>: the
+    # two signs of T).  Its images under the cosets (I, T for omega; I, C, C^2 for a pattern that
+    # C moves) fill the space.  The symmetries' matrices are built here, not read from gridops.
+    g = GridSpec(n=3, L=3.0, M=6)
+    F = [_dense((_axis_flip(g, a), np.ones((1, 1))), g) for a in range(3)]
+    sites = np.arange(g.size).reshape(6, 6, 6)
+    T = np.eye(g.size)[sites.transpose(0, 2, 1).ravel()]
+    C = np.eye(g.size)[sites.transpose(1, 2, 0).ravel()]
+    omega = np.exp(2j * np.pi / 3)
+    labels = [("+++", "omega"), ("+++", 1), ("+++", -1), ("-++", 1), ("-++", -1), ("+--", 1),
+              ("+--", -1), ("---", "omega"), ("---", 1), ("---", -1)]
+    key = tuple(tuple((p.tobytes(), S.tobytes()) for p, S in gens)
+                for gens in free_operator(kind, 0.5, g).generators)
+    blocks = gridops._symmetry_bases(g.size, 1, *key)
+    assert [c for c, _ in blocks] == _B3_COUNTS[6]
+    spans = []
+    for (count, parts), (pattern, sigma) in zip(blocks, labels, strict=True):
+        cols = [np.zeros((g.size, len(rows) * B.shape[1]), complex) for rows, B, _, _ in parts]
+        for Q, (rows, B, _, _) in zip(cols, parts):
+            for o, r in enumerate(rows):
+                Q[r, o * B.shape[1]:(o + 1) * B.shape[1]] = B
+        Q = np.hstack(cols)
+        assert np.abs(Q.conj().T @ Q - np.eye(Q.shape[1])).max() <= 1e-14
+        for G, sign in zip(F, pattern):
+            assert np.abs(G @ Q - (1 if sign == "+" else -1) * Q).max() <= 1e-14
+        if sigma == "omega":
+            assert np.abs(C @ Q - omega * Q).max() <= 1e-14
+            images = [Q, T @ Q]
+        else:
+            assert np.abs(T @ Q - sigma * Q).max() <= 1e-14
+            fixed = pattern in ("+++", "---")
+            assert not fixed or np.abs(C @ Q - Q).max() <= 1e-14
+            images = [Q] if fixed else [Q, C @ Q, C @ C @ Q]
+        assert len(images) == count
+        spans += images
+    Q = np.hstack(spans)
+    assert Q.shape == (g.size, g.size)
+    assert np.abs(Q.conj().T @ Q - np.eye(g.size)).max() <= 1e-13
+
+
 @pytest.mark.parametrize("kind,n,M,kept", [("dirac", 3, 4, ()), ("dirac", 3, 4, (1,)),
                                             ("schrodinger", 2, 4, ())])
 def test_symmetry_bases_without_an_involution_are_the_trivial_group(kind, n, M, kept):
     # no generator kept, or the cycle alone: one block, counted once, whose basis is the identity
     # on every site
     g = GridSpec(n=n, L=3.0, M=M, N=4 if kind == "dirac" else 1)
-    generators = free_operator(kind, 0.0, g).generators
-    key = tuple((generators[i][0].tobytes(), generators[i][1].tobytes()) for i in kept)
-    (count, ((rows, B, J, inv),)), = gridops._symmetry_bases(g.M ** g.n, g.N, key)
+    (count, ((rows, B, J, inv),)), = gridops._symmetry_bases(g.M ** g.n, g.N,
+                                                             *_kept_key(kind, g, kept))
     assert count == 1
     assert np.array_equal(rows, np.arange(g.size).reshape(-1, g.N))
     assert np.array_equal(B, np.eye(g.N)) and np.array_equal(inv, np.eye(g.N))
     assert np.array_equal(J, np.arange(g.N))
 
 
-def _reference_symmetry_bases(n_sites, N, kept):
-    """The blocks of gridops._symmetry_bases as they were first built: each orbit's projector a
-    sum of |G| Kronecker products, Gram-Schmidt over every one of its columns."""
-    gens = [(np.frombuffer(p, np.intp), np.frombuffer(S, complex).reshape(N, N)) for p, S in kept]
-    orders = [gridops._order(p) for p, _ in gens]
-    if 2 not in orders:
-        gens, orders = [(np.arange(n_sites), np.eye(N, dtype=complex))], [1]
-    powers = list(itertools.product(*map(range, orders)))
+def _reference_symmetry_bases(n_sites, N, reflections, permutations):
+    """The blocks of gridops._symmetry_bases built naively: each element's weight chi(r)/|R|
+    w_sigma(h) from loops over the elements, each orbit's projector a sum of |G| Kronecker
+    products, Gram-Schmidt over every one of its columns.  With no permutation kept (or with no
+    reflection and the permutations S_3 or <T>) this is the construction the blocks were first
+    built by."""
+    refl, perms = ([(np.frombuffer(p, np.intp), np.frombuffer(S, complex).reshape(N, N))
+                    for p, S in key] for key in (reflections, permutations))
+    orders = [gridops._order(p) for p, _ in perms]
+
+    def moved(p, i):
+        """The index of the kept reflection p r_i p^-1, or None."""
+        conj = p[refl[i][0][np.argsort(p)]]
+        return next((j for j, (q, _) in enumerate(refl) if np.array_equal(conj, q)), None)
+
+    if 2 not in orders or any(moved(p, i) is None for p, _ in perms for i in range(len(refl))):
+        perms, orders = [], []
+    gens, gen_orders = refl + perms, [2] * len(refl) + orders
+    if not gens:
+        gens, gen_orders = [(np.arange(n_sites), np.eye(N, dtype=complex))], [1]
+    powers = list(itertools.product(*map(range, gen_orders)))
     elements = []
     for exps in powers:
         sites = np.arange(n_sites)
@@ -592,33 +752,60 @@ def _reference_symmetry_bases(n_sites, N, kept):
                 sites = p[sites]
         elements.append((sites, functools.reduce(np.matmul, [np.linalg.matrix_power(S, e)
                                                              for (_, S), e in zip(gens, exps)])))
-    flips = [i for i, k in enumerate(orders) if k == 2]
-    signs = [([math.prod(s ** e[i] for s, i in zip(pattern, flips)) / len(powers)
-               for e in powers], 1) for pattern in itertools.product((1, -1), repeat=len(flips))]
-    omega = [([(not any(e[i] for i in flips)) * np.exp(-2j * np.pi * e[c] / 3) / 3
-               for e in powers], 2) for c, k in enumerate(orders) if k == 3]
+
+    def image(p, chi):
+        out = list(chi)
+        for i, s in enumerate(chi):
+            out[moved(p, i)] = s
+        return tuple(out)
+
+    def exponent(e, k):  # of T (k = 2) or C (k = 3) in element e, 0 if not kept
+        return e[len(refl) + orders.index(k)] if k in orders else 0
+
+    swap = [p for (p, _), k in zip(perms, orders) if k == 2]
+    cycle = [p for (p, _), k in zip(perms, orders) if k == 3]
     images = np.stack([src for src, _ in elements])
     actions = {}
     for r in np.unique(images.min(axis=0)):
         orbit = np.unique(images[:, r])
         act = np.searchsorted(orbit, images[:, orbit])
         actions.setdefault(act.tobytes(), (act, []))[1].append(orbit)
-    blocks = []
-    for weights, count in omega + signs:
-        parts = []
-        for act, orbits in actions.values():
-            P = sum(w * np.kron(np.eye(act.shape[1])[a], S)
-                    for w, a, (_, S) in zip(weights, act, elements))
-            n, BT, J = len(P), np.zeros((2 * len(P), 0), complex), []
-            for j, w in enumerate(np.vstack([P, np.eye(n)]).T):
-                for _ in range(2):
-                    w = w - BT @ (BT[:n].conj().T @ w[:n])
-                if np.linalg.norm(w[:n]) > 1e-6:
-                    BT, J = np.c_[BT, w / np.linalg.norm(w[:n])], J + [j]
-            if len(J):
-                rows = (np.array(orbits)[..., None] * N + np.arange(N)).reshape(len(orbits), -1)
-                parts.append((rows, BT[:n], np.array(J, dtype=int), BT[n:][J].conj().T))
-        blocks.append((count, parts))
+    patterns = list(itertools.product((1, -1), repeat=len(refl)))
+    blocks, seen = [], set()
+    for chi in patterns:
+        if chi in seen:
+            continue
+        orbit = {chi}
+        for _ in range(6):
+            orbit |= {image(p, x) for p, _ in perms for x in orbit}
+        seen |= orbit
+        rep = next((x for x in patterns if x in orbit and swap and image(swap[0], x) == x), chi)
+        keeps_swap = bool(swap) and image(swap[0], rep) == rep
+        if keeps_swap and cycle and image(cycle[0], rep) == rep:
+            sigmas = [(lambda t, c: (t == 0) * np.exp(-2j * np.pi * c / 3) / 3, 2),
+                      (lambda t, c: 1 / 6, 1), (lambda t, c: (-1) ** t / 6, 1)]
+        elif keeps_swap:
+            sigmas = [(lambda t, c: (c == 0) / 2, 1), (lambda t, c: (c == 0) * (-1) ** t / 2, 1)]
+        else:
+            sigmas = [(lambda t, c: float(t == c == 0), 1)]
+        for w_sigma, dim in sigmas:
+            weights = [math.prod(s ** x for s, x in zip(rep, e)) / len(patterns)
+                       * w_sigma(exponent(e, 2), exponent(e, 3)) for e in powers]
+            parts = []
+            for act, orbits in actions.values():
+                P = sum(w * np.kron(np.eye(act.shape[1])[a], S)
+                        for w, a, (_, S) in zip(weights, act, elements))
+                n, BT, J = len(P), np.zeros((2 * len(P), 0), complex), []
+                for j, w in enumerate(np.vstack([P, np.eye(n)]).T):
+                    for _ in range(2):
+                        w = w - BT @ (BT[:n].conj().T @ w[:n])
+                    if np.linalg.norm(w[:n]) > 1e-6:
+                        BT, J = np.c_[BT, w / np.linalg.norm(w[:n])], J + [j]
+                if len(J):
+                    rows = (np.array(orbits)[..., None] * N + np.arange(N)).reshape(len(orbits), -1)
+                    parts.append((rows, BT[:n], np.array(J, dtype=int), BT[n:][J].conj().T))
+            if parts:
+                blocks.append((len(orbit) * dim, parts))
     return blocks
 
 
@@ -628,19 +815,18 @@ def _reference_symmetry_bases(n_sites, N, kept):
     ("dirac", 3, 6, "bump"), ("dirac", 3, 4, "matrix-mix"), ("dirac", 3, 6, "matrix-mix"),
     ("schrodinger", 5, 2, "inverse-square")])
 def test_symmetry_bases_match_the_kronecker_construction(kind, n, M, preset):
-    # the projector scattered per element and Gram-Schmidt stopped at its rank change no entry
+    # the projector scattered by one np.add.at per block, its weights from one array expression
+    # and Gram-Schmidt stopped at its rank change no entry
     g = GridSpec(n=n, L=3.0, M=M, N=spinor_size(kind, n))
     samples = potential_on_grid(PotentialSpec.preset(preset, n, g.N, c=1.0 + 0.5j), g)
-    key = tuple((p.tobytes(), S.tobytes()) for p, S in free_operator(kind, 0.5, g).generators
-                if np.abs(samples - S @ samples[p] @ S.conj().T).max() <= 1e-12)
-    assert len(key) == (1 if preset == "matrix-mix" else n if kind != "dirac" else 2)
-    new = gridops._symmetry_bases(g.M ** n, g.N, key)
-    old = _reference_symmetry_bases(g.M ** n, g.N, key)
-    assert [count for count, _ in new] == [count for count, _ in old]
-    for (_, parts), (_, ref) in zip(new, old):
-        assert len(parts) == len(ref)
-        for part, ref_part in zip(parts, ref):
-            assert all(np.array_equal(a, b) for a, b in zip(part, ref_part))
+    key = [tuple((p.tobytes(), S.tobytes()) for p, S in gens
+                 if np.abs(samples - S @ samples[p] @ S.conj().T).max() <= 1e-12)
+           for gens in free_operator(kind, 0.5, g).generators]
+    # scalar n = 3: the three reflections, the swap and the cycle (B_3)
+    assert [len(k) for k in key] == ([0, 1] if preset == "matrix-mix" else [0, 2]
+                                     if kind == "dirac" else [n, 2 if n == 3 else 0])
+    new = gridops._symmetry_bases(g.M ** n, g.N, *key)
+    assert _same_bases(new, _reference_symmetry_bases(g.M ** n, g.N, *key))
 
 
 def test_range_basis_stops_at_the_projectors_rank():
@@ -755,10 +941,11 @@ def test_dirac_halves_dense_spectrum_memory():
 
 
 def test_scalar_dense_spectrum_memory():
-    # eight parity blocks of D/8, each from its D/8 rows of H_V: 0.40 * 16 D^2
+    # B_3 blocks of at most 40 = D/12.8, each from its rows of H_V about 2^16 entries at a time:
+    # 0.156 * 16 D^2 (eight parity blocks of D/8 peaked at 0.40)
     g = GridSpec(n=3, L=3.0, M=8)
     V = PotentialSpec.preset("inverse-square", 3, 1, c=1.0)
-    assert _peak_of(lambda: dense_spectrum("schrodinger", 0.5, V, g)) <= 0.45 * 16 * g.size ** 2
+    assert _peak_of(lambda: dense_spectrum("schrodinger", 0.5, V, g)) <= 0.17 * 16 * g.size ** 2
 
 
 def test_whole_assembly_memory():
