@@ -10,6 +10,7 @@ the complex plane.
 
 from .clifford import CliffordRep, build_clifford, anticommutator_defect, dirac_symbol
 from .potential import PotentialSpec, polar_factors
+from .profiles import Profile
 from .weights import WeightSpec, NormResult, dyadic_norm, morrey_norms
 from .enclosure import Certificate, DiskPair, potential_norm, certify, enclosure_disks
 from .gridops import (GridSpec, FieldOnGrid, apply_free_operator, apply_free_resolvent,

@@ -110,8 +110,8 @@ def _do_bench(cfg):
 def _do_norms(cfg):
     table = {}
     if cfg.weight is not None:
-        res = dyadic_norm(build_weight(cfg).radial, cfg.p, cfg.q, cfg.n)
-        table["weight"] = asdict(res)
+        prof = build_weight(cfg).profile
+        table["weight"] = asdict(dyadic_norm(prof, cfg.p, cfg.q, cfg.n, breaks=prof.breaks))
     if cfg.potential is not None:
         table["potential"] = asdict(potential_norm(build_potential(cfg), p=cfg.p, q=cfg.q))
     warns = [k + ": tail bound unknown" for k, v in table.items() if v["tail_bound"] is None]

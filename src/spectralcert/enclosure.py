@@ -6,8 +6,12 @@ weighted dyadic norm of V from :func:`potential_norm`, whose upper bound
 
 * upper bound unknown or not finite: ``inconclusive``, "norm divergent or
   tail unknown; cannot certify";
-* constant * upper bound < 1: ``stable`` or ``enclosure``;
+* constant * upper bound < 1, the product rounded up one ulp (:func:`product_up`,
+  so that a verdict is no rounding accident): ``stable`` or ``enclosure``;
 * otherwise ``inconclusive``, "smallness condition not met; no claim either way".
+
+Every certificate with a norm also reports ``tail_share``, the tail's share of
+that norm's upper bound.
 
 The qualitative theorems 2.1, 2.2 have existential constants: their norm is
 reported and the verdict is always ``inconclusive``.  ``enclosure`` verdicts
@@ -17,10 +21,12 @@ with v = (1 / (C2 N_j) - 1)^2 (v = inf and radius 0 when N_j = 0).
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+import math
 
 import numpy as np
 
 from .potential import PotentialSpec
+from .profiles import RADIUS, Profile
 from .weights import WeightSpec, NormResult, cell_dyadic_norm, dyadic_norm
 
 CERTIFY_THEOREMS = ("2.1", "2.2-massless", "2.2-massive", "2.3", "2.4")  # 2.5: enclosure_disks
@@ -63,6 +69,7 @@ class Certificate:
     norm: float = None
     tail_bound: float = None
     norm_upper: float = None
+    tail_share: float = None
     constant: float = None
     threshold: float = None
     reason: str = ""
@@ -117,27 +124,27 @@ def c3_constant(n, rho_l2linf, rho_halfpower_linf) -> float:
 @lru_cache(maxsize=16)
 def rho_norms(rho: WeightSpec):
     """(|rho|_{ell2 Linf}, | |x|^(1/2) rho |_Linf) as NormResults, shared per rho."""
-    l2 = dyadic_norm(rho.radial, 2, np.inf, 3)
-    half = dyadic_norm(lambda r: r ** 0.5 * rho.radial(r), np.inf, np.inf, 3)
-    return l2, half
+    prof, half = rho.profile, RADIUS ** 0.5 * rho.profile
+    return (dyadic_norm(prof, 2, np.inf, 3, breaks=prof.breaks),
+            dyadic_norm(half, np.inf, np.inf, 3, breaks=half.breaks))
 
 
-def potential_norm(V: PotentialSpec, w=None, p=np.inf, q=np.inf) -> NormResult:
+def potential_norm(V: PotentialSpec, w: Profile = None, p=np.inf, q=np.inf) -> NormResult:
     """Dyadic ell^p L^q norm of x -> w(|x|) |V(x)| in V's own dimension (w = 1 if None).
 
-    The only choice between the two paths: a preset's exact radial profile,
+    The only choice between the two paths: a preset's declared radial profile,
     which also gives the tail, or a file's cells, each holding its site's |V|
     (:attr:`PotentialSpec.opnorm_table`, 0 outside the box), whose tail is unknown.
     """
     if V.kind == "grid-sampled":
         return cell_dyadic_norm(V.opnorm_table, V.n, V.grid_L, V.grid_M, p, q, w)
-    prof = V.radial_opnorm if w is None else (lambda r: w(r) * V.radial_opnorm(r))
-    return dyadic_norm(prof, p, q, V.n)
+    prof = V.profile if w is None else V.profile * w
+    return dyadic_norm(prof, p, q, V.n, breaks=prof.breaks)
 
 
 def n1_norm(V: PotentialSpec) -> NormResult:
     """N_1(V) = || |x| V ||_{ell^1 L^inf}."""
-    return potential_norm(V, lambda r: r, p=1)
+    return potential_norm(V, RADIUS, p=1)
 
 
 def n2_norm(V: PotentialSpec, rho: WeightSpec):
@@ -145,17 +152,28 @@ def n2_norm(V: PotentialSpec, rho: WeightSpec):
 
     The NormResult is also the hypothesis norm of theorem 2.3."""
     l2, _ = rho_norms(rho)
-    return potential_norm(V, lambda r: r / rho.radial(r) ** 2), l2
+    return potential_norm(V, RADIUS * rho.profile ** -2), l2
+
+
+def product_up(*factors):
+    """The product of nonnegative floats, each multiplication moved up one ulp: never
+    below the exact product of the factors as given."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = math.nextafter(out * f, math.inf)
+    return out
 
 
 def _decide(cert, res: NormResult, upper, constant, verdict):
     """Fill in the hypothesis norm ``res``, its upper bound and the constant, and
-    apply the verdict rule (module docstring); True if ``verdict`` was given."""
+    apply the verdict rule (module docstring) to constant * upper rounded up;
+    True if ``verdict`` was given."""
     cert.norm, cert.tail_bound, cert.norm_upper = res.value, res.tail_bound, upper
+    cert.tail_share = res.tail_share()
     cert.constant, cert.threshold = constant, 1.0 / constant
     if upper is None or not np.isfinite(upper):
         cert.reason = "norm divergent or tail unknown; cannot certify"
-    elif constant * upper < 1.0:
+    elif product_up(constant, upper) < 1.0:
         cert.verdict = verdict
     else:
         cert.reason = "smallness condition not met; no claim either way"
@@ -183,10 +201,9 @@ def certify(theorem, V: PotentialSpec, m=0.0, eps=0.25, sigma=2.0,
     if theorem in QUALITATIVE:
         kind, param, power = QUALITATIVE[theorem]
         cert.params = {param: {"eps": eps, "sigma": sigma}[param]}
-        w = WeightSpec(kind, **cert.params)
-        res = potential_norm(V, lambda r: w.radial(r) ** power)
+        res = potential_norm(V, WeightSpec(kind, **cert.params).profile ** power)
         cert.norm, cert.tail_bound = res.value, res.tail_bound
-        cert.norm_upper = res.rigorous_upper()
+        cert.norm_upper, cert.tail_share = res.rigorous_upper(), res.tail_share()
         cert.reason = ("threshold alpha is existential in the qualitative theorem; "
                        "norm reported, no stability claim")
         return cert
@@ -244,7 +261,7 @@ def enclosure_disks(V: PotentialSpec, m, j=1, rho: WeightSpec = None) -> Certifi
         rho = rho if rho is not None else DEFAULT_RHO
         res, l2 = n2_norm(V, rho)
         cu, lu = res.rigorous_upper(), l2.rigorous_upper()
-        upper = None if (cu is None or lu is None) else lu ** 2 * cu
+        upper = None if (cu is None or lu is None) else product_up(lu, lu, cu)
         cert.params = {"rho": rho.kind, "rho_l2linf": lu}
     cert.params["N_j"] = upper
     if _decide(cert, res, upper, 2.0 * c2_constant(n), "enclosure"):

@@ -8,13 +8,14 @@ The preset catalogue covers the hypotheses of the stability theorems:
 * ``matrix-mix``           c (1+|x|)^-2 (alpha_1 + i I_N), non-Hermitian
 
 All presets have radial pointwise operator norm, exposed exactly through
-:meth:`PotentialSpec.radial_opnorm`; the dyadic norm engine uses that as an
-analytic envelope for tail bounds.  Grid-sampled potentials evaluate by
-nearest-sample lookup (no interpolation) and carry no envelope; lookups
-outside the sampled box are errors.  Their operator norms are one table,
-|V| at every lattice site (:attr:`PotentialSpec.opnorm_table`): V is
-constant on the closed cell around each site, and the dyadic norms read
-each cell's |V| from the table and take |V| as 0 outside the box.
+:attr:`PotentialSpec.profile`, declared factor by factor; the dyadic norm
+engine uses that profile as an analytic envelope for tail bounds.
+Grid-sampled potentials evaluate by nearest-sample lookup (no interpolation)
+and carry no envelope; lookups outside the sampled box are errors.  Their
+operator norms are one table, |V| at every lattice site
+(:attr:`PotentialSpec.opnorm_table`): V is constant on the closed cell around
+each site, and the dyadic norms read each cell's |V| from the table and take
+|V| as 0 outside the box.
 """
 
 from dataclasses import dataclass, field
@@ -27,6 +28,7 @@ import warnings
 import numpy as np
 
 from .clifford import build_clifford
+from .profiles import Profile
 
 # preset -> the parameters beyond c that its profile reads
 PRESET_PARAMS = {"inverse-square": (), "complex-inverse-square": (), "bump": ("R",),
@@ -124,15 +126,24 @@ class PotentialSpec:
             raise ValueError("only grid-sampled potentials have a table of |V|")
         return np.linalg.svd(self.values, compute_uv=False)[:, 0]
 
-    def radial_opnorm(self, r):
-        """Exact pointwise operator norm |V(x)| as a function of r = |x| (presets only)."""
+    @property
+    def profile(self):
+        """The exact pointwise operator norm |V(x)| as a function of r = |x|, with its
+        declared factors (presets only)."""
         if self.kind == "grid-sampled":
             raise ValueError("grid-sampled potentials have no analytic radial profile")
-        mag = np.abs(self.scalar_profile(r))
+        c = abs(self.c)
+        if self.kind == "bump":
+            return Profile.of(c, ("bump", self.R, 1.0))
+        if self.kind == "dyadic-decay":
+            return Profile.of(c, ("r", None, -1.0), ("log", None, -self.sigma))
         if self.kind == "matrix-mix":
-            # alpha_1 has eigenvalues +-1, so |alpha_1 + iI| = sqrt(2)
-            mag = mag * np.sqrt(2.0)
-        return mag
+            c *= np.sqrt(2.0)  # alpha_1 has eigenvalues +-1, so |alpha_1 + iI| = sqrt(2)
+        return Profile.of(c, ("1+r^k", 1.0, -2.0))
+
+    def radial_opnorm(self, r):
+        """|V(x)| at radii r = |x|: the values of :attr:`profile` (presets only)."""
+        return self.profile(r)[0]
 
     def content_hash(self):
         """Stable hash of the defining data, recorded in certificates."""

@@ -2,18 +2,23 @@
 
 Annulus j is {2^(j-1) <= |x| < 2^j}.  The dyadic norm aggregates per-annulus
 L^q norms in ell^p over j; the Morrey-Campanato norms are computed on grid
-fields by radial shell / ball sums.  A radial field's per-annulus norms
-come from its profile in r: sup norms by iterative sampling refinement,
-never by quadrature, L^2 norms by Gauss-Legendre nodes in r, with fixed
-sample counts.  A potential file is read cell by cell: each closed cell
-meets the annuli its radius range meets, and only a weight's sup on that
-overlap is sampled.
+fields by radial shell / ball sums.  A radial field's per-annulus norms come
+from its :class:`~spectralcert.profiles.Profile` in r: an L^2 norm by
+Gauss-Legendre nodes in r, a sup by an upper bound on the closed annulus
+(:func:`_sup_bounds`), built from the profile's values and its declared
+per-factor log-derivatives, never from a sample maximum.  A potential file is
+read cell by cell: each closed cell meets the annuli its radius range meets,
+and a weight's sup on that overlap is bounded the same way.
+
+The bounds are upper bounds in floating point, not interval arithmetic: the
+values and derivatives are rounded to nearest like any other arithmetic.
 
 Tail policy: when an analytic radial envelope is available (all weight and
-potential presets are radial in operator norm) the annuli outside the
-requested j-range are evaluated from the envelope and reported separately
-as ``tail_bound``; without an envelope the tail is unknown (None) and any
-certificate built on the norm must be inconclusive.
+potential presets are radial in operator norm) the 200 annuli beyond each end
+of the requested j-range are evaluated from the envelope and reported
+separately as ``tail_bound``; the annuli beyond those are not counted.
+Without an envelope the tail is unknown (None) and any certificate built on
+the norm must be inconclusive.
 """
 
 from dataclasses import dataclass
@@ -23,6 +28,7 @@ from math import gamma
 import numpy as np
 
 from .gridops import GridSpec
+from .profiles import Profile
 
 # the catalogue, each kind with the parameters it reads
 WEIGHT_PARAMS = {"tau": ("eps",), "w_sigma": ("sigma",), "rho1": ("sigma",),
@@ -34,11 +40,14 @@ WEIGHT_KINDS = tuple(WEIGHT_PARAMS)
 class WeightSpec:
     """One of the catalogue weights, all radial and positive for x != 0.
 
-    tau:     |x|^(1/2-eps) + |x|
+    tau:     |x|^(1/2-eps) + |x|          = r^(1/2-eps) (1 + r^(1/2+eps))
     w_sigma: |x| (1+|log|x||)^sigma
     rho1:    (1+|log|x||)^(-sigma/2)
-    rho2:    (|x|^-eps + |x|^delta)^-1
+    rho2:    (|x|^-eps + |x|^delta)^-1     = r^eps (1 + r^(eps+delta))^-1
     power:   |x|^exponent
+
+    :meth:`radial` evaluates the formula on the left, :attr:`profile` declares the
+    factors on the right for the dyadic norms.
     """
 
     kind: str
@@ -69,6 +78,18 @@ class WeightSpec:
             return 1.0 / (r ** -self.eps + r ** self.delta)
         return r ** self.exponent
 
+    @property
+    def profile(self) -> Profile:
+        if self.kind == "tau":
+            return Profile.of(1.0, ("r", None, 0.5 - self.eps), ("1+r^k", 0.5 + self.eps, 1.0))
+        if self.kind == "w_sigma":
+            return Profile.of(1.0, ("r", None, 1.0), ("log", None, self.sigma))
+        if self.kind == "rho1":
+            return Profile.of(1.0, ("log", None, -self.sigma / 2.0))
+        if self.kind == "rho2":
+            return Profile.of(1.0, ("r", None, self.eps), ("1+r^k", self.eps + self.delta, -1.0))
+        return Profile.of(1.0, ("r", None, self.exponent))
+
 
 @dataclass(frozen=True)
 class NormResult:
@@ -78,10 +99,9 @@ class NormResult:
     aggregated envelope contribution of the omitted annuli (None when no
     envelope was available).  ``value + tail_bound`` is always a valid
     upper estimate; :meth:`rigorous_upper` combines them with the exact
-    ell^p rule instead.  ``samples_per_annulus`` counts the radii of one
-    sup refinement round (q = inf) or the Gauss nodes (q = 2) of a radial
-    profile; of a file's norm, the radii per round of a weight's sup on one
-    cell's overlap with an annulus (0 without a weight).
+    ell^p rule instead.  ``profile_points`` counts the radii at which the
+    norm evaluated its profile: a radial profile's, or a file's weight on
+    the cells' overlaps with the annuli (0 without a weight).
     """
 
     value: float
@@ -89,7 +109,7 @@ class NormResult:
     j_min: int
     j_max: int
     tail_bound: float = None
-    samples_per_annulus: int = 0
+    profile_points: int = 0
     diverged: bool = False
 
     def rigorous_upper(self):
@@ -101,16 +121,25 @@ class NormResult:
             return max(self.value, self.tail_bound)
         return (self.value ** self.p + self.tail_bound ** self.p) ** (1.0 / self.p)
 
+    def tail_share(self):
+        """tail_bound / rigorous_upper(); None when either is unknown or the upper bound
+        is 0 or infinite."""
+        upper = self.rigorous_upper()
+        if self.tail_bound is None or upper is None or not 0.0 < upper < np.inf:
+            return None
+        return self.tail_bound / upper
 
-# -- sampling helpers ---------------------------------------------------
+
+# -- per-annulus norms of a radial profile ------------------------------
 
 J_RANGE = (-40, 40)  # dyadic annuli 2^j, j in J_RANGE, sampled by default
 
-_J_EXT = 200                # continuation annuli beyond each end of a radial range
-_SUP_SAMPLES = 256          # radii per refinement round of a sup
-_GAUSS_NODES = 64           # Gauss-Legendre nodes of an L^2 norm
-_SUP_ROUNDS = 3             # refinement rounds of a sup
-_BLOCK_SAMPLES = 8192       # samples per profile call, about 64 KB per temporary
+_J_EXT = 200          # continuation annuli beyond each end of a radial range
+_GAUSS_NODES = 64     # Gauss-Legendre nodes of an L^2 norm
+_GAUSS_ROWS = 128     # annuli per profile call of an L^2 norm: about 64 KB per temporary
+_SUP_RTOL = 1e-9      # a piece is settled once its bound is within this of its interval's top value
+_SUP_SPLIT = 8        # parts of equal log-width an unsettled piece is split into
+_SUP_POINTS = 4096    # profile points of one sup call beyond its intervals' ends and breaks
 
 
 def _sphere_area(n):
@@ -122,32 +151,85 @@ def _annulus_bounds(js):
     return np.ldexp(1.0, js - 1), np.ldexp(1.0, js)
 
 
-def _blocks(fn, rows, samples):
-    """``fn`` over blocks of ``rows`` that take ``samples`` samples each, as many rows
-    per call as fit in _BLOCK_SAMPLES samples (at least one), concatenated."""
-    step = max(1, _BLOCK_SAMPLES // samples)
-    return np.concatenate([fn(rows[k:k + step]) for k in range(0, len(rows), step)])
+def _piece_bounds(va, vb, sa, sb, h):
+    """Upper bounds of a profile on pieces [a, b] of log-width h = ln(b/a), and whether each
+    is exact.
 
-
-def _refined_sup(values, lo, hi):
-    """Sup over [lo, hi] per row by log-spaced refinement.
-
-    ``values`` maps radii of shape (J, _SUP_SAMPLES) to magnitudes of the
-    same shape.  Each round samples every row, keeps its running max and
-    narrows the row to the two neighbours of its argmax radius (with this
-    many samples, no bracket collapses in 3 rounds).
+    ``va``, ``vb`` are the values at the ends, ``sa``, ``sb`` (factor, piece) the factors'
+    log-derivatives at the ends, each the limit from inside the piece.  Each factor's
+    derivative is monotone on a piece, so the derivative g' of g = ln(profile) lies in
+    [-down, up] with up = sum max(sa, sb) and down = -sum min(sa, sb).  If up <= 0 or
+    down <= 0, g is monotone and the sup is the larger end value, exactly.  Otherwise
+    g(t) <= min(g(a) + up (t - a), g(b) + down (b - t)), whose peak lies
+    first (second h - |g(a) - g(b)|) / (up + down) above the larger end: ``first`` the
+    slope bound leaving that end, ``second`` the other.  The peak is first h, the bound of
+    the first line alone, where second or the gap is infinite: an end value of 0 from
+    underflow comes with a finite slope, and the gap to it says nothing about g.  A value
+    below the float range reads 0, so a bound of 0 may stand for a sup below about 1e-300.
     """
-    best = np.zeros(len(lo))
-    rows = np.arange(len(lo))
-    for _ in range(_SUP_ROUNDS):
-        r = np.ascontiguousarray(np.geomspace(lo, hi, _SUP_SAMPLES, axis=-1))
-        vals = values(r)
-        i = np.argmax(vals, axis=1)
-        top = vals[rows, i]
-        best = np.where(top > best, top, best)
-        lo = r[rows, np.maximum(i - 1, 0)]
-        hi = r[rows, np.minimum(i + 1, _SUP_SAMPLES - 1)]
-    return best
+    up, down = np.maximum(sa, sb).sum(axis=0), -np.minimum(sa, sb).sum(axis=0)
+    exact = (up <= 0.0) | (down <= 0.0)
+    top = np.maximum(va, vb)
+    left = va >= vb
+    first, second = np.where(left, up, down), np.where(left, down, up)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = np.abs(np.log(va) - np.log(vb))
+        rise = np.where(np.isinf(second) | np.isinf(gap), first * h,
+                        first * (second * h - gap) / (first + second))
+    rise = np.where(exact | ~(top > 0.0) | np.isinf(top), 0.0, np.maximum(rise, 0.0))
+    return top * np.exp(rise), exact
+
+
+def _sup_bounds(profile, breaks, lo, hi):
+    """Upper bounds of the sup of ``profile`` on each closed interval [lo, hi] (0 < lo <= hi),
+    and the number of radii evaluated.
+
+    ``profile`` maps radii to (values, per-factor one-sided log-derivatives), each
+    derivative monotone between the radii ``breaks`` (a :class:`Profile` and its
+    ``breaks``).  The intervals are cut at the breaks into pieces, which
+    :func:`_piece_bounds` bounds.  A piece is settled when its bound is exact or within
+    _SUP_RTOL of the largest value seen on its interval; the others are split into
+    _SUP_SPLIT parts, all intervals' new radii in one profile call per round.  Splitting
+    stops before it would take more than _SUP_POINTS radii beyond the first call's, with
+    every bound still valid.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    edges = np.stack([lo, *(np.clip(b, lo, hi) for b in sorted(breaks)), hi])
+    radii = np.unique(edges)
+    values, slopes = profile(radii)
+    points, budget = radii.size, radii.size + _SUP_POINTS
+    sup = np.maximum(values[np.searchsorted(radii, lo)], values[np.searchsorted(radii, hi)])
+    best = sup.copy()  # the largest value seen on each interval
+
+    a, b = edges[:-1].ravel(), edges[1:].ravel()
+    owner = np.tile(np.arange(lo.size), len(edges) - 1)
+    piece = a < b
+    a, b, owner = a[piece], b[piece], owner[piece]
+    ia, ib = np.searchsorted(radii, a), np.searchsorted(radii, b)
+    va, vb, sa, sb = values[ia], values[ib], slopes[1][:, ia], slopes[0][:, ib]
+    frac = np.arange(1, _SUP_SPLIT) / _SUP_SPLIT
+    while True:
+        bound, exact = _piece_bounds(va, vb, sa, sb, np.log(b / a))
+        done = exact | (bound <= best[owner] * (1.0 + _SUP_RTOL))
+        open_ = np.flatnonzero(~done)
+        if not open_.size or points + open_.size * frac.size > budget:
+            np.maximum.at(sup, owner, bound)
+            return sup, points
+        np.maximum.at(sup, owner[done], bound[done])
+        a, b, owner, va, vb = a[open_], b[open_], owner[open_], va[open_], vb[open_]
+        sa, sb = sa[:, open_], sb[:, open_]
+        inner = a[:, None] * (b / a)[:, None] ** frac
+        vi, si = profile(inner.ravel())
+        points += inner.size
+        vi, si = vi.reshape(inner.shape), si.reshape(2, len(sa), *inner.shape)
+        np.maximum.at(best, owner, vi.max(axis=1))
+        ends = np.concatenate([a[:, None], inner, b[:, None]], axis=1)
+        vals = np.concatenate([va[:, None], vi, vb[:, None]], axis=1)
+        a, b = ends[:, :-1].ravel(), ends[:, 1:].ravel()
+        va, vb = vals[:, :-1].ravel(), vals[:, 1:].ravel()
+        sa = np.concatenate([sa[:, :, None], si[1]], axis=2).reshape(len(sa), -1)
+        sb = np.concatenate([si[0], sb[:, :, None]], axis=2).reshape(len(sb), -1)
+        owner = np.repeat(owner, _SUP_SPLIT)
 
 
 @lru_cache(maxsize=1)
@@ -166,14 +248,18 @@ def _gauss_nodes(lo, hi):
     return 0.5 * (hi - lo) * t + 0.5 * (hi + lo), 0.5 * (hi - lo) * wts
 
 
-def _annulus_terms(profile, js, n, q):
-    """Per-annulus L^q norms of the radial ``profile`` on the annuli ``js``: a refined
-    sup, or the Gauss L^2 norm."""
+def _annulus_terms(profile, breaks, js, n, q):
+    """Per-annulus L^q norms of the radial ``profile`` on the annuli ``js`` (an upper bound
+    of the sup, or the Gauss L^2 norm), and the number of radii evaluated."""
     lo, hi = _annulus_bounds(js)
     if np.isinf(q):
-        return _refined_sup(lambda r: np.abs(profile(r)), lo, hi * (1.0 - 1e-9))
-    r, w = _gauss_nodes(lo, hi)
-    return np.sqrt(_sphere_area(n) * np.sum(w * r ** (n - 1) * np.abs(profile(r)) ** 2, axis=-1))
+        return _sup_bounds(profile, breaks, lo, hi)
+    terms = []
+    for k in range(0, len(js), _GAUSS_ROWS):
+        r, w = _gauss_nodes(lo[k:k + _GAUSS_ROWS], hi[k:k + _GAUSS_ROWS])
+        values = profile(r)[0]
+        terms.append(np.sqrt(_sphere_area(n) * np.sum(w * r ** (n - 1) * values ** 2, axis=-1)))
+    return np.concatenate(terms), len(js) * _GAUSS_NODES
 
 
 def _detect_divergence(terms, p, outer=True):
@@ -203,14 +289,16 @@ def _check_exponents(p, q):
         raise ValueError(f"need p in (1, 2, inf) and q in (2, inf), got p = {p}, q = {q}")
 
 
-def dyadic_norm(profile, p, q, n, j_range=J_RANGE) -> NormResult:
+def dyadic_norm(profile, p, q, n, j_range=J_RANGE, *, breaks) -> NormResult:
     """ell^p aggregation over dyadic annuli of per-annulus L^q norms of a radial field.
 
-    ``profile`` gives the field's magnitude as a function of r = |x|.  It is
-    evaluated exactly in 1-D and doubles as the tail envelope: the 200 annuli
-    beyond each end of the range give ``tail_bound``.  It receives many
-    annuli per call (radii of shape (J, S)); each annulus gets exactly the
-    samples and arithmetic it would get alone.
+    ``profile`` gives the field's magnitude as a function of r = |x| with its
+    per-factor log-derivatives, and ``breaks`` the radii where those jump (a
+    :class:`Profile` and its ``breaks``, passed apart so that a wrapper of the
+    callable keeps them).  It is evaluated exactly in 1-D, many annuli per call,
+    and doubles as the tail envelope: the 200 annuli beyond each end of the
+    range give ``tail_bound``.  Each sup term is an upper bound, each L^2 term a
+    64-node Gauss sum.
 
     A divergent ell^p sum (terms not decaying toward either end of the
     range) is reported with ``diverged=True`` and an infinite value rather
@@ -220,9 +308,8 @@ def dyadic_norm(profile, p, q, n, j_range=J_RANGE) -> NormResult:
     j_min, j_max = int(j_range[0]), int(j_range[1])
     if j_min > j_max:
         raise ValueError(f"empty annulus range {j_range}")
-    samples = _SUP_SAMPLES if np.isinf(q) else _GAUSS_NODES
     js = np.arange(j_min - _J_EXT, j_max + 1 + _J_EXT)
-    every = _blocks(lambda block: _annulus_terms(profile, block, n, q), js, samples)
+    every, points = _annulus_terms(profile, breaks, js, n, q)
     terms = every[_J_EXT:len(js) - _J_EXT]
     diverged = _detect_divergence(terms, p)
     value = np.inf if diverged else _aggregate(terms, p)
@@ -233,7 +320,7 @@ def dyadic_norm(profile, p, q, n, j_range=J_RANGE) -> NormResult:
         if not _detect_divergence(ext_terms, p):
             tail = _aggregate(ext_terms, p)
     return NormResult(value=value, p=float(p), j_min=j_min, j_max=j_max,
-                      tail_bound=tail, samples_per_annulus=samples, diverged=diverged)
+                      tail_bound=tail, profile_points=points, diverged=diverged)
 
 
 @lru_cache(maxsize=4)
@@ -252,11 +339,13 @@ def _lattice_cells(n, L, M):
 
 
 def cell_dyadic_norm(mag, n, L, M, p, q, weight=None) -> NormResult:
-    """Dyadic ell^p L^q norm over J_RANGE of weight(|x|) mag[c] (weight None: 1) on each
-    closed cell c of the lattice (n, L, M), 0 outside its box: a potential file's norm.
+    """Dyadic ell^p L^q norm over J_RANGE of weight(|x|) mag[c] (weight None: 1, else a
+    :class:`Profile`) on each closed cell c of the lattice (n, L, M), 0 outside its box:
+    a potential file's norm.
 
     Cell c meets annulus j when near < 4^j and far >= 4^(j-1).  A sup is the largest
-    mag[c] times the weight's sup on the overlap of the radius ranges; an L^2 norm is
+    mag[c] times an upper bound of the weight's sup on the closed overlap of the radius
+    ranges (:func:`_sup_bounds`); an L^2 norm is
     the upper bound sqrt(sum_c mag[c]^2 sup w^2 min(vol c, vol(A_j) o_c / 2^n)), o_c the
     orthants c has volume in.  Beyond the box every term is 0, so only the inner end is
     checked for divergence; the tail is unknown.
@@ -268,13 +357,13 @@ def cell_dyadic_norm(mag, n, L, M, p, q, weight=None) -> NormResult:
     cells = np.flatnonzero(mag)
     row, k = np.nonzero((near[cells, None] < hi * hi) & (far[cells, None] >= lo * lo))
     c = cells[row]  # the (cell, annulus) pairs that meet, by cell, then annulus
-    val = mag[c]
+    val, points = mag[c], 0
     if weight is not None and len(c):
         overlaps = np.stack([np.maximum(np.sqrt(near[c]), lo[k]),
-                             np.minimum(np.sqrt(far[c]), hi[k] * (1.0 - 1e-9))], axis=1)
+                             np.minimum(np.sqrt(far[c]), hi[k])], axis=1)
         overlaps, pair = np.unique(overlaps, axis=0, return_inverse=True)
-        val = val * _blocks(lambda rows: _refined_sup(lambda r: np.abs(weight(r)), *rows.T),
-                            overlaps, _SUP_SAMPLES)[pair]
+        sups, points = _sup_bounds(weight, weight.breaks, *overlaps.T)
+        val = val * sups[pair]
     terms = np.zeros(len(js))
     if np.isinf(q):
         np.maximum.at(terms, k, val)
@@ -285,7 +374,7 @@ def cell_dyadic_norm(mag, n, L, M, p, q, weight=None) -> NormResult:
     diverged = _detect_divergence(terms, p, outer=False)
     return NormResult(value=np.inf if diverged else _aggregate(terms, p), p=float(p),
                       j_min=J_RANGE[0], j_max=J_RANGE[1], diverged=diverged,
-                      samples_per_annulus=0 if weight is None else _SUP_SAMPLES)
+                      profile_points=points)
 
 
 # -- grid-field norms ---------------------------------------------------

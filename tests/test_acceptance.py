@@ -26,6 +26,7 @@ from spectralcert.enclosure import (c1_constant, c2_constant, disk_pair,
 from spectralcert.gridops import (GridSpec, apply_free_operator, apply_free_resolvent,
                                   assemble_perturbed, eigenvalues, free_spectrum)
 from spectralcert.potential import PotentialSpec
+from spectralcert.profiles import RADIUS
 from spectralcert.weights import WeightSpec, dyadic_norm
 
 
@@ -124,16 +125,19 @@ def test_criterion_3_norm_engine(capsys):
         rho2 = WeightSpec("rho2", eps=0.5, delta=0.5)
         inv_sq = PotentialSpec.preset("inverse-square", 3, 1, c=1.0)
         wsig = WeightSpec("w_sigma", sigma=2.0)
+        # name -> (the engine's declared profile, the oracle's formula)
         profiles = {
-            "rho2": rho2.radial,
-            "|x| * inverse-square": lambda r: r * inv_sq.radial_opnorm(r),
-            "w_sigma * inverse-square": lambda r: wsig.radial(r) * inv_sq.radial_opnorm(r),
-            "rho2 * inverse-square": lambda r: rho2.radial(r) * inv_sq.radial_opnorm(r),
+            "rho2": (rho2.profile, rho2.radial),
+            "|x| * inverse-square": (RADIUS * inv_sq.profile, lambda r: r * inv_sq.radial_opnorm(r)),
+            "w_sigma * inverse-square": (wsig.profile * inv_sq.profile,
+                                         lambda r: wsig.radial(r) * inv_sq.radial_opnorm(r)),
+            "rho2 * inverse-square": (rho2.profile * inv_sq.profile,
+                                      lambda r: rho2.radial(r) * inv_sq.radial_opnorm(r)),
         }
-        for name, prof in profiles.items():
+        for name, (prof, formula) in profiles.items():
             for p in (1, 2):
-                res = dyadic_norm(prof, p, np.inf, 3, j_range=(-12, 12))
-                oracle = _oracle_dyadic(prof, p, -12, 12)
+                res = dyadic_norm(prof, p, np.inf, 3, j_range=(-12, 12), breaks=prof.breaks)
+                oracle = _oracle_dyadic(formula, p, -12, 12)
                 assert res.value == pytest.approx(oracle, rel=1e-2), (name, p)
         l2, half = rho_norms(rho2)
         assert l2.rigorous_upper() <= 2.0

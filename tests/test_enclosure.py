@@ -1,12 +1,16 @@
+from fractions import Fraction
+import math
+
 import numpy as np
 import pytest
 
 from spectralcert.enclosure import (c1_constant, c2_constant, c3_constant,
                                     kato_yajima_constant, rho_norms,
                                     n1_norm, n2_norm, certify, disk_pair,
-                                    enclosure_disks, DiskPair)
+                                    enclosure_disks, DiskPair, Certificate, DEFAULT_RHO,
+                                    _decide, product_up)
 from spectralcert.potential import PotentialSpec
-from spectralcert.weights import WeightSpec
+from spectralcert.weights import NormResult, WeightSpec
 
 
 def test_c2_closed_form():
@@ -225,3 +229,63 @@ def test_one_verdict_rule(theorem, good):
         assert cert.norm is not None and cert.threshold == 1.0 / cert.constant
         assert (cert.norm_upper is None) == (V is small_box)
         assert (cert.disks is not None) == (verdict == "enclosure")
+
+
+def _neighbours(x, k=8):
+    """x and the k floats on each side of it."""
+    out = [x]
+    for direction in (0.0, math.inf):
+        y = x
+        for _ in range(k):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+def test_verdict_compares_the_product_rounded_up():
+    C = 2.0 * c2_constant(3)
+    below = math.nextafter(1.0, 0.0)
+    u = next(x for x in _neighbours(1.0 / C) if C * x == below)
+    assert C * u < 1.0  # the product rounded to nearest reads just below 1 ...
+    assert product_up(C, u) == 1.0  # ... and rounded up it does not
+    res = NormResult(value=u, p=1.0, j_min=-40, j_max=40, tail_bound=0.0)
+    cert = Certificate(theorem="2.4", verdict="inconclusive")
+    assert not _decide(cert, res, u, C, "stable")
+    assert cert.reason == "smallness condition not met; no claim either way"
+    smaller = next(x for x in _neighbours(u) if product_up(C, x) < 1.0)
+    assert _decide(Certificate(theorem="2.4", verdict="inconclusive"), res, smaller, C, "stable")
+
+
+def test_product_up_is_never_below_the_exact_product():
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        xs = [float(x) for x in np.exp(rng.uniform(-30.0, 30.0, size=int(rng.integers(2, 4))))]
+        exact = math.prod(Fraction(x) for x in xs)
+        up = product_up(*xs)
+        assert Fraction(up) >= exact
+        assert up <= math.prod(xs) * (1.0 + 1e-15)
+    assert product_up(2.0, math.inf) == math.inf
+
+
+def test_enclosure_j2_rounds_its_product_up():
+    V = PotentialSpec.preset("inverse-square", 3, 1, c=1e-7)
+    cert = enclosure_disks(V, m=1.0, j=2)
+    core, l2 = n2_norm(V, DEFAULT_RHO)
+    lu, cu = l2.rigorous_upper(), core.rigorous_upper()
+    assert cert.params["N_j"] == product_up(lu, lu, cu)
+    assert Fraction(cert.params["N_j"]) >= Fraction(lu) ** 2 * Fraction(cu)
+
+
+def test_certificates_report_the_tail_share():
+    V = PotentialSpec.preset("dyadic-decay", 3, 1, c=1e-6, sigma=2.0)
+    cert = certify("2.4", V)
+    assert 0.0 < cert.tail_share == cert.tail_bound / cert.norm_upper < 1.0
+    qual = certify("2.1", V, m=1.0)
+    assert qual.tail_share == qual.tail_bound / qual.norm_upper
+    # N_2's upper bound carries |rho|^2: the share is of the hypothesis norm's own bound
+    two = enclosure_disks(V, m=1.0, j=2)
+    core, _ = n2_norm(V, DEFAULT_RHO)
+    assert two.tail_share == core.tail_bound / core.rigorous_upper()
+    small_box = PotentialSpec.from_samples(3, 1, 4.0, 4, np.full((4 ** 3, 1, 1), 1e-3))
+    assert certify("2.4", small_box).tail_share is None  # tail unknown
+    assert certify("2.4", PotentialSpec.preset("bump", 3, 1, c=0.0)).tail_share is None

@@ -1,6 +1,9 @@
 import importlib.util
+import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -39,3 +42,36 @@ def test_by_class_sums_each_class_and_ranks_by_time():
     # equal sums keep the order in which the classes were first seen
     assert [cls for cls, *_ in job_time.by_class([c, b], [0.002, 0.002], [0.0, 0.0])] == [c, b]
     assert job_time.by_class([], [], []) == []
+
+
+def test_quantiles_are_the_runners_over_distinct_jobs():
+    with mock.patch.dict(os.environ):  # the runner caps BLAS threads through the environment
+        run_mod = job_time.load_run_module(Path(__file__).resolve().parents[1])
+    # 11 distinct jobs, each run twice: each keeps its best time, 1 ... 11 ms
+    attempts = [run_mod.Attempt(SimpleNamespace(path=f"cfg/{k:05d}.json"), "out/job.json", 0,
+                                (k + 1) * 1e-3 * slow, "")
+                for slow in (1.5, 1.0) for k in range(11)]
+    metrics = run_mod.timing_metrics(attempts, 1.0)
+    assert metrics["job_p50_s"] == pytest.approx(6e-3)
+    assert metrics["job_p90_s"] == pytest.approx(10.8e-3)  # statistics.quantiles(n=10)[8]
+    assert job_time.quantile_line(metrics) == \
+        f"  job_p50_s 6.00 ms, job_p90_s 10.80 ms, jobs_per_s {11 / 0.066:.1f}"
+
+
+def test_main_measures_each_seed_in_turn(monkeypatch, capsys):
+    seen = []
+
+    def fake_measure(run_mod, workload, seed, passes):
+        seen.append((workload, seed, passes))
+        return [("eig", "dirac", 4, "V!=0")], [0.002], [0.001], ["attempt"], 0
+
+    metrics = {"jobs_per_s": 500.0, "job_p50_s": 0.002, "job_p90_s": 0.003}
+    fake_run = SimpleNamespace(timing_metrics=lambda attempts, scale: metrics)
+    monkeypatch.setattr(job_time, "load_run_module", lambda tree: fake_run)
+    monkeypatch.setattr(job_time, "measure", fake_measure)
+    argv = ["--tree", ".", "--workload", "certify_eig", "--seed", "1", "--seed", "101", "--passes", "2"]
+    assert job_time.main(argv) == 0
+    out = capsys.readouterr().out
+    assert seen == [("certify_eig", 1, 2), ("certify_eig", 101, 2)]
+    assert out.count("job_p50_s 2.00 ms, job_p90_s 3.00 ms, jobs_per_s 500.0") == 2
+    assert "certify_eig seed 1:" in out and "certify_eig seed 101:" in out

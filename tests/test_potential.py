@@ -6,6 +6,7 @@ from spectralcert.enclosure import potential_norm
 from spectralcert.potential import (PotentialSpec, polar_factors,
                                     save_potential_text, load_potential_text,
                                     save_potential_binary, load_potential_binary)
+from spectralcert.profiles import RADIUS, Profile
 
 
 def _random_samples(rng, n, N, M):
@@ -50,6 +51,18 @@ def test_matrix_mix_opnorm_oracle():
     assert V.radial_opnorm(r) == pytest.approx(top, rel=1e-12)
     # non-Hermitian by construction
     assert np.abs(mat - mat.conj().T).max() > 0.1
+
+
+@pytest.mark.parametrize("kind, N, kw", [("inverse-square", 1, {}), ("matrix-mix", 4, {}),
+                                         ("bump", 1, {"R": 1.3}), ("dyadic-decay", 2, {"sigma": 1.5})])
+def test_preset_profile_is_the_opnorm_of_each_sample(kind, N, kw):
+    V = PotentialSpec.preset(kind, 3, N, c=0.6 - 0.8j, **kw)
+    r = np.geomspace(2.0 ** -30, 2.0 ** 30, 601)
+    x = r[:, None] * np.array([0.48, -0.6, 0.64])  # a unit direction
+    top = np.linalg.svd(V.evaluate(x), compute_uv=False)[:, 0]
+    assert np.allclose(V.profile(r)[0], top, rtol=1e-13, atol=0.0)
+    with pytest.raises(ValueError):
+        PotentialSpec.from_samples(1, 1, 1.0, 2, np.ones((2, 1, 1))).profile
 
 
 def test_matrix_mix_rejects_scalar():
@@ -128,15 +141,8 @@ def test_grid_sampled_lookup_and_bounds():
 # -- file norms, read from the cells ------------------------------------
 
 def _ref_sup(w, lo, hi):
-    # 256 log-spaced radii, narrowed to the neighbours of the largest, 3 rounds
-    best = 0.0
-    for _ in range(3):
-        r = np.geomspace(lo, hi, 256)
-        vals = np.abs(w(r))
-        i = int(np.argmax(vals))
-        best = max(best, float(vals[i]))
-        lo, hi = r[max(i - 1, 0)], r[min(i + 1, 255)]
-    return best
+    # the sup engine on this one closed interval
+    return weights._sup_bounds(w, w.breaks, np.array([lo]), np.array([hi]))[0][0]
 
 
 def _ref_file_norm(V, w, p, q):
@@ -162,8 +168,7 @@ def _ref_file_norm(V, w, p, q):
             lo, hi = 2.0 ** (j - 1), 2.0 ** j
             if mag == 0.0 or not (near < hi * hi and far >= lo * lo):
                 continue
-            sup = 1.0 if w is None else _ref_sup(w, max(np.sqrt(near), lo),
-                                                 min(np.sqrt(far), hi * (1.0 - 1e-9)))
+            sup = 1.0 if w is None else _ref_sup(w, max(np.sqrt(near), lo), min(np.sqrt(far), hi))
             if np.isinf(q):
                 terms[k] = max(terms[k], mag * sup)
             else:
@@ -174,14 +179,17 @@ def _ref_file_norm(V, w, p, q):
     return weights._aggregate(terms, p)
 
 
-def _bumpy_weight(r):
-    return np.abs(np.sin(3.0 * np.log(r))) * r + 0.1 * r
+def _bumpy_weight():
+    # interior maxima, the log factor's break at r = 1 and a bump's at r = 3.3
+    return Profile.of(1.0, ("r", None, 1.5), ("1+r^k", 1.0, -1.0), ("log", None, 0.5),
+                      ("bump", 3.3, 1.0))
 
 
 @pytest.mark.parametrize("N", [1, 4])
-@pytest.mark.parametrize("w, p, q", [(None, np.inf, np.inf), (lambda r: r, 1, 2),
+@pytest.mark.parametrize("w, p, q", [(None, np.inf, np.inf), (lambda: RADIUS, 1, 2),
                                      (_bumpy_weight, 1, np.inf), (_bumpy_weight, np.inf, 2)])
 def test_file_norm_reads_the_svd_of_each_site(N, w, p, q):
+    w = w and w()  # each weight a Profile, built by the parameter's factory
     rng = np.random.default_rng(5)
     V = PotentialSpec.from_samples(3, N, 2.0, 4, _random_samples(rng, 3, N, 4))
     got = potential_norm(V, w, p, q)
@@ -216,9 +224,9 @@ def test_odd_lattice_centre_cell_has_volume_in_every_orthant():
 
 def test_closed_cell_meets_an_annulus_at_a_single_radius():
     # n = 1, M = 2, L = 1: the cell [0, 1] holds 2 and meets annulus 1 = [1, 2) only at
-    # |x| = 1, where the weight r reaches 1; on annulus 0 it stays below 1
+    # |x| = 1, where the weight r reaches 1, as it does at the closed end of annulus 0
     V = PotentialSpec.from_samples(1, 1, 1.0, 2, np.array([0.0, 2.0]).reshape(2, 1, 1))
-    assert potential_norm(V, lambda r: r, p=np.inf, q=np.inf).value == 2.0
+    assert potential_norm(V, RADIUS, p=np.inf, q=np.inf).value == 2.0
 
 
 def _bench_like_file(mag):

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import math
 import os
 import subprocess
@@ -10,6 +11,8 @@ import pytest
 
 from spectralcert import weights
 from spectralcert.gridops import GridSpec
+from spectralcert.potential import PotentialSpec
+from spectralcert.profiles import RADIUS, Profile
 from spectralcert.weights import (WeightSpec, NormResult, dyadic_norm,
                                   grid_dyadic_norm, morrey_norms)
 
@@ -18,23 +21,30 @@ from spectralcert.weights import (WeightSpec, NormResult, dyadic_norm,
 
 def oracle_dyadic_radial(profile, p, q, n, j_min, j_max, n_samples=20001):
     """Brute-force per-annulus norms on a dense log grid, independent of the
-    refinement engine (plain trapezoid rule for L^2, dense max for sup)."""
+    engine (plain trapezoid rule for L^2, dense max for sup)."""
     from scipy.special import gamma
     area = 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
     terms = []
     for j in range(j_min, j_max + 1):
         lo, hi = 2.0 ** (j - 1), 2.0 ** j
         if np.isinf(q):
-            r = np.geomspace(lo, hi * (1 - 1e-12), n_samples)
-            terms.append(np.abs(profile(r)).max())
+            r = np.geomspace(lo, hi, n_samples)
+            terms.append(profile(r)[0].max())
         else:
             r = np.linspace(lo, hi, n_samples)
-            g = np.abs(profile(r)) ** 2 * r ** (n - 1)
+            g = profile(r)[0] ** 2 * r ** (n - 1)
             terms.append(np.sqrt(area * np.trapezoid(g, r)))
     t = np.asarray(terms)
     if np.isinf(p):
         return float(t.max())
     return float((t ** p).sum() ** (1.0 / p))
+
+
+def _norm(profile, p, q, n=3, **kw):
+    return dyadic_norm(profile, p, q, n, breaks=profile.breaks, **kw)
+
+
+CONST = Profile.of(1.0)
 
 
 def test_weight_values():
@@ -51,6 +61,35 @@ def test_weight_values():
     assert rho2.radial(4.0) == pytest.approx(1.0 / 2.5)
 
 
+@pytest.mark.parametrize("w", [WeightSpec("tau", eps=0.1), WeightSpec("tau", eps=0.5),
+                               WeightSpec("w_sigma", sigma=1.5), WeightSpec("rho1", sigma=2.0),
+                               WeightSpec("rho2", eps=0.25, delta=0.5),
+                               WeightSpec("power", exponent=-0.7), WeightSpec("tau", eps=5.0),
+                               WeightSpec("rho2", eps=3.0, delta=2.0)])
+def test_weight_profile_declares_the_radial_formula(w):
+    r = np.geomspace(2.0 ** -60, 2.0 ** 60, 2001)
+    assert np.allclose(w.profile(r)[0], w.radial(r), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("w", [WeightSpec("tau", eps=5.0), WeightSpec("rho2", eps=3.0, delta=2.0)])
+def test_weight_profile_stays_finite_where_its_formula_does(w):
+    # r^k overflows out at 2^240 for k > 4.26: 1 + r^k is taken as r^k (1 + r^-k) there,
+    # so no 0 * inf or inf / inf forms in the values or the log-derivatives
+    r = np.ldexp(1.0, np.arange(-240, 241, 20))
+    value, slopes = w.profile(r)
+    with np.errstate(over="ignore"):
+        formula = w.radial(r)
+    finite = np.isfinite(formula)
+    assert np.allclose(value[finite], formula[finite], rtol=1e-13, atol=0.0)
+    assert np.all(np.isinf(value[~finite])) and np.all(np.isfinite(slopes))
+    res = _norm(w.profile, 2, np.inf)
+    assert not np.isnan(res.value) and (res.tail_bound is None or np.isfinite(res.tail_bound))
+    if w.kind == "rho2":
+        lo, hi = weights._annulus_bounds(np.arange(-240, 241))
+        terms, points = weights._sup_bounds(w.profile, w.profile.breaks, lo, hi)
+        assert np.all(np.isfinite(terms)) and points < 1000
+
+
 def test_weight_validation():
     with pytest.raises(ValueError):
         WeightSpec("tau", eps=0.0)
@@ -62,18 +101,23 @@ def test_weight_validation():
         WeightSpec("unknown")
 
 
-def test_indicator_annulus_l1_linf():
-    # indicator of annulus j=1 has ell^1 L^inf norm exactly 1
-    prof = lambda r: ((r >= 1.0) & (r < 2.0)).astype(float)
-    res = dyadic_norm(prof, 1, np.inf, 3, j_range=(-5, 5))
-    assert res.value == pytest.approx(1.0)
-    assert res.tail_bound == pytest.approx(0.0)
+def test_compact_profile_has_zero_terms_beyond_its_support():
+    # r times a bump of radius 2 is 0 on every closed annulus [2^(j-1), 2^j] with j >= 2,
+    # and the ell^1 tail is the inner continuation alone
+    prof = RADIUS * Profile.of(1.0, ("bump", 2.0, 1.0))
+    js = np.arange(-5, 6)
+    terms, _ = weights._annulus_terms(prof, prof.breaks, js, 3, np.inf)
+    assert np.all(terms[js >= 2] == 0.0) and np.all(terms[js <= 1] > 0.0)
+    res = _norm(prof, 1, np.inf, j_range=(-5, 5))
+    assert res.value == pytest.approx(oracle_dyadic_radial(prof, 1, np.inf, 3, -5, 5), rel=1e-8)
+    inner = sum(2.0 ** j * np.exp(1.0 - 1.0 / (1.0 - 4.0 ** j / 4.0)) for j in range(-205, -5))
+    assert res.tail_bound == pytest.approx(inner, rel=1e-12)
 
 
 def test_power_profile_against_oracle():
     # |x|^-1 on annuli: sup over annulus j is 2^(1-j)
-    prof = lambda r: 1.0 / r
-    res = dyadic_norm(prof, np.inf, np.inf, 3, j_range=(0, 10))
+    prof = RADIUS ** -1
+    res = _norm(prof, np.inf, np.inf, j_range=(0, 10))
     assert res.value == pytest.approx(2.0, rel=1e-9)
     oracle = oracle_dyadic_radial(prof, np.inf, np.inf, 3, 0, 10)
     assert res.value == pytest.approx(oracle, rel=1e-6)
@@ -81,22 +125,25 @@ def test_power_profile_against_oracle():
 
 def test_l2_annulus_against_closed_form():
     # f = 1 on R^3: L^2 norm over annulus j is sqrt(4pi (hi^3-lo^3)/3)
-    prof = lambda r: np.ones_like(r)
-    res = dyadic_norm(prof, np.inf, 2, 3, j_range=(1, 1))
+    res = _norm(CONST, np.inf, 2, j_range=(1, 1))
     expect = np.sqrt(4 * np.pi * (8.0 - 1.0) / 3.0)
     assert res.value == pytest.approx(expect, rel=1e-10)
 
 
 @pytest.mark.parametrize("p,q", [(1, np.inf), (2, np.inf), (np.inf, 2), (2, 2)])
 def test_engine_matches_oracle_random_profiles(p, q):
+    # a r^b (1 + r^k)^-e (1 + |ln r|)^s, decaying like r^b at 0 and r^(b - k e) at infinity
     rng = np.random.default_rng(17)
     for _ in range(3):
-        a = rng.uniform(0.3, 2.0)
-        b = rng.uniform(0.3, 1.5)
-        prof = lambda r: a / ((1.0 + r) ** 2) + b * r ** 0.3 * np.exp(-r)
-        res = dyadic_norm(prof, p, q, 3, j_range=(-8, 8))
+        a, b = rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0)
+        k, s = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
+        e = (b + rng.uniform(2.0, 3.0)) / k
+        prof = Profile.of(a, ("r", None, b), ("1+r^k", k, -e), ("log", None, s))
+        res = _norm(prof, p, q, j_range=(-8, 8))
         oracle = oracle_dyadic_radial(prof, p, q, 3, -8, 8)
         assert res.value == pytest.approx(oracle, rel=1e-2)
+        if np.isinf(q):
+            assert oracle * (1 - 1e-12) <= res.value <= oracle * (1 + 1e-7)
 
 
 def _unit_origin_cells():
@@ -109,10 +156,9 @@ def _unit_origin_cells():
 
 def test_nonradial_sampler_agrees_with_radial_path():
     # a file read cell by cell agrees with the radial path where its cells cover the annuli
-    prof = lambda r: r / (1.0 + r) ** 3
-    one = lambda r: np.ones_like(r)
+    prof = RADIUS * Profile.of(1.0, ("1+r^k", 1.0, -3.0))
     for weight, q, p in ((prof, np.inf, 1), (None, 2, np.inf)):
-        a = dyadic_norm(one if weight is None else prof, p, q, 3)
+        a = _norm(CONST if weight is None else prof, p, q)
         b = weights.cell_dyadic_norm(*_unit_origin_cells(), p, q, weight)
         assert b.value == pytest.approx(a.value, rel=1e-12)
         assert not b.diverged
@@ -120,17 +166,16 @@ def test_nonradial_sampler_agrees_with_radial_path():
 
 
 def test_divergence_detected():
-    prof = lambda r: np.ones_like(r)  # constant: ell^1 of sups diverges
-    res = dyadic_norm(prof, 1, np.inf, 3, j_range=(-20, 20))
+    res = _norm(CONST, 1, np.inf, j_range=(-20, 20))  # constant: ell^1 of sups diverges
     assert res.diverged
     assert np.isinf(res.value)
     assert np.isinf(res.rigorous_upper())
 
 
 def test_tail_bound_and_rigorous_upper():
-    prof = lambda r: r / (1.0 + r) ** 4
-    res = dyadic_norm(prof, 1, np.inf, 3, j_range=(-3, 3))
-    wide = dyadic_norm(prof, 1, np.inf, 3, j_range=(-40, 40))
+    prof = RADIUS * Profile.of(1.0, ("1+r^k", 1.0, -4.0))
+    res = _norm(prof, 1, np.inf, j_range=(-3, 3))
+    wide = _norm(prof, 1, np.inf, j_range=(-40, 40))
     assert res.tail_bound > 0.0
     # narrow value + tail covers the wide value
     assert res.rigorous_upper() >= wide.value - 1e-12
@@ -146,18 +191,17 @@ def test_sup_tail_combines_by_max():
 
 def test_holder_consistency():
     # ell^1 >= ell^2 >= ell^inf for the same per-annulus terms
-    prof = lambda r: np.exp(-r) / (0.1 + r)
-    v1 = dyadic_norm(prof, 1, np.inf, 3, j_range=(-10, 10)).value
-    v2 = dyadic_norm(prof, 2, np.inf, 3, j_range=(-10, 10)).value
-    vi = dyadic_norm(prof, np.inf, np.inf, 3, j_range=(-10, 10)).value
+    prof = Profile.of(1.0, ("r", None, 0.5), ("bump", 3.0, 1.0))
+    v1 = _norm(prof, 1, np.inf, j_range=(-10, 10)).value
+    v2 = _norm(prof, 2, np.inf, j_range=(-10, 10)).value
+    vi = _norm(prof, np.inf, np.inf, j_range=(-10, 10)).value
     assert v1 >= v2 * (1 - 1e-12) >= vi * (1 - 1e-12)
 
 
 def test_weighted_sup_norm_paths():
-    prof = lambda r: 1.0 / (1.0 + r)
-    w = WeightSpec("power", exponent=1.0)
-    wprof = lambda r: w.radial(r) * prof(r)
-    a = dyadic_norm(wprof, np.inf, np.inf, 3)
+    prof = Profile.of(1.0, ("1+r^k", 1.0, -1.0))
+    wprof = WeightSpec("power", exponent=1.0).profile * prof
+    a = _norm(wprof, np.inf, np.inf)
     # r/(1+r) -> 1 monotonically
     assert a.value == pytest.approx(1.0, rel=1e-6)
 
@@ -165,34 +209,21 @@ def test_weighted_sup_norm_paths():
     assert b.value == pytest.approx(a.value, rel=1e-12)
 
 
-# -- reference: the engine one annulus per profile call -----------------
+# -- reference: the engine one annulus per call -------------------------
 #
-# The batched engine must take exactly these samples and do exactly this
-# arithmetic per annulus, so its results are compared with ==.
+# A sup term depends on its own annulus alone, so the batched engine must give each
+# annulus exactly the bound that it gets alone; an L^2 term is a Gauss sum, recomputed
+# here one annulus at a time.  Results are compared with ==.
 
-def _ref_sup(values, lo, hi, n_samples, rounds):
-    best = 0.0
-    for _ in range(rounds):
-        r = np.geomspace(lo, hi, n_samples)
-        vals = values(r)
-        i = np.unravel_index(int(np.argmax(vals)), vals.shape)[0]
-        best = max(best, float(vals.max()))
-        lo2, hi2 = r[max(i - 1, 0)], r[min(i + 1, n_samples - 1)]
-        if hi2 <= lo2:
-            break
-        lo, hi = lo2, hi2
-    return best
-
-
-def _ref_annulus(j, n, q, profile, rounds=3):
+def _ref_annulus(j, n, q, profile):
     area = 2.0 * np.pi ** (n / 2.0) / math.gamma(n / 2.0)  # the program's constant
     lo, hi = 2.0 ** (j - 1), 2.0 ** j
     if np.isinf(q):
-        return _ref_sup(lambda r: np.abs(profile(r)), lo, hi * (1.0 - 1e-9), 256, rounds)
+        return weights._sup_bounds(profile, profile.breaks, np.array([lo]), np.array([hi]))[0][0]
     t, wts = np.polynomial.legendre.leggauss(64)
     r = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
     w = 0.5 * (hi - lo) * wts
-    return float(np.sqrt(area * np.sum(w * r ** (n - 1) * np.abs(profile(r)) ** 2)))
+    return float(np.sqrt(area * np.sum(w * r ** (n - 1) * profile(r)[0] ** 2)))
 
 
 def reference_dyadic_norm(profile, p, q, n, j_range=(-40, 40)):
@@ -215,7 +246,7 @@ def reference_dyadic_norm(profile, p, q, n, j_range=(-40, 40)):
 
 
 def _assert_same_as_reference(profile, p, q, n, **kw):
-    res = dyadic_norm(profile, p, q, n, **kw)
+    res = _norm(profile, p, q, n, **kw)
     value, tail, diverged = reference_dyadic_norm(profile, p, q, n, **kw)
     assert res.value == value
     assert res.tail_bound == tail
@@ -223,32 +254,30 @@ def _assert_same_as_reference(profile, p, q, n, **kw):
     return res
 
 
-def _bumpy(r):
-    return np.abs(np.sin(3.0 * np.log(r))) / (1.0 + r) ** 2 + 1e-3 * r ** 0.25 * np.exp(-r)
+# an interior maximum near r = 1, the log factor's break at 1 and the bump's at 5.3,
+# inside annulus 3
+_bumpy = Profile.of(1.0, ("r", None, 0.3), ("1+r^k", 2.0, -1.5), ("log", None, 0.7),
+                    ("bump", 5.3, 1.0))
 
 
 @pytest.mark.parametrize("p,q", [(1, np.inf), (np.inf, np.inf), (2, 2), (np.inf, 2)])
 def test_batched_radial_matches_reference(p, q):
     _assert_same_as_reference(_bumpy, p, q, 3)
     rho = WeightSpec("rho2", eps=0.5, delta=0.5)
-    _assert_same_as_reference(rho.radial, p, q, 3, j_range=(-5, 7))
+    _assert_same_as_reference(rho.profile, p, q, 3, j_range=(-5, 7))
 
 
 def test_batched_constant_profile_matches_reference():
-    # a constant: the argmax is the first sample of every row, and the sums diverge
-    one = lambda r: np.ones_like(r)
-    res = _assert_same_as_reference(one, 1, np.inf, 3, j_range=(-20, 20))
+    # a constant: every piece is exact, and the sums diverge
+    res = _assert_same_as_reference(CONST, 1, np.inf, 3, j_range=(-20, 20))
     assert res.diverged
-    _assert_same_as_reference(one, np.inf, np.inf, 3, j_range=(-3, 3))
+    _assert_same_as_reference(CONST, np.inf, np.inf, 3, j_range=(-3, 3))
 
 
 def test_batched_single_annulus_and_ragged_ranges():
     _assert_same_as_reference(_bumpy, 1, np.inf, 3, j_range=(1, 1))
     _assert_same_as_reference(_bumpy, 2, 2, 3, j_range=(1, 1))
-    # lengths that are not multiples of the annuli per profile call: 32 for a
-    # sup, 128 for an L^2 norm
-    assert weights._BLOCK_SAMPLES // 256 == 32 and weights._BLOCK_SAMPLES // 64 == 128
-    assert (2 * 200 + 37) % 32 and (2 * 200 + 37) % 128
+    _assert_same_as_reference(_bumpy, 1, np.inf, 3, j_range=(3, 3))  # the bump's break inside
     _assert_same_as_reference(_bumpy, 1, np.inf, 3, j_range=(-18, 18))
     _assert_same_as_reference(_bumpy, 1, 2, 3, j_range=(-18, 18))
 
@@ -260,30 +289,180 @@ def test_radial_norm_evaluates_many_annuli_per_call():
         calls.append(r.shape)
         return _bumpy(r)
 
-    dyadic_norm(profile, 1, np.inf, 3)
-    assert len(calls) == 3 * math.ceil(481 / 32)
-    assert sum(np.prod(s) for s in calls) == 481 * 3 * 256
+    res = dyadic_norm(profile, 1, np.inf, 3, breaks=_bumpy.breaks)
+    # the 482 annulus ends and the break at 5.3 in one call, then one call per round
+    assert calls[0] == (483,)
+    assert len(calls) <= 12
+    assert sum(np.prod(s) for s in calls) == res.profile_points
 
 
-@pytest.mark.parametrize("q,rounds", [(np.inf, 3), (2, 1)])
-def test_samples_per_annulus_counts_the_samples_taken(q, rounds):
-    # radial: 481 annuli (the range and its 400-annulus continuation); a sup
-    # takes its count once per refinement round
+@pytest.mark.parametrize("q", [np.inf, 2])
+def test_profile_points_counts_the_radii_evaluated(q):
+    # radial: 481 annuli (the range and its 400-annulus continuation)
     points = []
 
     def profile(r):
         points.append(r.size)
         return _bumpy(r)
 
-    res = dyadic_norm(profile, 1, q, 3)
-    assert res.samples_per_annulus * 481 * rounds == sum(points)
-    assert res.samples_per_annulus == (256 if np.isinf(q) else 64)
+    res = dyadic_norm(profile, 1, q, 3, breaks=_bumpy.breaks)
+    assert res.profile_points == sum(points)
+    if q == 2:
+        assert res.profile_points == 481 * 64
 
 
 def test_norm_result_is_frozen():
-    res = dyadic_norm(_bumpy, 1, np.inf, 3, j_range=(0, 2))
+    res = _norm(_bumpy, 1, np.inf, j_range=(0, 2))
     with pytest.raises(dataclasses.FrozenInstanceError):
         res.value = 0.0
+
+
+# -- the sup engine's contract -------------------------------------------
+#
+# Every sup term is an upper bound: at least the largest of 4097 log-spaced values of its
+# annulus (up to the rounding of the profile's own values), and at most 1e-8 above the
+# sup, which the dense grid refined once around its argmax estimates.  The plain dense
+# maximum alone falls up to 1.6e-8 below the sup for the bump profiles.
+
+def _dense_max(profile, lo, hi, n=4097, rows=8):
+    """Per [lo, hi]: the largest of ``n`` log-spaced values, and the largest after ``n``
+    more between the neighbours of the argmax."""
+    coarse, fine = [], []
+    for k in range(0, len(lo), rows):
+        r = np.geomspace(lo[k:k + rows], hi[k:k + rows], n, axis=-1)
+        v = profile(r)[0]
+        i, at = v.argmax(axis=-1), np.arange(len(r))
+        near = np.geomspace(r[at, np.maximum(i - 1, 0)], r[at, np.minimum(i + 1, n - 1)], n, axis=-1)
+        coarse.append(v.max(axis=-1))
+        fine.append(np.maximum(coarse[-1], profile(near)[0].max(axis=-1)))
+    return np.concatenate(coarse), np.concatenate(fine)
+
+
+def _assert_bounds_the_sup(bound, profile, lo, hi):
+    coarse, fine = _dense_max(profile, lo, hi)
+    assert np.all(bound >= coarse * (1.0 - 8 * np.finfo(float).eps))
+    assert np.all(bound <= fine * (1.0 + 1e-8))
+
+
+def _theorem_weights():
+    """The weights that certify, disks and norms put on a preset's |V|."""
+    out = {"none": CONST, "r": RADIUS}
+    for eps in (0.1, 0.25):
+        out[f"tau({eps})^2"] = WeightSpec("tau", eps=eps).profile ** 2
+    for sigma in (1.5, 2.0):
+        out[f"w_sigma({sigma})"] = WeightSpec("w_sigma", sigma=sigma).profile
+    for name, rho in RHOS.items():
+        out[f"r/{name}^2"] = RADIUS * rho.profile ** -2
+    return out
+
+
+RHOS = {"rho2(1/2,1/2)": WeightSpec("rho2", eps=0.5, delta=0.5),
+        "rho2(1/4,1/2)": WeightSpec("rho2", eps=0.25, delta=0.5),
+        "rho1(2)": WeightSpec("rho1", sigma=2.0)}
+PRESETS = [("inverse-square", {}), ("matrix-mix", {})] + \
+    [("bump", {"R": R}) for R in (0.5, 1.0, 1.0005, 1.3, 2.0, 2.001)] + \
+    [("dyadic-decay", {"sigma": s}) for s in (1.5, 2.0)]
+
+
+def _buildable_profiles():
+    """Every profile of a certify, disks or norms job on the presets and weights above."""
+    out = {}
+    for preset, kw in PRESETS:
+        V = PotentialSpec.preset(preset, 3, 4 if preset == "matrix-mix" else 1, c=0.7 - 0.3j, **kw)
+        for name, w in _theorem_weights().items():
+            out[f"{preset}{kw} * {name}"] = V.profile * w
+    for name, rho in RHOS.items():
+        out[name] = rho.profile
+        out[f"r^(1/2) {name}"] = RADIUS ** 0.5 * rho.profile
+    return out
+
+
+@pytest.mark.parametrize("name", list(_buildable_profiles()))
+def test_sup_terms_bound_every_buildable_profile(name):
+    prof = _buildable_profiles()[name]
+    js = np.arange(-240, 241)
+    lo, hi = weights._annulus_bounds(js)
+    terms, points = weights._sup_bounds(prof, prof.breaks, lo, hi)
+    mid = (js >= -40) & (js <= 40)
+    _assert_bounds_the_sup(terms[mid], prof, lo[mid], hi[mid])
+    # the benchmark's profiles settle far below the points budget: about 1 000 per norm
+    assert points < 1000 < 482 + weights._SUP_POINTS
+
+
+@pytest.mark.parametrize("name", ["r", "tau(0.1)^2", "w_sigma(1.5)", "r/rho2(1/4,1/2)^2",
+                                  "r/rho1(2)^2"])
+def test_sup_bounds_a_files_weight_on_any_overlap(name):
+    # a file's cells meet the annuli in arbitrary closed intervals, some with r = 1
+    # inside and some a single radius
+    w = _theorem_weights()[name]
+    rng = np.random.default_rng(3)
+    j = rng.integers(-6, 7, size=60)
+    lo = np.ldexp(1.0, j - 1) * rng.uniform(1.0, 1.6, size=60)
+    hi = np.minimum(lo * rng.uniform(1.0, 2.2, size=60), np.ldexp(1.0, j + 1))
+    lo[:3], hi[:3] = [0.7, 0.9, 1.0], [1.3, 0.9, 1.5]
+    bound, _ = weights._sup_bounds(w, w.breaks, lo, hi)
+    _assert_bounds_the_sup(bound, w, lo, hi)
+
+
+def test_sup_sees_a_bump_break_inside_a_piece():
+    # r^a times a bump of radius 1.3 peaks inside (1, 1.3) for a > 7 and vanishes beyond:
+    # without the break at 1.3 the annulus [1, 2] would read its end values, 0 at r = 2
+    for a in (4.0, 10.0, 30.0):
+        prof = Profile.of(1.0, ("r", None, a), ("bump", 1.3, 1.0))
+        lo, hi = np.array([0.5, 1.0, 2.0]), np.array([1.0, 2.0, 4.0])
+        bound, _ = weights._sup_bounds(prof, prof.breaks, lo, hi)
+        _assert_bounds_the_sup(bound, prof, lo, hi)
+        assert bound[2] == 0.0
+
+
+def test_sup_takes_the_one_sided_derivative_at_a_break():
+    # tau^2 |V| for dyadic-decay with c = 1 reads 4 at r = 1 and falls on [1, 2]; the log
+    # factor's derivative just above r = 1 is -sigma, not 0
+    V = PotentialSpec.preset("dyadic-decay", 3, 1, c=1.0, sigma=2.0)
+    prof = V.profile * WeightSpec("tau", eps=0.25).profile ** 2
+    bound, _ = weights._sup_bounds(prof, prof.breaks, np.array([1.0]), np.array([2.0]))
+    assert bound[0] == 4.0
+    # r^-+3/2 (1 + |ln r|)^2 peaks inside [1, 2] and [1/2, 1]; a derivative of 0 at r = 1
+    # would make each piece look monotone
+    for a, lo, hi in ((-1.5, 1.0, 2.0), (1.5, 0.5, 1.0)):
+        prof = Profile.of(1.0, ("r", None, a), ("log", None, 2.0))
+        bound, _ = weights._sup_bounds(prof, prof.breaks, np.array([lo]), np.array([hi]))
+        _assert_bounds_the_sup(bound, prof, np.array([lo]), np.array([hi]))
+
+
+def test_sup_budget_ends_splitting_with_a_valid_bound():
+    # kept apart, r and r^-1 hide that their product is 1: no piece settles, and the budget
+    # ends the splitting with bounds that are still upper bounds
+    apart = Profile(1.0, (("r", None, 1.0), ("1+r^k", 1.0, 0.5), ("r", None, -1.0),
+                          ("1+r^k", 1.0, -0.5)))
+    js = np.arange(-240, 241)
+    lo, hi = weights._annulus_bounds(js)
+    bound, points = weights._sup_bounds(apart, apart.breaks, lo, hi)
+    assert points <= 482 + weights._SUP_POINTS
+    assert np.all(bound >= 1.0 - 1e-15) and np.all(np.isfinite(bound))
+    merged, _ = weights._sup_bounds(apart * CONST, (), lo, hi)
+    assert np.all(merged == 1.0)
+
+
+def test_traced_profile_points_match_the_norms(tmp_path):
+    # the benchmark tracer wraps the profile handed to dyadic_norm and counts its radii
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from spectralcert import enclosure
+    tracer = tracing.Tracer()
+    enclosure.rho_norms.cache_clear()
+    tracing.install(tracer)
+    try:
+        V = PotentialSpec.preset("bump", 3, 1, c=0.5, R=1.3)
+        rho = RHOS["rho2(1/4,1/2)"]
+        results = [enclosure.n1_norm(V), enclosure.n2_norm(V, rho)[0], *enclosure.rho_norms(rho),
+                   enclosure.potential_norm(V, p=2, q=2)]
+    finally:
+        tracer.uninstall()
+        enclosure.rho_norms.cache_clear()
+    assert tracer.counts["weights.profile_points"] == sum(r.profile_points for r in results)
 
 
 # -- grid-field norms ---------------------------------------------------
@@ -363,9 +542,9 @@ def test_morrey_y_definition():
 
 def test_invalid_pq():
     with pytest.raises(ValueError):
-        dyadic_norm(lambda r: r, 3, np.inf, 3)
+        dyadic_norm(RADIUS, 3, np.inf, 3, breaks=())
     with pytest.raises(ValueError):
-        dyadic_norm(lambda r: r, 1, 1, 3)
+        dyadic_norm(RADIUS, 1, 1, 3, breaks=())
 
 
 def test_q2_norms_import_no_module():
@@ -375,9 +554,10 @@ def test_q2_norms_import_no_module():
 import sys
 import numpy as np
 import spectralcert.cli
+from spectralcert.profiles import Profile
 from spectralcert.weights import cell_dyadic_norm, dyadic_norm
 before = set(sys.modules)
-dyadic_norm(lambda r: 1.0 / (1.0 + r) ** 4, 2, 2, 3)
+dyadic_norm(Profile.of(1.0, ("1+r^k", 1.0, -4.0)), 2, 2, 3, breaks=())
 cell_dyadic_norm(np.ones(64), 3, 2.0, 4, 2, 2)
 print(sorted(set(sys.modules) - before))
 """
